@@ -9,12 +9,11 @@ support the cluster-level views.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-import networkx as nx
 from networkx.algorithms.community import louvain_communities, modularity
 
-from .build import MultiplexLexicalNetwork, _ordered
+from .build import MultiplexLexicalNetwork
 from .lexicons import EMOTIONS, AntonymLexicon, EmotionLexicon
 
 __all__ = [

@@ -11,18 +11,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import networkx as nx
 
 from .ingest import ParsedSentence, word_classes
-from .lexicons import (
-    AntonymLexicon,
-    EmotionLexicon,
-    SynonymLexicon,
-    ValenceLexicon,
-)
+from .lexicons import EmotionLexicon, SynonymLexicon, ValenceLexicon
 from .stemmer import stem
 
 __all__ = [
@@ -31,6 +26,7 @@ __all__ = [
     "extract_syntactic_edges",
     "add_synonym_layer",
     "build_network",
+    "config_hash",
     "network_to_json",
     "network_from_json",
     "write_graphml",
@@ -55,25 +51,27 @@ class MultiplexLexicalNetwork:
     syntactic_edges: dict[tuple[str, str], int]  # ordered pair (min, max) -> count
     synonym_edges: set[tuple[str, str]]
     provenance: dict
+    # frozen graph views, each built on its first request; edit no field after
+    _graphs: dict[str, nx.Graph] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def aggregate_graph(self) -> nx.Graph:
         """Simple graph over both layers; used by all unweighted analyses."""
-        g = nx.Graph()
-        g.add_nodes_from(sorted(self.nodes))
-        g.add_edges_from(sorted(self.syntactic_edges))
-        g.add_edges_from(sorted(self.synonym_edges))
-        return g
+        return self._graph("aggregate", self.syntactic_edges, self.synonym_edges)
 
     def layer_graph(self, layer: str) -> nx.Graph:
-        g = nx.Graph()
-        g.add_nodes_from(sorted(self.nodes))
-        if layer == "syntactic":
-            g.add_edges_from(sorted(self.syntactic_edges))
-        elif layer == "synonym":
-            g.add_edges_from(sorted(self.synonym_edges))
-        else:
+        edges = {"syntactic": self.syntactic_edges, "synonym": self.synonym_edges}.get(layer)
+        if edges is None:
             raise ValueError(f"unknown layer {layer!r}")
-        return g
+        return self._graph(layer, edges)
+
+    def _graph(self, view: str, *layers) -> nx.Graph:
+        if view not in self._graphs:
+            g = nx.Graph()
+            g.add_nodes_from(sorted(self.nodes))
+            for edges in layers:
+                g.add_edges_from(sorted(edges))
+            self._graphs[view] = nx.freeze(g)
+        return self._graphs[view]
 
     def validate(self) -> None:
         for pair in set(self.syntactic_edges) | self.synonym_edges:
@@ -189,13 +187,10 @@ def build_network(
         )
 
     config = dict(config or {})
-    config_hash = hashlib.sha256(
-        json.dumps(config, sort_keys=True).encode("utf-8")
-    ).hexdigest()[:16]
     provenance = {
         "corpus_id": corpus_id,
         "config": config,
-        "config_hash": config_hash,
+        "config_hash": config_hash(config),
         "sentence_count": len(sentences),
         "edgeless_sentences": skipped_sentences,
         "edge_direction": "discarded (undirected analyses)",
@@ -208,6 +203,13 @@ def build_network(
     )
     net.validate()
     return net
+
+
+def config_hash(settings: dict) -> str:
+    """Short stable digest of a settings dict, stamped on every output."""
+    return hashlib.sha256(
+        json.dumps(settings, sort_keys=True, default=str).encode("utf-8")
+    ).hexdigest()[:16]
 
 
 def summary(net: MultiplexLexicalNetwork) -> dict:

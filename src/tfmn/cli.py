@@ -9,7 +9,6 @@ identical runs produce byte-identical files.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import sys
@@ -27,6 +26,7 @@ from .analysis import (
 )
 from .build import (
     build_network,
+    config_hash,
     load_network,
     network_to_json,
     save_network,
@@ -34,6 +34,7 @@ from .build import (
     write_graphml,
 )
 from .ingest import (
+    RawDocument,
     UnparsedSentence,
     clean_document,
     filter_short,
@@ -48,7 +49,7 @@ from .lexicons import (
     load_synonyms,
     load_valence_norms,
 )
-from .metrics import centrality_report, rank_concepts
+from .metrics import CentralityReport, centrality_report, rank_concepts, top_rows
 from .stats import (
     benchmark_topic_relevance,
     clustering_null_test,
@@ -90,12 +91,6 @@ def _read_config(path: str | None) -> dict[str, str]:
     return config
 
 
-def _config_hash(settings: dict) -> str:
-    return hashlib.sha256(
-        json.dumps(settings, sort_keys=True, default=str).encode("utf-8")
-    ).hexdigest()[:16]
-
-
 def _resolve(flag_value, config: dict, key: str, default=None, cast=str):
     if flag_value is not None:
         return flag_value
@@ -129,35 +124,44 @@ def _load_lexicons(lexicon_dir: Path, scale=(1.0, 9.0)):
 
 def _parse_corpus(corpus: Path, corpus_format: str, min_words: int):
     """Returns (sentences, ingest stats)."""
-    stats = {"documents": 0, "dropped_short": 0, "unparsed_sentences": 0, "rejected": 0}
-    sentences = []
-    if corpus_format == "conllu":
-        parsed, rejections = parse_conllu(corpus)
-        sentences = parsed
-        stats["rejected"] = len(rejections)
-        stats["documents"] = len({s.doc_id for s in parsed})
-    elif corpus_format == "text":
-        docs = [clean_document(d) for d in read_text_corpus(corpus)]
-        docs, dropped = filter_short(docs, min_words)
-        stats["documents"] = len(docs)
-        stats["dropped_short"] = dropped
-        for doc in docs:
-            for i, sent in enumerate(split_sentences(doc.text)):
-                try:
-                    sentences.append(heuristic_parse(sent, doc_id=f"{doc.id}-{i}"))
-                except UnparsedSentence:
-                    stats["unparsed_sentences"] += 1
-    else:
+    if corpus_format == "text":
+        return _parse_documents(read_text_corpus(corpus), min_words)
+    if corpus_format != "conllu":
         _fail(f"unknown corpus format {corpus_format!r}")
+    sentences, rejections = parse_conllu(corpus)
+    documents = len({s.doc_id for s in sentences})
+    return sentences, {"documents": documents, "dropped_short": 0, "unparsed_sentences": 0,
+                       "rejected": len(rejections)}
+
+
+def _parse_documents(docs: list[RawDocument], min_words: int):
+    """Clean, filter, split and heuristically parse plain-text documents;
+    returns (sentences, ingest stats)."""
+    docs, dropped = filter_short([clean_document(d) for d in docs], min_words)
+    stats = {"documents": len(docs), "dropped_short": dropped, "unparsed_sentences": 0, "rejected": 0}
+    sentences = []
+    for doc in docs:
+        for i, sent in enumerate(split_sentences(doc.text)):
+            try:
+                sentences.append(heuristic_parse(sent, doc_id=f"{doc.id}-{i}"))
+            except UnparsedSentence:
+                stats["unparsed_sentences"] += 1
     return sentences, stats
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=1), encoding="utf-8")
+    path.write_text(json.dumps(payload, sort_keys=True, indent=1, allow_nan=False), encoding="utf-8")
 
 
-def _stamp(payload: dict, config_hash: str, seed: int | None) -> dict:
-    payload["config_hash"] = config_hash
+def _load_network_or_fail(path: str):
+    try:
+        return load_network(path)
+    except (OSError, ValueError) as exc:
+        _fail(str(exc), network=str(path))
+
+
+def _stamp(payload: dict, digest: str, seed: int | None) -> dict:
+    payload["config_hash"] = digest
     if seed is not None:
         payload["seed"] = seed
     return payload
@@ -209,7 +213,7 @@ def build(config_path, corpus, corpus_format, lexicon_dir, min_words, corpus_id,
         "corpus_id": corpus_id,
         "lexicon_dir": str(lexicon_dir),
     }
-    config_hash = _config_hash(settings)
+    digest = config_hash(settings)
 
     valence, emotions, synonyms, _ = _load_lexicons(lexicon_dir)
     sentences, ingest_stats = _parse_corpus(Path(corpus), corpus_format, min_words)
@@ -217,7 +221,7 @@ def build(config_path, corpus, corpus_format, lexicon_dir, min_words, corpus_id,
         net = build_network(
             sentences, valence, emotions, synonyms,
             corpus_id=corpus_id,
-            config={**settings, "config_hash": config_hash},
+            config={**settings, "config_hash": digest},
         )
     except ValueError as exc:
         _fail(str(exc), corpus=str(corpus))
@@ -227,7 +231,7 @@ def build(config_path, corpus, corpus_format, lexicon_dir, min_words, corpus_id,
     write_graphml(net, out_dir / f"{corpus_id}.network.graphml")
     _write_json(
         out_dir / f"{corpus_id}.summary.json",
-        _stamp({**summary(net), "ingest": ingest_stats}, config_hash, None),
+        _stamp({**summary(net), "ingest": ingest_stats}, digest, None),
     )
     click.echo(f"built {corpus_id}: {len(net.nodes)} nodes, "
                f"{len(net.syntactic_edges)} syntactic / {len(net.synonym_edges)} synonym edges")
@@ -244,23 +248,20 @@ def rank(config_path, network_path, top_k, layer_mode, out_path):
     config = _read_config(config_path)
     top_k = _resolve(top_k, config, "top_k", 10, int)
     layer_mode = _resolve(layer_mode, config, "layer_mode", "aggregate")
+    net = _load_network_or_fail(network_path)
     try:
-        net = load_network(network_path)
-        ranking = rank_concepts(net, top_k, layer_mode)
+        rows = top_rows(net, top_k, layer_mode)
     except ValueError as exc:
         _fail(str(exc), network=str(network_path))
     settings = {"command": "rank", "network": net.provenance.get("config_hash", ""),
                 "top_k": top_k, "layer_mode": layer_mode}
-    for s, c in ranking:
+    for s, c, _, _ in rows:
         click.echo(f"{s}\t{c:.6f}")
     if out_path:
-        from .metrics import CentralityReport
-
-        report = centrality_report(net, layer_mode)
-        CentralityReport(rows=report.rows[:top_k]).write_csv(out_path)
+        CentralityReport(rows=rows).write_csv(out_path)
         _write_json(
             Path(out_path).with_suffix(".json"),
-            _stamp({"ranking": [[s, c] for s, c in ranking]}, _config_hash(settings), None),
+            _stamp({"ranking": [[s, c] for s, c, _, _ in rows]}, config_hash(settings), None),
         )
 
 
@@ -270,7 +271,7 @@ def rank(config_path, network_path, top_k, layer_mode, out_path):
 @click.option("--out", "out_path", type=click.Path(), default=None)
 def aura(network_path, targets, out_path):
     """Valence auras of target concepts."""
-    net = load_network(network_path)
+    net = _load_network_or_fail(network_path)
     known, unknown = _resolve_targets(net, tuple(t.strip() for t in targets.split(",") if t.strip()))
     reports = [valence_aura(net, t).to_dict() for t in known]
     payload = {"auras": reports, "unknown_targets": unknown}
@@ -291,7 +292,7 @@ def aura(network_path, targets, out_path):
 @click.option("--out-dir", type=click.Path(), default=".")
 def profile(network_path, targets, lexicon_dir, out_dir):
     """Emotional profiles of target concepts, with chart data per target."""
-    net = load_network(network_path)
+    net = _load_network_or_fail(network_path)
     _, emotions, _, antonyms = _load_lexicons(_lexicon_dir(lexicon_dir, {}))
     known, unknown = _resolve_targets(net, tuple(t.strip() for t in targets.split(",") if t.strip()))
     out = Path(out_dir)
@@ -316,8 +317,11 @@ def profile(network_path, targets, lexicon_dir, out_dir):
 @click.option("--out", "out_path", type=click.Path(), default=None)
 def communities(network_path, seed, target, out_path):
     """Louvain communities of the aggregate graph."""
-    net = load_network(network_path)
-    partition = louvain_partition(net, seed=seed)
+    net = _load_network_or_fail(network_path)
+    try:
+        partition = louvain_partition(net, seed=seed)
+    except ValueError as exc:
+        _fail(str(exc), network=str(network_path))
     n_comm = len(set(partition.communities.values()))
     click.echo(f"{n_comm} communities, modularity {partition.modularity_value:.4f}")
     payload = {
@@ -344,7 +348,7 @@ def communities(network_path, seed, target, out_path):
 @click.option("--out", "out_path", type=click.Path(), default=None)
 def nulltest(network_path, realizations, seed, swaps_per_edge, out_path):
     """Clustering vs. configuration-model ensemble."""
-    net = load_network(network_path)
+    net = _load_network_or_fail(network_path)
     settings = {"command": "nulltest", "network": net.provenance.get("config_hash", ""),
                 "realizations": realizations, "seed": seed, "swaps_per_edge": swaps_per_edge}
     try:
@@ -356,7 +360,7 @@ def nulltest(network_path, realizations, seed, swaps_per_edge, out_path):
         f"({report['ensemble_mean']:.3f} +/- {report['ensemble_std']:.3f} for configuration models)"
     )
     if out_path:
-        _write_json(Path(out_path), _stamp(report, _config_hash(settings), seed))
+        _write_json(Path(out_path), _stamp(report, config_hash(settings), seed))
 
 
 @main.command()
@@ -393,7 +397,7 @@ def benchmark(config_path, paragraph_dir, oracle_path, lexicon_dir, top_k, reali
         "seed": seed,
         "lexicon_dir": str(lexicon_dir),
     }
-    config_hash = _config_hash(settings)
+    digest = config_hash(settings)
     valence, emotions, synonyms, _ = _load_lexicons(lexicon_dir)
     oracle = load_free_associations(oracle_path)
 
@@ -402,10 +406,11 @@ def benchmark(config_path, paragraph_dir, oracle_path, lexicon_dir, top_k, reali
     sizes = {}
     for path in sorted(paragraph_dir.glob("*.txt")):
         topic_word = BENCHMARK_TOPICS.get(path.stem, path.stem)
-        sentences, _ = _parse_corpus(path_to_doc_file(path, out_dir), "text", 1)
+        doc = RawDocument(id=path.stem, text=path.read_text(encoding="utf-8"))
+        sentences, _ = _parse_documents([doc], min_words=1)
         net = build_network(
             sentences, valence, emotions, synonyms,
-            corpus_id=path.stem, config={**settings, "config_hash": config_hash},
+            corpus_id=path.stem, config={**settings, "config_hash": digest},
         )
         save_network(net, out_dir / f"{path.stem}.network.json")
         topic_stem = stem(topic_word)
@@ -416,19 +421,11 @@ def benchmark(config_path, paragraph_dir, oracle_path, lexicon_dir, top_k, reali
     except ValueError as exc:
         _fail(str(exc))
     report["paragraph_sizes"] = sizes
-    _write_json(out_dir / "benchmark.json", _stamp(report, config_hash, seed))
+    _write_json(out_dir / "benchmark.json", _stamp(report, digest, seed))
     click.echo(
         f"empirical median {report['empirical_median']:.1f} vs null {report['null_median']:.1f}, "
         f"U={report['mann_whitney']['U']:.0f}, p={report['mann_whitney']['p_value']:.4g}"
     )
-
-
-def path_to_doc_file(paragraph: Path, out_dir: Path) -> Path:
-    """Wrap a plain paragraph file as a one-document id<TAB>text corpus."""
-    text = " ".join(paragraph.read_text(encoding="utf-8").split())
-    tmp = out_dir / f".{paragraph.stem}.corpus.txt"
-    tmp.write_text(f"{paragraph.stem}\t{text}\n", encoding="utf-8")
-    return tmp
 
 
 @main.command()
@@ -437,7 +434,7 @@ def path_to_doc_file(paragraph: Path, out_dir: Path) -> Path:
 @click.option("--out", "out_path", type=click.Path(), required=True)
 def export(network_path, fmt, out_path):
     """Re-export a network file as GraphML, JSON or a centrality CSV."""
-    net = load_network(network_path)
+    net = _load_network_or_fail(network_path)
     if fmt == "graphml":
         write_graphml(net, out_path)
     elif fmt == "json":

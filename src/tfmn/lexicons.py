@@ -12,8 +12,6 @@ import csv
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from .stemmer import stem
 
 EMOTIONS = (
@@ -26,9 +24,6 @@ EMOTIONS = (
     "surprise",
     "trust",
 )
-
-VALENCE_LABELS = ("positive", "neutral", "negative", "unrated")
-
 
 class LexiconError(ValueError):
     """Raised when a lexicon file cannot be loaded."""
@@ -89,15 +84,6 @@ class SynonymLexicon:
         a, b = pair
         return (min(a, b), max(a, b)) in self.pairs
 
-    def partners(self, s: str) -> set[str]:
-        out = set()
-        for a, b in self.pairs:
-            if a == s:
-                out.add(b)
-            elif b == s:
-                out.add(a)
-        return out
-
 
 @dataclass(frozen=True)
 class AntonymLexicon:
@@ -152,10 +138,20 @@ def load_valence_norms(
         raise LexiconError(f"{path}: {len(bad_rows)} bad rows: " + "; ".join(bad_rows[:5]))
     if not by_stem:
         raise LexiconError(f"{path}: no entries")
-    entries = {s: (float(np.mean(v)), len(v)) for s, v in by_stem.items()}
-    scores = np.array([v[0] for v in entries.values()])
-    q1, q3 = np.percentile(scores, [25.0, 75.0])
-    return ValenceLexicon(entries=entries, q1=float(q1), q3=float(q3), scale=scale)
+    entries = {s: (sum(v) / len(v), len(v)) for s, v in by_stem.items()}
+    scores = sorted(v[0] for v in entries.values())
+    q1, q3 = _percentile(scores, 0.25), _percentile(scores, 0.75)
+    return ValenceLexicon(entries=entries, q1=q1, q3=q3, scale=scale)
+
+
+def _percentile(ordered: list[float], q: float) -> float:
+    """Linear interpolation at position (n-1)*q of the ordered values, with
+    numpy.percentile's two-sided lerp, so that results agree to the bit."""
+    pos = (len(ordered) - 1) * q
+    i = int(pos)
+    t = pos - i
+    a, b = ordered[i], ordered[min(i + 1, len(ordered) - 1)]
+    return a + (b - a) * t if t < 0.5 else b - (b - a) * (1 - t)
 
 
 def load_emotion_lexicon(path: str | Path) -> EmotionLexicon:

@@ -26,15 +26,14 @@ __all__ = [
 ]
 
 LAYER_MODES = ("aggregate", "syntactic_only", "synonym_only")
+Row = tuple[str, float, int, int]  # (stem, closeness, degree, component size)
 
 
 def _view(net: MultiplexLexicalNetwork, layer_mode: str) -> nx.Graph:
     if layer_mode == "aggregate":
         return net.aggregate_graph()
-    if layer_mode == "syntactic_only":
-        return net.layer_graph("syntactic")
-    if layer_mode == "synonym_only":
-        return net.layer_graph("synonym")
+    if layer_mode in ("syntactic_only", "synonym_only"):
+        return net.layer_graph(layer_mode.removesuffix("_only"))
     raise ValueError(f"unknown layer_mode {layer_mode!r}; expected one of {LAYER_MODES}")
 
 
@@ -47,20 +46,19 @@ class DistanceMatrix:
         return self.distances.get(a, {}).get(b)
 
 
+def _components(g: nx.Graph) -> list[set[str]]:
+    """Connected components, largest first, ties broken by smallest stem."""
+    return sorted(nx.connected_components(g), key=lambda c: (-len(c), min(c)))
+
+
 def shortest_paths(
     net: MultiplexLexicalNetwork, layer_mode: str = "aggregate"
 ) -> DistanceMatrix:
     """Breadth-first distances within each connected component of the chosen
     layer view; cross-component pairs are simply absent."""
     g = _view(net, layer_mode)
-    component_id = {}
-    for cid, comp in enumerate(sorted(nx.connected_components(g), key=lambda c: (-len(c), min(c)))):
-        for node in comp:
-            component_id[node] = cid
-    distances = {
-        source: dict(lengths)
-        for source, lengths in nx.all_pairs_shortest_path_length(g)
-    }
+    component_id = {node: cid for cid, comp in enumerate(_components(g)) for node in comp}
+    distances = dict(nx.all_pairs_shortest_path_length(g))
     return DistanceMatrix(component_id=component_id, distances=distances)
 
 
@@ -82,7 +80,7 @@ def _closeness_in_graph(g: nx.Graph, node: str) -> float | None:
 
 @dataclass(frozen=True)
 class CentralityReport:
-    rows: list[tuple[str, float, int, int]]  # (stem, closeness, degree, component size)
+    rows: list[Row]
 
     def write_csv(self, path: str | Path) -> None:
         with Path(path).open("w", newline="", encoding="utf-8") as fh:
@@ -91,38 +89,43 @@ class CentralityReport:
             writer.writerows(self.rows)
 
 
+def closeness_rows(net: MultiplexLexicalNetwork, layer_mode: str = "aggregate") -> list[list[Row]]:
+    """Closeness rows of a layer view, one list per connected component:
+    components largest first (ties: smallest stem), rows by closeness,
+    descending, then stem; a single-node component has none. Each BFS runs
+    on the whole view, since it never leaves its source's component."""
+    g = _view(net, layer_mode)
+    out = []
+    for comp in _components(g):
+        rows = [(s, _closeness_in_graph(g, s), g.degree(s), len(comp)) for s in comp]
+        out.append(sorted((r for r in rows if r[1] is not None), key=lambda r: (-r[1], r[0])))
+    return out
+
+
+def top_rows(net: MultiplexLexicalNetwork, top_k: int, layer_mode: str = "aggregate") -> list[Row]:
+    """The first top_k closeness rows of the largest connected component."""
+    if top_k <= 0:
+        raise ValueError("top_k must be positive")
+    components = closeness_rows(net, layer_mode)
+    if not components:
+        raise ValueError("empty network")
+    return components[0][:top_k]
+
+
 def rank_concepts(
     net: MultiplexLexicalNetwork, top_k: int, layer_mode: str = "aggregate"
 ) -> list[tuple[str, float]]:
     """Top-k stems of the largest connected component by closeness,
     descending, ties broken lexicographically."""
-    if top_k <= 0:
-        raise ValueError("top_k must be positive")
-    g = _view(net, layer_mode)
-    if g.number_of_nodes() == 0:
-        raise ValueError("empty network")
-    largest = sorted(nx.connected_components(g), key=lambda c: (-len(c), min(c)))[0]
-    sub = g.subgraph(largest)
-    scored = [(s, _closeness_in_graph(sub, s)) for s in largest]
-    scored = [(s, c) for s, c in scored if c is not None]
-    scored.sort(key=lambda sc: (-sc[1], sc[0]))
-    return scored[:top_k]
+    return [(s, c) for s, c, _, _ in top_rows(net, top_k, layer_mode)]
 
 
 def centrality_report(
     net: MultiplexLexicalNetwork, layer_mode: str = "aggregate"
 ) -> CentralityReport:
-    g = _view(net, layer_mode)
-    comp_of = {}
-    for comp in nx.connected_components(g):
-        for node in comp:
-            comp_of[node] = len(comp)
-    rows = []
-    for s in sorted(g.nodes):
-        c = _closeness_in_graph(g, s)
-        if c is None:
-            continue
-        rows.append((s, c, g.degree(s), comp_of[s]))
+    """Rows of every component, ordered by closeness alone; values from
+    different components are not comparable."""
+    rows = [row for comp in closeness_rows(net, layer_mode) for row in comp]
     rows.sort(key=lambda r: (-r[1], r[0]))
     return CentralityReport(rows=rows)
 

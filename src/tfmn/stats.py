@@ -15,6 +15,7 @@ import statistics
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 import networkx as nx
 
@@ -23,7 +24,6 @@ from .metrics import mean_clustering
 from .stemmer import stem
 
 __all__ = [
-    "NullEnsemble",
     "MannWhitneyResult",
     "FreeAssociationNetwork",
     "configuration_rewire",
@@ -112,24 +112,17 @@ def rewire_graph(g: nx.Graph, seed: int, swaps_per_edge: int = 10) -> nx.Graph:
     return h
 
 
-@dataclass(frozen=True)
-class NullEnsemble:
-    realizations: list[MultiplexLexicalNetwork]
-    seeds: list[int]
-    swaps_per_edge: int
-
-
 def null_ensemble(
     net: MultiplexLexicalNetwork,
     n_realizations: int,
     seed: int,
     swaps_per_edge: int = 10,
-) -> NullEnsemble:
+) -> Iterator[MultiplexLexicalNetwork]:
+    """Configuration-model realizations for seeds seed, seed + 1, ..., each
+    drawn only when the iterator reaches it, so callers can drop it after use."""
     if n_realizations < 2:
         raise ValueError("need at least 2 realizations")
-    seeds = [seed + k for k in range(n_realizations)]
-    realizations = [configuration_rewire(net, s, swaps_per_edge) for s in seeds]
-    return NullEnsemble(realizations=realizations, seeds=seeds, swaps_per_edge=swaps_per_edge)
+    return (configuration_rewire(net, seed + k, swaps_per_edge) for k in range(n_realizations))
 
 
 # ---------------------------------------------------------------------------
@@ -322,13 +315,13 @@ def clustering_null_test(
     swaps_per_edge: int = 10,
 ) -> dict:
     """Empirical mean clustering against the configuration-ensemble
-    mean +/- standard deviation."""
-    ensemble = null_ensemble(net, n_realizations, seed, swaps_per_edge)
+    mean +/- standard deviation; z-score None if the ensemble has no spread."""
+    nulls = null_ensemble(net, n_realizations, seed, swaps_per_edge)
     empirical = mean_clustering(net)
-    values = [mean_clustering(r) for r in ensemble.realizations]
+    values = [mean_clustering(r) for r in nulls]
     mean = statistics.fmean(values)
     std = statistics.pstdev(values)
-    z = (empirical - mean) / std if std > 0 else math.inf
+    z = (empirical - mean) / std if std > 0 else None
     return {
         "empirical_clustering": empirical,
         "ensemble_mean": mean,
@@ -336,5 +329,5 @@ def clustering_null_test(
         "z_score": z,
         "n_realizations": n_realizations,
         "seed": seed,
-        "seeds": ensemble.seeds,
+        "seeds": [seed + k for k in range(n_realizations)],
     }

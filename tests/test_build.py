@@ -1,5 +1,6 @@
 import json
 
+import networkx as nx
 import pytest
 
 from tfmn.build import (
@@ -201,6 +202,17 @@ def test_layer_graphs_keep_all_nodes():
     assert set(syn.nodes()) == {"a", "b", "c"}
     assert set(syn.edges()) == {("b", "c")}
     assert set(net.layer_graph("syntactic").edges()) == {("a", "b")}
+
+
+def test_graph_views_built_once_and_frozen():
+    net = make_network({("a", "b"): 1}, synonym={("b", "c")})
+    for view in (net.aggregate_graph, lambda: net.layer_graph("syntactic"),
+                 lambda: net.layer_graph("synonym")):
+        g = view()
+        assert view() is g
+        with pytest.raises(nx.NetworkXError):
+            g.add_edge("a", "c")
+    assert net.aggregate_graph() is not net.layer_graph("syntactic")
 
 
 def test_unknown_layer_rejected():

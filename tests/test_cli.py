@@ -1,9 +1,18 @@
+import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import tfmn
+from tfmn.build import save_network
 from tfmn.cli import main
+
+from conftest import make_network
 
 
 CORPUS = (
@@ -197,8 +206,119 @@ def test_benchmark_command(runner, tmp_path):
     assert payload["n_realizations"] == 5
     assert len(payload["paragraph_sizes"]) == 7
     assert payload["empirical_median"] < payload["null_median"]
+    assert not [p.name for p in out.iterdir() if p.name.startswith(".")]
 
 
 def test_version(runner):
     result = runner.invoke(main, ["--version"])
     assert result.exit_code == 0
+
+
+def _strict_json(path):
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+def test_rank_csv_rows_match_json_ranking(runner, tmp_path):
+    # three components; the two smaller ones hold the highest closeness values
+    net = make_network({("a", "b"): 1, ("b", "c"): 1, ("c", "d"): 1,
+                        ("x", "y"): 1, ("y", "z"): 1, ("p", "q"): 1})
+    save_network(net, tmp_path / "net.json")
+    out_csv = tmp_path / "rank.csv"
+    result = runner.invoke(
+        main, ["rank", "--network", str(tmp_path / "net.json"), "--top-k", "10", "--out", str(out_csv)]
+    )
+    assert result.exit_code == 0, result.output
+    with out_csv.open() as fh:
+        rows = list(csv.DictReader(fh))
+    ranking = _strict_json(out_csv.with_suffix(".json"))["ranking"]
+    assert [[r["stem"], float(r["closeness"])] for r in rows] == ranking
+    assert [s for s, _ in ranking] == ["b", "c", "a", "d"]
+    assert {r["component_size"] for r in rows} == {"4"}
+    assert [line.split("\t")[0] for line in result.output.splitlines()] == ["b", "c", "a", "d"]
+
+
+def test_nulltest_output_is_strict_json(runner, tmp_path):
+    # one node of degree > 1: no degree-preserving rewire can close a triangle
+    net = make_network({("hub", "x"): 1, ("hub", "y"): 1, ("hub", "z"): 1, ("p", "q"): 1})
+    save_network(net, tmp_path / "net.json")
+    out = tmp_path / "null.json"
+    result = runner.invoke(
+        main, ["nulltest", "--network", str(tmp_path / "net.json"), "--realizations", "5",
+               "--out", str(out)],
+    )
+    assert result.exit_code == 0, result.output
+    payload = _strict_json(out)
+    assert payload["ensemble_std"] == 0.0
+    assert payload["z_score"] is None
+
+
+NETWORK_COMMANDS = {
+    "rank": [],
+    "aura": ["--targets", "love"],
+    "profile": ["--targets", "love"],
+    "communities": [],
+    "nulltest": ["--realizations", "2"],
+    "export": ["--format", "json"],
+}
+MALFORMED = {
+    "not_json": "{nodes",
+    "missing_key": '{"nodes": []}',
+    "dangling_edge": json.dumps({"nodes": [], "syntactic_edges": [["a", "b", 1]],
+                                 "synonym_edges": [], "provenance": {}}),
+}
+EMPTY = json.dumps({"nodes": [], "syntactic_edges": [], "synonym_edges": [], "provenance": {}})
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [(c, t) for c in NETWORK_COMMANDS for t in MALFORMED.values()] + [("communities", EMPTY)],
+    ids=[f"{c}-{k}" for c in NETWORK_COMMANDS for k in MALFORMED] + ["communities-empty"],
+)
+def test_bad_network_fails_with_one_json_line(runner, tmp_path, command, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    args = [command, "--network", str(path), *NETWORK_COMMANDS[command]]
+    if command == "profile":
+        args += ["--out-dir", str(tmp_path / "p")]
+    if command == "export":
+        args += ["--out", str(tmp_path / "x.json")]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1, result.stderr
+    assert "error" in json.loads(lines[0])
+    assert "Traceback" not in result.output
+
+
+def test_outputs_identical_across_hash_seeds(tmp_path):
+    """Each command runs in a fresh interpreter per hash seed, with the same
+    relative paths, so every output file must match byte for byte."""
+    entry = "import sys; from tfmn.cli import main; sys.argv[0] = 'tfmn'; main()"
+    env = {k: v for k, v in os.environ.items() if k != "TFMN_LEXICON_DIR"}
+    env["PYTHONPATH"] = str(Path(tfmn.__file__).resolve().parents[1])
+    commands = [
+        ["build", "--corpus", "corpus.txt", "--corpus-id", "toy", "--out-dir", "out"],
+        ["rank", "--network", "out/toy.network.json", "--top-k", "5", "--out", "out/rank.csv"],
+        ["nulltest", "--network", "out/toy.network.json", "--realizations", "5", "--seed", "2",
+         "--out", "out/null.json"],
+        ["communities", "--network", "out/toy.network.json", "--seed", "3", "--target", "love",
+         "--out", "out/comm.json"],
+        ["benchmark", "--realizations", "5", "--seed", "1", "--out-dir", "bench"],
+    ]
+    outputs = []
+    for hash_seed in ("1", "2"):
+        cwd = tmp_path / f"seed{hash_seed}"
+        cwd.mkdir()
+        (cwd / "corpus.txt").write_text(CORPUS, encoding="utf-8")
+        for args in commands:
+            subprocess.run([sys.executable, "-c", entry, *args], cwd=cwd, check=True,
+                           env={**env, "PYTHONHASHSEED": hash_seed}, capture_output=True, timeout=120)
+        outputs.append({str(p.relative_to(cwd)): p.read_bytes()
+                        for p in sorted(cwd.rglob("*")) if p.is_file()})
+    # corpus, 3 build and 2 rank files, null, communities, 7 networks and benchmark.json
+    assert len(outputs[0]) == 16
+    assert outputs[0] == outputs[1]

@@ -34,6 +34,7 @@ __all__ = [
 ]
 
 _CONTENT_UPOS = frozenset({"NOUN", "PROPN", "VERB", "ADJ", "ADV", "PRON"})
+_VALENCE_LABELS = frozenset({"positive", "neutral", "negative", "unrated"})
 
 
 @dataclass(frozen=True)
@@ -74,6 +75,9 @@ class MultiplexLexicalNetwork:
         return self._graphs[view]
 
     def validate(self) -> None:
+        for c in self.nodes.values():
+            if c.valence_label not in _VALENCE_LABELS:
+                raise ValueError(f"node {c.stem!r}: unknown valence_label {c.valence_label!r}")
         for pair in set(self.syntactic_edges) | self.synonym_edges:
             a, b = pair
             if a == b:
@@ -263,8 +267,11 @@ def network_from_json(text: str) -> MultiplexLexicalNetwork:
             )
             for n in payload["nodes"]
         }
-        syntactic = {(a, b): count for a, b, count in payload["syntactic_edges"]}
-        synonym = {(a, b) for a, b in payload["synonym_edges"]}
+        syntactic = {_ordered(a, b): count for a, b, count in payload["syntactic_edges"]}
+        synonym = {_ordered(a, b) for a, b in payload["synonym_edges"]}
+        if (len(syntactic) < len(payload["syntactic_edges"])
+                or len(synonym) < len(payload["synonym_edges"])):
+            raise ValueError("duplicate edge: a pair is listed twice in one layer")
         provenance = payload["provenance"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"invalid network file: {exc}") from exc

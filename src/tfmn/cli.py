@@ -216,8 +216,8 @@ def build(config_path, corpus, corpus_format, lexicon_dir, min_words, corpus_id,
     digest = config_hash(settings)
 
     valence, emotions, synonyms, _ = _load_lexicons(lexicon_dir)
-    sentences, ingest_stats = _parse_corpus(Path(corpus), corpus_format, min_words)
     try:
+        sentences, ingest_stats = _parse_corpus(Path(corpus), corpus_format, min_words)
         net = build_network(
             sentences, valence, emotions, synonyms,
             corpus_id=corpus_id,
@@ -273,7 +273,10 @@ def aura(network_path, targets, out_path):
     """Valence auras of target concepts."""
     net = _load_network_or_fail(network_path)
     known, unknown = _resolve_targets(net, tuple(t.strip() for t in targets.split(",") if t.strip()))
-    reports = [valence_aura(net, t).to_dict() for t in known]
+    try:
+        reports = [valence_aura(net, t).to_dict() for t in known]
+    except ValueError as exc:
+        _fail(str(exc), network=str(network_path))
     payload = {"auras": reports, "unknown_targets": unknown}
     for r in reports:
         click.echo(f"{r['target']}\t{r['aura']}")

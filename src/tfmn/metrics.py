@@ -132,9 +132,18 @@ def centrality_report(
 
 def mean_clustering(net: MultiplexLexicalNetwork) -> float:
     """Mean local clustering on the aggregate simple graph; degree < 2
-    nodes contribute zero."""
-    g = net.aggregate_graph()
-    if g.number_of_nodes() == 0:
+    nodes contribute zero. Local values are t / (d * (d - 1)), with t twice
+    the node's triangle count, summed in sorted-stem order as
+    `nx.clustering` gives them, so the mean equals networkx's bit for bit."""
+    if not net.nodes:
         return 0.0
-    local = nx.clustering(g)
-    return sum(local.values()) / g.number_of_nodes()
+    adj: dict[str, set[str]] = {s: set() for s in sorted(net.nodes)}
+    for a, b in net.syntactic_edges.keys() | net.synonym_edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    local = []
+    for nbrs in adj.values():
+        d = len(nbrs)
+        t = sum(len(nbrs & adj[w]) for w in nbrs)
+        local.append(0 if t == 0 else t / (d * (d - 1)))
+    return sum(local) / len(adj)

@@ -5,6 +5,14 @@ swaps on simple graphs (self-loops and duplicate edges rejected and
 retried), applied independently per layer. Location differences between
 empirical and null samples use the Mann-Whitney U test with midrank ties
 and a tie-corrected normal approximation.
+
+The swap kernel numbers the nodes in sorted-name order, so comparing two
+ids orients an edge exactly as comparing the two names does, and the sorted
+(lo, hi) id pairs list the edges in sorted-name order. Each
+attempt draws from the seeded ``random.Random`` in a fixed sequence: edge
+index i, then edge index j, each exactly as ``rng.randrange(m)`` would draw
+it, then one ``rng.random()`` coin for the swap orientation, drawn only
+when i != j. A given seed therefore always yields the same realization.
 """
 
 from __future__ import annotations
@@ -19,7 +27,7 @@ from typing import Iterator
 
 import networkx as nx
 
-from .build import MultiplexLexicalNetwork, _ordered
+from .build import MultiplexLexicalNetwork
 from .metrics import mean_clustering
 from .stemmer import stem
 
@@ -43,39 +51,62 @@ def _rewire_edge_set(
 ) -> tuple[set[tuple[str, str]], int]:
     """Double edge swaps on an undirected simple edge set. Returns the
     rewired edges and the number of swaps performed."""
-    edge_list = sorted(edges)
-    m = len(edge_list)
+    if swaps_per_edge < 1:
+        raise ValueError(f"swaps_per_edge must be at least 1, got {swaps_per_edge}")
+    names = sorted({s for pair in edges for s in pair})
+    ids = {s: k for k, s in enumerate(names)}
+    n = len(names)
+    pairs = sorted({(ids[a], ids[b]) if a < b else (ids[b], ids[a]) for a, b in edges})
+    if len(pairs) < len(edges) or any(u == v for u, v in pairs):
+        raise ValueError("edge set is not simple: self-loop or duplicate pair")
+    m = len(pairs)
     if m < 2:
-        return set(edge_list), 0
-    edge_set = set(edge_list)
+        return {(names[u], names[v]) for u, v in pairs}, 0
+    lo = [u for u, _ in pairs]
+    hi = [v for _, v in pairs]
+    keys = {u * n + v for u, v in pairs}
     target = swaps_per_edge * m
     performed = 0
-    attempts = 0
-    max_attempts = 100 * target
-    while performed < target and attempts < max_attempts:
-        attempts += 1
-        i = rng.randrange(m)
-        j = rng.randrange(m)
+    getrandbits, coin = rng.getrandbits, rng.random
+    bits = m.bit_length()
+    for _ in range(100 * target):  # attempts
+        # two rng.randrange(m) draws, inlined as its rejection loop
+        i = getrandbits(bits)
+        while i >= m:
+            i = getrandbits(bits)
+        j = getrandbits(bits)
+        while j >= m:
+            j = getrandbits(bits)
         if i == j:
             continue
-        a, b = edge_list[i]
-        c, d = edge_list[j]
+        a, b = lo[i], hi[i]
+        c, d = lo[j], hi[j]
         # choose swap orientation: (a,c)+(b,d) or (a,d)+(b,c)
-        if rng.random() < 0.5:
+        if coin() < 0.5:
             c, d = d, c
-        if len({a, b, c, d}) < 4:
+        if a == c or a == d or b == c or b == d:
             continue
-        new1, new2 = _ordered(a, c), _ordered(b, d)
-        if new1 in edge_set or new2 in edge_set:
+        # new edges (a, c) and (b, d), each put in (lo, hi) order
+        if c < a:
+            a, c = c, a
+        new1 = a * n + c
+        if new1 in keys:
             continue
-        edge_set.discard(_ordered(a, b))
-        edge_set.discard(_ordered(c, d))
-        edge_set.add(new1)
-        edge_set.add(new2)
-        edge_list[i] = new1
-        edge_list[j] = new2
+        if d < b:
+            b, d = d, b
+        new2 = b * n + d
+        if new2 in keys:
+            continue
+        keys.remove(lo[i] * n + hi[i])
+        keys.remove(lo[j] * n + hi[j])
+        keys.add(new1)
+        keys.add(new2)
+        lo[i], hi[i] = a, c
+        lo[j], hi[j] = b, d
         performed += 1
-    return edge_set, performed
+        if performed == target:
+            break
+    return {(names[u], names[v]) for u, v in zip(lo, hi)}, performed
 
 
 def configuration_rewire(
@@ -104,7 +135,7 @@ def configuration_rewire(
 def rewire_graph(g: nx.Graph, seed: int, swaps_per_edge: int = 10) -> nx.Graph:
     """Degree-preserving rewire of a plain simple graph."""
     rng = random.Random(seed)
-    edges = {_ordered(str(u), str(v)) for u, v in g.edges()}
+    edges = {(str(u), str(v)) for u, v in g.edges()}
     rewired, _ = _rewire_edge_set(edges, rng, swaps_per_edge)
     h = nx.Graph()
     h.add_nodes_from(str(n) for n in g.nodes())

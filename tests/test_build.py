@@ -262,3 +262,53 @@ def test_graphml_roundtrip(tmp_path, valence, emotions, synonyms):
     assert again.synonym_edges == net.synonym_edges
     assert again.nodes == net.nodes
     assert again.provenance == net.provenance
+
+
+def _network_file(nodes, syntactic, synonym=(), labels=None) -> str:
+    labels = labels or {}
+    return json.dumps({
+        "nodes": [{"stem": s, "valence_label": labels.get(s, "unrated"), "valence_score": None,
+                   "emotions": [], "is_negation_marker": False} for s in nodes],
+        "syntactic_edges": [list(e) for e in syntactic],
+        "synonym_edges": [list(e) for e in synonym],
+        "provenance": {},
+    })
+
+
+def test_reversed_pairs_load_ordered_and_rewire_per_layer():
+    # a ring stored as (max, min) pairs in both layers
+    names = [f"n{i:02d}" for i in range(10)]
+    ring = [(max(a, b), min(a, b)) for a, b in zip(names, names[1:] + names[:1])]
+    chords = [(names[i + 5], names[i]) for i in range(5)]
+    net = network_from_json(_network_file(names, [(a, b, 1) for a, b in ring], chords))
+    assert all(a < b for a, b in net.syntactic_edges)
+    assert all(a < b for a, b in net.synonym_edges)
+    assert len(net.syntactic_edges) == 10 and len(net.synonym_edges) == 5
+
+    from tfmn.stats import configuration_rewire
+
+    null = configuration_rewire(net, 3)
+    assert len(null.syntactic_edges) == 10 and len(null.synonym_edges) == 5
+    for layer in ("syntactic", "synonym"):
+        assert dict(null.layer_graph(layer).degree()) == dict(net.layer_graph(layer).degree())
+
+
+@pytest.mark.parametrize("syntactic, synonym", [
+    ([("a", "b", 1), ("b", "a", 2)], []),
+    ([("a", "b", 1), ("a", "b", 1)], []),
+    ([("a", "b", 1)], [("b", "c"), ("c", "b")]),
+])
+def test_duplicate_pair_in_a_layer_rejected(syntactic, synonym):
+    with pytest.raises(ValueError, match="duplicate"):
+        network_from_json(_network_file(["a", "b", "c"], syntactic, synonym))
+
+
+def test_same_pair_in_both_layers_allowed():
+    net = network_from_json(_network_file(["a", "b"], [("b", "a", 1)], [("a", "b")]))
+    assert set(net.syntactic_edges) == net.synonym_edges == {("a", "b")}
+
+
+def test_unknown_valence_label_rejected():
+    text = _network_file(["joy", "love"], [("joy", "love", 1)], labels={"love": "happy"})
+    with pytest.raises(ValueError, match="valence_label 'happy'"):
+        network_from_json(text)

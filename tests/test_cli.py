@@ -9,7 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 import tfmn
-from tfmn.build import save_network
+from tfmn.build import Concept, save_network
 from tfmn.cli import main
 
 from conftest import make_network
@@ -263,11 +263,24 @@ NETWORK_COMMANDS = {
     "nulltest": ["--realizations", "2"],
     "export": ["--format", "json"],
 }
+
+
+def _node(stem, label="unrated"):
+    return {"stem": stem, "valence_label": label, "valence_score": None, "emotions": [],
+            "is_negation_marker": False}
+
+
 MALFORMED = {
     "not_json": "{nodes",
     "missing_key": '{"nodes": []}',
     "dangling_edge": json.dumps({"nodes": [], "syntactic_edges": [["a", "b", 1]],
                                  "synonym_edges": [], "provenance": {}}),
+    "unknown_label": json.dumps({"nodes": [_node("joy"), _node("love", "happy")],
+                                 "syntactic_edges": [["joy", "love", 1]],
+                                 "synonym_edges": [], "provenance": {}}),
+    "duplicate_edge": json.dumps({"nodes": [_node("joy"), _node("love")],
+                                  "syntactic_edges": [["joy", "love", 1], ["love", "joy", 1]],
+                                  "synonym_edges": [], "provenance": {}}),
 }
 EMPTY = json.dumps({"nodes": [], "syntactic_edges": [], "synonym_edges": [], "provenance": {}})
 
@@ -285,13 +298,44 @@ def test_bad_network_fails_with_one_json_line(runner, tmp_path, command, text):
         args += ["--out-dir", str(tmp_path / "p")]
     if command == "export":
         args += ["--out", str(tmp_path / "x.json")]
-    result = runner.invoke(main, args)
+    _assert_one_json_error(runner.invoke(main, args))
+
+
+def _assert_one_json_error(result):
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)
     lines = result.stderr.splitlines()
     assert len(lines) == 1, result.stderr
     assert "error" in json.loads(lines[0])
     assert "Traceback" not in result.output
+
+
+def test_aura_on_isolated_node_fails_with_one_json_line(runner, tmp_path):
+    net = make_network({("joy", "love"): 1})
+    net.nodes["lone"] = Concept("lone", "unrated", None, frozenset())
+    save_network(net, tmp_path / "net.json")
+    _assert_one_json_error(
+        runner.invoke(main, ["aura", "--network", str(tmp_path / "net.json"), "--targets", "lone"])
+    )
+
+
+def test_build_on_line_without_tab_fails_with_one_json_line(runner, tmp_path):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("no tab here\n", encoding="utf-8")
+    _assert_one_json_error(runner.invoke(
+        main, ["build", "--corpus", str(corpus), "--out-dir", str(tmp_path / "out")]
+    ))
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("swaps", ["0", "-2"])
+def test_nulltest_rejects_swaps_per_edge_below_one(built, runner, tmp_path, swaps):
+    out = tmp_path / "null.json"
+    _assert_one_json_error(runner.invoke(
+        main, ["nulltest", "--network", str(built / "toy.network.json"), "--realizations", "3",
+               "--swaps-per-edge", swaps, "--out", str(out)]
+    ))
+    assert not out.exists()
 
 
 def test_outputs_identical_across_hash_seeds(tmp_path):

@@ -4,6 +4,7 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tfmn.build import Concept
 from tfmn.metrics import (
     LAYER_MODES,
     centrality_report,
@@ -182,6 +183,26 @@ def test_clustering_matches_brute_force(pairs):
     assert mean_clustering(net) == pytest.approx(
         brute_force_mean_clustering(net.aggregate_graph())
     )
+
+
+node_pairs = st.sets(
+    st.tuples(st.integers(0, 9), st.integers(0, 9)).filter(lambda p: p[0] != p[1]), max_size=30
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(node_pairs, node_pairs, st.integers(0, 4))
+def test_clustering_equals_networkx_exactly(syntactic, synonym, isolated):
+    # two layers that may share pairs, plus isolated nodes
+    net = make_network({(f"n{a}", f"n{b}"): 1 for a, b in syntactic},
+                       synonym={(f"n{a}", f"n{b}") for a, b in synonym})
+    for k in range(isolated):
+        net.nodes[f"z{k}"] = Concept(f"z{k}", "unrated", None, frozenset())
+    g = nx.Graph()
+    g.add_nodes_from(sorted(net.nodes))
+    g.add_edges_from(sorted(set(net.syntactic_edges) | net.synonym_edges))
+    expected = sum(nx.clustering(g).values()) / g.number_of_nodes() if g.number_of_nodes() else 0.0
+    assert mean_clustering(net) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,11 @@ import random
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from tfmn.build import _ordered
 from tfmn.stats import (
+    _rewire_edge_set,
     benchmark_topic_relevance,
     clustering_null_test,
     configuration_rewire,
@@ -104,6 +106,93 @@ def test_rewire_degree_property(seed):
     net = ring_net()
     null = configuration_rewire(net, seed=seed)
     assert degrees(null.aggregate_graph()) == degrees(net.aggregate_graph())
+
+
+@pytest.mark.parametrize("swaps_per_edge", [0, -2])
+def test_swaps_per_edge_below_one_rejected(swaps_per_edge):
+    with pytest.raises(ValueError, match="swaps_per_edge"):
+        configuration_rewire(ring_net(), seed=1, swaps_per_edge=swaps_per_edge)
+    with pytest.raises(ValueError, match="swaps_per_edge"):
+        rewire_graph(nx.cycle_graph(6), seed=1, swaps_per_edge=swaps_per_edge)
+
+
+def test_rewire_graph_rejects_self_loop():
+    g = nx.cycle_graph(6)
+    g.add_edge(0, 0)
+    with pytest.raises(ValueError, match="not simple"):
+        rewire_graph(g, seed=1)
+
+
+def reference_rewire(edges, rng, swaps_per_edge):
+    """The string-tuple kernel with rng.randrange draws that the integer
+    kernel replaced; the integer kernel must reproduce it exactly."""
+    edge_list = sorted(edges)
+    m = len(edge_list)
+    if m < 2:
+        return set(edge_list), 0
+    edge_set = set(edge_list)
+    target = swaps_per_edge * m
+    performed = 0
+    attempts = 0
+    max_attempts = 100 * target
+    while performed < target and attempts < max_attempts:
+        attempts += 1
+        i = rng.randrange(m)
+        j = rng.randrange(m)
+        if i == j:
+            continue
+        a, b = edge_list[i]
+        c, d = edge_list[j]
+        if rng.random() < 0.5:
+            c, d = d, c
+        if len({a, b, c, d}) < 4:
+            continue
+        new1, new2 = _ordered(a, c), _ordered(b, d)
+        if new1 in edge_set or new2 in edge_set:
+            continue
+        edge_set.discard(_ordered(a, b))
+        edge_set.discard(_ordered(c, d))
+        edge_set.add(new1)
+        edge_set.add(new2)
+        edge_list[i] = new1
+        edge_list[j] = new2
+        performed += 1
+    return edge_set, performed
+
+
+# simple graphs on up to 9 nodes, from empty and single-edge up to complete
+simple_edge_sets = st.sets(
+    st.tuples(st.integers(0, 8), st.integers(0, 8)).filter(lambda p: p[0] < p[1]),
+    max_size=36,
+).map(lambda pairs: {(f"n{a}", f"n{b}") for a, b in pairs})
+
+
+def complete_edges(k):
+    return {(f"n{a}", f"n{b}") for a in range(k) for b in range(a + 1, k)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(simple_edge_sets, st.integers(0, 2**32), st.integers(1, 3))
+@example(set(), 1, 1)
+@example({("n0", "n1")}, 2, 1)
+@example(complete_edges(5), 3, 2)  # no legal swap: runs until max_attempts
+@example(complete_edges(9) - {("n0", "n1"), ("n2", "n3")}, 4, 3)
+@example({("n0", f"n{k}") for k in range(1, 9)}, 5, 1)  # star
+def test_integer_kernel_matches_reference(edges, seed, swaps_per_edge):
+    expected = reference_rewire(set(edges), random.Random(seed), swaps_per_edge)
+    assert _rewire_edge_set(set(edges), random.Random(seed), swaps_per_edge) == expected
+
+
+@settings(max_examples=30, deadline=None)
+@given(simple_edge_sets, st.integers(0, 10), st.integers(0, 2**32))
+def test_rewire_graph_matches_reference(edges, isolated, seed):
+    g = nx.Graph()
+    g.add_nodes_from(f"z{k}" for k in range(isolated))
+    g.add_edges_from(edges)
+    h = rewire_graph(g, seed=seed, swaps_per_edge=2)
+    expected, _ = reference_rewire(set(edges), random.Random(seed), 2)
+    assert set(h.nodes) == set(g.nodes)
+    assert {_ordered(a, b) for a, b in h.edges} == expected
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from networkx.algorithms.community import louvain_communities, modularity
-
 from .build import MultiplexLexicalNetwork
 from .lexicons import EMOTIONS, AntonymLexicon, EmotionLexicon
 
@@ -50,15 +48,14 @@ def valence_aura(net: MultiplexLexicalNetwork, target: str) -> AuraReport:
     """Mode of valence labels among the target's distinct aggregate
     neighbours; ties are reported as 'mixed', zero rated neighbours as
     'undetermined'. Unrated neighbours are excluded from fractions."""
-    g = net.aggregate_graph()
-    if target not in g:
+    adj = net.adjacency()
+    if target not in adj:
         raise KeyError(f"unknown node {target!r}")
-    neighbors = list(g.neighbors(target))
-    if not neighbors:
+    if not adj[target]:
         raise ValueError(f"node {target!r} has no neighbors")
     counts = {"positive": 0, "neutral": 0, "negative": 0}
     unrated = 0
-    for nb in neighbors:
+    for nb in adj[target]:
         label = net.nodes[nb].valence_label
         if label == "unrated":
             unrated += 1
@@ -103,23 +100,22 @@ def emotional_profile(
     An associate that is syntactically adjacent to a negation marker also
     contributes the emotions of its antonym, flagged as negated. Negation
     markers themselves contribute nothing directly."""
-    aggregate = net.aggregate_graph()
+    aggregate = net.adjacency()
     if target not in aggregate:
         raise KeyError(f"unknown node {target!r}")
-    syntactic = net.layer_graph("syntactic")
+    syntactic = net.adjacency("syntactic")
     negation_nodes = {s for s, c in net.nodes.items() if c.is_negation_marker}
 
     counts = {e: 0 for e in EMOTIONS}
     contributors: list[tuple[str, str, bool]] = []
     missing_antonyms = 0
-    for associate in sorted(aggregate.neighbors(target)):
+    for associate in sorted(aggregate[target]):
         if associate in negation_nodes:
             continue
         for emotion in sorted(emotions.emotions(associate)):
             counts[emotion] += 1
             contributors.append((associate, emotion, False))
-        negated = any(nb in negation_nodes for nb in syntactic.neighbors(associate))
-        if negated:
+        if not negation_nodes.isdisjoint(syntactic[associate]):
             antonym = antonyms.antonym(associate)
             if antonym is None:
                 missing_antonyms += 1
@@ -148,6 +144,7 @@ class CommunityPartition:
 def louvain_partition(net: MultiplexLexicalNetwork, seed: int) -> CommunityPartition:
     """Seeded Louvain modularity optimization on the aggregate graph
     (resolution 1); deterministic for a fixed seed."""
+    from networkx.algorithms.community import louvain_communities, modularity
     g = net.aggregate_graph()
     if g.number_of_nodes() == 0:
         raise ValueError("empty network")
@@ -166,11 +163,11 @@ def neighborhood_subgraph(
 ) -> MultiplexLexicalNetwork:
     """Induced subnetwork over the target and either its aggregate
     neighbours or its whole Louvain community."""
-    g = net.aggregate_graph()
-    if target not in g:
+    adj = net.adjacency()
+    if target not in adj:
         raise KeyError(f"unknown node {target!r}")
     if mode == "neighbors":
-        keep = {target} | set(g.neighbors(target))
+        keep = {target} | adj[target]
     elif mode == "community":
         if partition is None:
             raise ValueError("community mode requires a partition")

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
-
-import networkx as nx
+from types import MappingProxyType
 
 from .ingest import ParsedSentence, word_classes
 from .lexicons import EmotionLexicon, SynonymLexicon, ValenceLexicon
@@ -23,6 +23,7 @@ from .stemmer import stem
 __all__ = [
     "Concept",
     "MultiplexLexicalNetwork",
+    "adjacency",
     "extract_syntactic_edges",
     "add_synonym_layer",
     "build_network",
@@ -35,6 +36,7 @@ __all__ = [
 
 _CONTENT_UPOS = frozenset({"NOUN", "PROPN", "VERB", "ADJ", "ADV", "PRON"})
 _VALENCE_LABELS = frozenset({"positive", "neutral", "negative", "unrated"})
+Adjacency = Mapping[str, frozenset[str]]  # stem -> neighbour stems
 
 
 @dataclass(frozen=True)
@@ -46,33 +48,55 @@ class Concept:
     is_negation_marker: bool = False
 
 
+def adjacency(nodes: Iterable[str], *edge_collections: Iterable[tuple[str, str]]) -> Adjacency:
+    """Read-only neighbour map of the edge collections' union; every node a key, in sorted order."""
+    adj: dict[str, set[str]] = {s: set() for s in sorted(nodes)}
+    for edges in edge_collections:
+        for a, b in edges:
+            adj[a].add(b)
+            adj[b].add(a)
+    return MappingProxyType({s: frozenset(nbrs) for s, nbrs in adj.items()})
+
+
 @dataclass
 class MultiplexLexicalNetwork:
     nodes: dict[str, Concept]
     syntactic_edges: dict[tuple[str, str], int]  # ordered pair (min, max) -> count
     synonym_edges: set[tuple[str, str]]
     provenance: dict
-    # frozen graph views, each built on its first request; edit no field after
-    _graphs: dict[str, nx.Graph] = field(default_factory=dict, init=False, repr=False, compare=False)
+    # adjacency of each view, built on its first request; edit no field after
+    _adjacency: dict[str, Adjacency] = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def aggregate_graph(self) -> nx.Graph:
-        """Simple graph over both layers; used by all unweighted analyses."""
-        return self._graph("aggregate", self.syntactic_edges, self.synonym_edges)
+    def adjacency(self, view: str = "aggregate") -> Adjacency:
+        """Neighbour map of the aggregate (both layers), syntactic or synonym view."""
+        if view not in self._adjacency:
+            self._adjacency[view] = adjacency(self.nodes, *self._layers(view))
+        return self._adjacency[view]
 
-    def layer_graph(self, layer: str) -> nx.Graph:
-        edges = {"syntactic": self.syntactic_edges, "synonym": self.synonym_edges}.get(layer)
-        if edges is None:
-            raise ValueError(f"unknown layer {layer!r}")
-        return self._graph(layer, edges)
+    def _layers(self, view: str) -> tuple:
+        layers = {"aggregate": (self.syntactic_edges, self.synonym_edges),
+                  "syntactic": (self.syntactic_edges,), "synonym": (self.synonym_edges,)}
+        if view not in layers:
+            raise ValueError(f"unknown layer {view!r}")
+        return layers[view]
 
-    def _graph(self, view: str, *layers) -> nx.Graph:
-        if view not in self._graphs:
-            g = nx.Graph()
-            g.add_nodes_from(sorted(self.nodes))
-            for edges in layers:
-                g.add_edges_from(sorted(edges))
-            self._graphs[view] = nx.freeze(g)
-        return self._graphs[view]
+    def aggregate_graph(self):
+        """A new networkx graph of the aggregate view, for Louvain."""
+        return self._nx_graph("aggregate")
+
+    def layer_graph(self, layer: str):
+        """A new networkx graph of the syntactic or synonym view."""
+        return self._nx_graph(layer)
+
+    def _nx_graph(self, view: str):
+        """Nodes, then each layer's edges, in sorted order: seeded Louvain depends on it."""
+        import networkx as nx
+
+        g = nx.Graph()
+        g.add_nodes_from(sorted(self.nodes))
+        for edges in self._layers(view):
+            g.add_edges_from(sorted(edges))
+        return g
 
     def validate(self) -> None:
         for c in self.nodes.values():
@@ -116,25 +140,21 @@ def extract_syntactic_edges(sentence: ParsedSentence) -> set[tuple[str, str]]:
     words connected through function words stay connected.
     """
     negations = word_classes().negations
-    g = nx.Graph()
+    adj: dict[int, set[int]] = {tok.index: set() for tok in sentence.tokens}
     for tok in sentence.tokens:
-        g.add_node(tok.index)
         if tok.head != 0:
-            g.add_edge(tok.index, tok.head)
+            adj[tok.index].add(tok.head)
+            adj[tok.head].add(tok.index)
 
-    function_nodes = [
-        tok.index for tok in sentence.tokens if not _is_content(tok, negations)
-    ]
-    for node in function_nodes:
-        neighbors = list(g.neighbors(node))
-        g.remove_node(node)
-        for i, u in enumerate(neighbors):
-            for v in neighbors[i + 1 :]:
-                g.add_edge(u, v)
+    for tok in sentence.tokens:
+        if not _is_content(tok, negations):
+            neighbors = adj.pop(tok.index)
+            for u in neighbors:
+                adj[u] = (adj[u] | neighbors) - {u, tok.index}
 
     by_index = {tok.index: tok for tok in sentence.tokens}
     edges: set[tuple[str, str]] = set()
-    for u, v in g.edges():
+    for u, v in [(u, v) for u, nbrs in adj.items() for v in nbrs if u < v]:
         su = _token_stem(by_index[u], negations)
         sv = _token_stem(by_index[v], negations)
         if su is None or sv is None or su == sv:
@@ -258,12 +278,12 @@ def network_from_json(text: str) -> MultiplexLexicalNetwork:
     payload = json.loads(text)
     try:
         nodes = {
-            n["stem"]: Concept(
+            _typed(n["stem"], str, "stem"): Concept(
                 stem=n["stem"],
-                valence_label=n["valence_label"],
-                valence_score=n["valence_score"],
-                emotions=frozenset(n["emotions"]),
-                is_negation_marker=n["is_negation_marker"],
+                valence_label=_typed(n["valence_label"], str, "valence_label"),
+                valence_score=_typed(n["valence_score"], (int, float, type(None)), "valence_score"),
+                emotions=frozenset(_typed(e, str, "emotion") for e in _typed(n["emotions"], list, "emotions")),
+                is_negation_marker=_typed(n["is_negation_marker"], bool, "is_negation_marker"),
             )
             for n in payload["nodes"]
         }
@@ -272,7 +292,9 @@ def network_from_json(text: str) -> MultiplexLexicalNetwork:
         if (len(syntactic) < len(payload["syntactic_edges"])
                 or len(synonym) < len(payload["synonym_edges"])):
             raise ValueError("duplicate edge: a pair is listed twice in one layer")
-        provenance = payload["provenance"]
+        if not all(_typed(count, int, "edge count") >= 1 for count in syntactic.values()):
+            raise ValueError("edge count below 1")
+        provenance = _typed(payload["provenance"], dict, "provenance")
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"invalid network file: {exc}") from exc
     net = MultiplexLexicalNetwork(
@@ -285,6 +307,13 @@ def network_from_json(text: str) -> MultiplexLexicalNetwork:
     return net
 
 
+def _typed(value, kind, what: str):
+    """The value, if it is an instance of kind; a bool counts only as a bool."""
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+        raise ValueError(f"{what} has the wrong type: {value!r}")
+    return value
+
+
 def load_network(path: str | Path) -> MultiplexLexicalNetwork:
     return network_from_json(Path(path).read_text(encoding="utf-8"))
 
@@ -294,6 +323,8 @@ def save_network(net: MultiplexLexicalNetwork, path: str | Path) -> None:
 
 
 def write_graphml(net: MultiplexLexicalNetwork, path: str | Path) -> None:
+    import networkx as nx
+
     g = nx.Graph()
     g.graph["provenance"] = json.dumps(net.provenance, sort_keys=True)
     for s in sorted(net.nodes):
@@ -316,6 +347,8 @@ def write_graphml(net: MultiplexLexicalNetwork, path: str | Path) -> None:
 
 
 def read_graphml(path: str | Path) -> MultiplexLexicalNetwork:
+    import networkx as nx
+
     g = nx.read_graphml(str(path))
     nodes = {}
     for s, data in g.nodes(data=True):

@@ -12,14 +12,13 @@ import csv
 from dataclasses import dataclass
 from pathlib import Path
 
-import networkx as nx
-
-from .build import MultiplexLexicalNetwork
+from .build import Adjacency, MultiplexLexicalNetwork
 
 __all__ = [
     "DistanceMatrix",
     "CentralityReport",
     "shortest_paths",
+    "bfs",
     "closeness",
     "rank_concepts",
     "mean_clustering",
@@ -29,11 +28,9 @@ LAYER_MODES = ("aggregate", "syntactic_only", "synonym_only")
 Row = tuple[str, float, int, int]  # (stem, closeness, degree, component size)
 
 
-def _view(net: MultiplexLexicalNetwork, layer_mode: str) -> nx.Graph:
-    if layer_mode == "aggregate":
-        return net.aggregate_graph()
-    if layer_mode in ("syntactic_only", "synonym_only"):
-        return net.layer_graph(layer_mode.removesuffix("_only"))
+def _view(net: MultiplexLexicalNetwork, layer_mode: str) -> Adjacency:
+    if layer_mode in LAYER_MODES:
+        return net.adjacency(layer_mode.removesuffix("_only"))
     raise ValueError(f"unknown layer_mode {layer_mode!r}; expected one of {LAYER_MODES}")
 
 
@@ -46,9 +43,26 @@ class DistanceMatrix:
         return self.distances.get(a, {}).get(b)
 
 
-def _components(g: nx.Graph) -> list[set[str]]:
+def bfs(adj: Adjacency, source: str) -> dict[str, int]:
+    """Breadth-first distances from source to every node it reaches."""
+    dist = {source: 0}
+    queue = [source]
+    for u in queue:  # also reads the nodes appended while it runs
+        for v in adj[u]:
+            if v not in dist:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    return dist
+
+
+def _components(adj: Adjacency) -> list[set[str]]:
     """Connected components, largest first, ties broken by smallest stem."""
-    return sorted(nx.connected_components(g), key=lambda c: (-len(c), min(c)))
+    comps, seen = [], set()
+    for s in adj:
+        if s not in seen:
+            comps.append(set(bfs(adj, s)))
+            seen |= comps[-1]
+    return sorted(comps, key=lambda c: (-len(c), min(c)))
 
 
 def shortest_paths(
@@ -56,26 +70,23 @@ def shortest_paths(
 ) -> DistanceMatrix:
     """Breadth-first distances within each connected component of the chosen
     layer view; cross-component pairs are simply absent."""
-    g = _view(net, layer_mode)
-    component_id = {node: cid for cid, comp in enumerate(_components(g)) for node in comp}
-    distances = dict(nx.all_pairs_shortest_path_length(g))
-    return DistanceMatrix(component_id=component_id, distances=distances)
+    adj = _view(net, layer_mode)
+    component_id = {node: cid for cid, comp in enumerate(_components(adj)) for node in comp}
+    return DistanceMatrix(component_id=component_id, distances={s: bfs(adj, s) for s in adj})
 
 
 def closeness(net: MultiplexLexicalNetwork, node: str, layer_mode: str = "aggregate") -> float | None:
     """Closeness of one node: N / sum of distances over its component
     (N = component size). None for isolated nodes."""
-    g = _view(net, layer_mode)
-    if node not in g:
+    adj = _view(net, layer_mode)
+    if node not in adj:
         raise KeyError(f"unknown node {node!r}")
-    return _closeness_in_graph(g, node)
+    return _closeness_in_graph(adj, node)
 
 
-def _closeness_in_graph(g: nx.Graph, node: str) -> float | None:
-    lengths = nx.single_source_shortest_path_length(g, node)
-    if len(lengths) < 2:
-        return None
-    return len(lengths) / sum(lengths.values())
+def _closeness_in_graph(adj: Adjacency, node: str) -> float | None:
+    lengths = bfs(adj, node)
+    return len(lengths) / sum(lengths.values()) if len(lengths) > 1 else None
 
 
 @dataclass(frozen=True)
@@ -94,10 +105,10 @@ def closeness_rows(net: MultiplexLexicalNetwork, layer_mode: str = "aggregate") 
     components largest first (ties: smallest stem), rows by closeness,
     descending, then stem; a single-node component has none. Each BFS runs
     on the whole view, since it never leaves its source's component."""
-    g = _view(net, layer_mode)
+    adj = _view(net, layer_mode)
     out = []
-    for comp in _components(g):
-        rows = [(s, _closeness_in_graph(g, s), g.degree(s), len(comp)) for s in comp]
+    for comp in _components(adj):
+        rows = [(s, _closeness_in_graph(adj, s), len(adj[s]), len(comp)) for s in comp]
         out.append(sorted((r for r in rows if r[1] is not None), key=lambda r: (-r[1], r[0])))
     return out
 
@@ -135,15 +146,10 @@ def mean_clustering(net: MultiplexLexicalNetwork) -> float:
     nodes contribute zero. Local values are t / (d * (d - 1)), with t twice
     the node's triangle count, summed in sorted-stem order as
     `nx.clustering` gives them, so the mean equals networkx's bit for bit."""
-    if not net.nodes:
-        return 0.0
-    adj: dict[str, set[str]] = {s: set() for s in sorted(net.nodes)}
-    for a, b in net.syntactic_edges.keys() | net.synonym_edges:
-        adj[a].add(b)
-        adj[b].add(a)
+    adj = net.adjacency()
     local = []
     for nbrs in adj.values():
         d = len(nbrs)
         t = sum(len(nbrs & adj[w]) for w in nbrs)
         local.append(0 if t == 0 else t / (d * (d - 1)))
-    return sum(local) / len(adj)
+    return sum(local) / len(adj) if adj else 0.0

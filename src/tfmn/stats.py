@@ -25,10 +25,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
 
-import networkx as nx
-
-from .build import MultiplexLexicalNetwork
-from .metrics import mean_clustering
+from .build import Adjacency, MultiplexLexicalNetwork, adjacency
+from .metrics import bfs, mean_clustering
 from .stemmer import stem
 
 __all__ = [
@@ -132,15 +130,13 @@ def configuration_rewire(
     )
 
 
-def rewire_graph(g: nx.Graph, seed: int, swaps_per_edge: int = 10) -> nx.Graph:
-    """Degree-preserving rewire of a plain simple graph."""
-    rng = random.Random(seed)
-    edges = {(str(u), str(v)) for u, v in g.edges()}
-    rewired, _ = _rewire_edge_set(edges, rng, swaps_per_edge)
-    h = nx.Graph()
-    h.add_nodes_from(str(n) for n in g.nodes())
-    h.add_edges_from(rewired)
-    return h
+def rewire_graph(adj: Adjacency, seed: int, swaps_per_edge: int = 10) -> Adjacency:
+    """Degree-preserving rewire of a plain simple graph, given and returned
+    as an adjacency map with the same nodes."""
+    # u <= v keeps a self-loop, which the kernel refuses as not simple
+    edges = {(u, v) for u, nbrs in adj.items() for v in nbrs if u <= v}
+    rewired, _ = _rewire_edge_set(edges, random.Random(seed), swaps_per_edge)
+    return adjacency(adj, rewired)
 
 
 def null_ensemble(
@@ -240,11 +236,11 @@ def _norm_cdf(x: float) -> float:
 
 @dataclass(frozen=True)
 class FreeAssociationNetwork:
-    graph: nx.Graph
+    graph: Adjacency
     source: str
 
     def __post_init__(self):
-        if any(u == v for u, v in self.graph.edges()):
+        if any(s in nbrs for s, nbrs in self.graph.items()):
             raise ValueError("free-association network must be simple")
 
 
@@ -252,7 +248,7 @@ def load_free_associations(path: str | Path) -> FreeAssociationNetwork:
     """Load a stem<TAB>stem edge list, normalizing words with the same
     stemmer used for network construction."""
     path = Path(path)
-    g = nx.Graph()
+    edges = []
     with path.open(encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -264,22 +260,15 @@ def load_free_associations(path: str | Path) -> FreeAssociationNetwork:
             a = stem(fields[0].strip().lower())
             b = stem(fields[1].strip().lower())
             if a != b:
-                g.add_edge(a, b)
-    return FreeAssociationNetwork(graph=g, source=str(path))
+                edges.append((a, b))
+    return FreeAssociationNetwork(graph=adjacency({s for e in edges for s in e}, edges), source=str(path))
 
 
-def _topic_distances(g: nx.Graph, topic: str, stems: list[str]) -> tuple[list[int], int]:
-    lengths = nx.single_source_shortest_path_length(g, topic)
-    distances, skipped = [], 0
-    for s in stems:
-        if s == topic:
-            continue
-        d = lengths.get(s)
-        if d is None:
-            skipped += 1
-        else:
-            distances.append(d)
-    return distances, skipped
+def _topic_distances(adj: Adjacency, topic: str, stems: list[str]) -> tuple[list[int], int]:
+    lengths = bfs(adj, topic)
+    others = [s for s in stems if s != topic]
+    distances = [lengths[s] for s in others if s in lengths]
+    return distances, len(others) - len(distances)
 
 
 def benchmark_topic_relevance(

@@ -2,9 +2,14 @@ import json
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tfmn.build import (
+    Concept,
     MultiplexLexicalNetwork,
+    _is_content,
+    _ordered,
+    _token_stem,
     add_synonym_layer,
     build_network,
     extract_syntactic_edges,
@@ -14,7 +19,7 @@ from tfmn.build import (
     summary,
     write_graphml,
 )
-from tfmn.ingest import ParsedSentence, Token, heuristic_parse
+from tfmn.ingest import ParsedSentence, Token, heuristic_parse, word_classes
 from tfmn.lexicons import SynonymLexicon
 
 from conftest import make_network
@@ -88,6 +93,67 @@ def test_punctuation_contracted():
         ),
     )
     assert extract_syntactic_edges(sent) == {("cat", "sleep")}
+
+
+def reference_contraction(sentence: ParsedSentence) -> set[tuple[str, str]]:
+    """The per-sentence nx.Graph contraction that the dict-of-sets version
+    replaced; both must give the same edges."""
+    negations = word_classes().negations
+    g = nx.Graph()
+    for tok in sentence.tokens:
+        g.add_node(tok.index)
+        if tok.head != 0:
+            g.add_edge(tok.index, tok.head)
+    function_nodes = [tok.index for tok in sentence.tokens if not _is_content(tok, negations)]
+    for node in function_nodes:
+        neighbors = list(g.neighbors(node))
+        g.remove_node(node)
+        for i, u in enumerate(neighbors):
+            for v in neighbors[i + 1 :]:
+                g.add_edge(u, v)
+    by_index = {tok.index: tok for tok in sentence.tokens}
+    edges = set()
+    for u, v in g.edges():
+        su = _token_stem(by_index[u], negations)
+        sv = _token_stem(by_index[v], negations)
+        if su is None or sv is None or su == sv:
+            continue
+        edges.add(_ordered(su, sv))
+    return edges
+
+
+# (surface, lemma, upos, deprel): content words (some sharing a stem or with
+# no letters), function words, a copula and negations
+TOKEN_KINDS = [
+    ("cats", "cat", "NOUN", "nsubj"), ("cat", "cat", "NOUN", "obj"), ("runs", "run", "VERB", "conj"),
+    ("running", "running", "NOUN", "obj"), ("bright", "bright", "ADJ", "amod"),
+    ("fast", "fast", "ADV", "advmod"), ("42", "42", "NOUN", "nummod"), ("she", "she", "PRON", "nsubj"),
+    ("the", "the", "DET", "det"), ("of", "of", "ADP", "case"), ("and", "and", "CCONJ", "cc"),
+    ("may", "may", "AUX", "aux"), (".", ".", "PUNCT", "punct"), ("is", "be", "AUX", "cop"),
+    ("seems", "seem", "VERB", "cop"), ("not", "not", "PART", "advmod"), ("never", "never", "ADV", "advmod"),
+]
+
+
+@st.composite
+def dependency_trees(draw) -> ParsedSentence:
+    """Valid trees: token k's head is 0 for the root, else a token placed
+    before it in a random order, so head links never form a cycle."""
+    n = draw(st.integers(1, 12))
+    order = draw(st.permutations(range(1, n + 1)))
+    heads = {order[0]: 0}
+    for pos in range(1, n):
+        heads[order[pos]] = order[draw(st.integers(0, pos - 1))]
+    kinds = draw(st.lists(st.sampled_from(TOKEN_KINDS), min_size=n, max_size=n))
+    tokens = tuple(Token(k, *kinds[k - 1][:3], heads[k], kinds[k - 1][3]) for k in range(1, n + 1))
+    sentence = ParsedSentence(doc_id="h", tokens=tokens)
+    sentence.validate()
+    return sentence
+
+
+@settings(max_examples=300, deadline=None)
+@given(dependency_trees())
+def test_contraction_matches_networkx_reference(sentence):
+    assert extract_syntactic_edges(sentence) == reference_contraction(sentence)
 
 
 # ---------------------------------------------------------------------------
@@ -206,13 +272,35 @@ def test_layer_graphs_keep_all_nodes():
 
 def test_graph_views_built_once_and_frozen():
     net = make_network({("a", "b"): 1}, synonym={("b", "c")})
-    for view in (net.aggregate_graph, lambda: net.layer_graph("syntactic"),
-                 lambda: net.layer_graph("synonym")):
-        g = view()
-        assert view() is g
-        with pytest.raises(nx.NetworkXError):
-            g.add_edge("a", "c")
-    assert net.aggregate_graph() is not net.layer_graph("syntactic")
+    for view in ("aggregate", "syntactic", "synonym"):
+        adj = net.adjacency(view)
+        assert net.adjacency(view) is adj
+        with pytest.raises(TypeError):
+            adj["a"] = frozenset({"c"})
+    assert net.adjacency() is net.adjacency("aggregate")
+    assert net.adjacency() is not net.adjacency("syntactic")
+
+
+def test_adjacency_views():
+    net = make_network({("b", "c"): 1}, synonym={("a", "b"), ("b", "c")})
+    net.nodes["d"] = Concept("d", "unrated", None, frozenset())  # isolated
+    assert dict(net.adjacency()) == {"a": {"b"}, "b": {"a", "c"}, "c": {"b"}, "d": set()}
+    assert dict(net.adjacency("syntactic")) == {"a": set(), "b": {"c"}, "c": {"b"}, "d": set()}
+    assert dict(net.adjacency("synonym")) == {"a": {"b"}, "b": {"a", "c"}, "c": {"b"}, "d": set()}
+    assert list(net.adjacency()) == ["a", "b", "c", "d"]
+    assert all(type(nbrs) is frozenset for nbrs in net.adjacency().values())
+    with pytest.raises(ValueError, match="unknown layer"):
+        net.adjacency("semantic")
+
+
+def test_networkx_views_built_anew_from_the_adjacency():
+    net = make_network({("b", "c"): 1}, synonym={("a", "b")})
+    g = net.aggregate_graph()
+    assert g is not net.aggregate_graph()
+    assert {s: set(g[s]) for s in g} == dict(net.adjacency())
+    for layer in ("syntactic", "synonym"):
+        h = net.layer_graph(layer)
+        assert {s: set(h[s]) for s in h} == dict(net.adjacency(layer))
 
 
 def test_unknown_layer_rejected():
@@ -306,6 +394,32 @@ def test_duplicate_pair_in_a_layer_rejected(syntactic, synonym):
 def test_same_pair_in_both_layers_allowed():
     net = network_from_json(_network_file(["a", "b"], [("b", "a", 1)], [("a", "b")]))
     assert set(net.syntactic_edges) == net.synonym_edges == {("a", "b")}
+
+
+@pytest.mark.parametrize("field, value", [
+    ("provenance", []), ("count", "x"), ("count", 0), ("count", True), ("count", 1.0),
+    ("valence_score", "abc"), ("valence_score", True), ("emotions", "joy"), ("emotions", [1]),
+    ("is_negation_marker", "yes"), ("is_negation_marker", 1), ("stem", 7), ("valence_label", []),
+])
+def test_field_of_wrong_type_rejected(field, value):
+    payload = json.loads(_network_file(["joy", "love"], [("joy", "love", 1)]))
+    if field == "provenance":
+        payload["provenance"] = value
+    elif field == "count":
+        payload["syntactic_edges"][0][2] = value
+    else:
+        payload["nodes"][1][field] = value
+    with pytest.raises(ValueError, match="invalid network file"):
+        network_from_json(json.dumps(payload))
+
+
+def test_field_types_accepted():
+    payload = json.loads(_network_file(["joy", "love"], [("joy", "love", 3)]))
+    payload["nodes"][0].update(valence_score=7, emotions=["joy", "trust"], is_negation_marker=True)
+    payload["nodes"][1]["valence_score"] = 2.5
+    net = network_from_json(json.dumps(payload))
+    assert net.nodes["joy"].valence_score == 7 and net.nodes["love"].valence_score == 2.5
+    assert net.nodes["joy"].emotions == {"joy", "trust"} and net.syntactic_edges == {("joy", "love"): 3}
 
 
 def test_unknown_valence_label_rejected():

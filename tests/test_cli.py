@@ -1,4 +1,5 @@
 import csv
+import importlib.util
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 import tfmn
-from tfmn.build import Concept, save_network
+from tfmn.build import Concept, MultiplexLexicalNetwork, save_network
 from tfmn.cli import main
 
 from conftest import make_network
@@ -281,6 +282,18 @@ MALFORMED = {
     "duplicate_edge": json.dumps({"nodes": [_node("joy"), _node("love")],
                                   "syntactic_edges": [["joy", "love", 1], ["love", "joy", 1]],
                                   "synonym_edges": [], "provenance": {}}),
+    "provenance_list": json.dumps({"nodes": [_node("joy"), _node("love")],
+                                   "syntactic_edges": [["joy", "love", 1]],
+                                   "synonym_edges": [], "provenance": []}),
+    "count_string": json.dumps({"nodes": [_node("joy"), _node("love")],
+                                "syntactic_edges": [["joy", "love", "x"]],
+                                "synonym_edges": [], "provenance": {}}),
+    "score_string": json.dumps({"nodes": [_node("joy"), {**_node("love"), "valence_score": "abc"}],
+                                "syntactic_edges": [["joy", "love", 1]],
+                                "synonym_edges": [], "provenance": {}}),
+    "emotions_string": json.dumps({"nodes": [_node("joy"), {**_node("love"), "emotions": "joy"}],
+                                   "syntactic_edges": [["joy", "love", 1]],
+                                   "synonym_edges": [], "provenance": {}}),
 }
 EMPTY = json.dumps({"nodes": [], "syntactic_edges": [], "synonym_edges": [], "provenance": {}})
 
@@ -336,6 +349,29 @@ def test_nulltest_rejects_swaps_per_edge_below_one(built, runner, tmp_path, swap
                "--swaps-per-edge", swaps, "--out", str(out)]
     ))
     assert not out.exists()
+
+
+def test_cli_import_leaves_networkx_unloaded():
+    env = {**os.environ, "PYTHONPATH": str(Path(tfmn.__file__).resolve().parents[1])}
+    code = "import sys, tfmn.cli; assert 'networkx' not in sys.modules, 'networkx loaded'"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_every_traced_name_resolves():
+    """perfbench/tracer.py wraps these names; deleting one breaks only traced
+    benchmark runs, so check them here."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for layer, names in tracer.TRACED.items():
+        module = importlib.import_module(f"tfmn.{layer}")
+        for name in names:
+            assert callable(getattr(module, name, None)), f"tfmn.{layer}.{name}"
+    for name in tracer.TRACED_METHODS:
+        assert callable(getattr(MultiplexLexicalNetwork, name, None)), name
 
 
 def test_outputs_identical_across_hash_seeds(tmp_path):

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from tfmn.build import Concept
 from tfmn.metrics import (
     LAYER_MODES,
+    bfs,
     centrality_report,
     closeness,
     mean_clustering,
@@ -203,6 +204,29 @@ def test_clustering_equals_networkx_exactly(syntactic, synonym, isolated):
     g.add_edges_from(sorted(set(net.syntactic_edges) | net.synonym_edges))
     expected = sum(nx.clustering(g).values()) / g.number_of_nodes() if g.number_of_nodes() else 0.0
     assert mean_clustering(net) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(node_pairs, node_pairs, st.integers(0, 4), st.sampled_from(LAYER_MODES))
+def test_bfs_queries_equal_networkx(syntactic, synonym, isolated, layer_mode):
+    net = make_network({(f"n{a}", f"n{b}"): 1 for a, b in syntactic},
+                       synonym={(f"n{a}", f"n{b}") for a, b in synonym})
+    for k in range(isolated):
+        net.nodes[f"z{k}"] = Concept(f"z{k}", "unrated", None, frozenset())
+    view = layer_mode.removesuffix("_only")
+    g = net.aggregate_graph() if view == "aggregate" else net.layer_graph(view)
+    lengths = {s: nx.single_source_shortest_path_length(g, s) for s in g}
+    components = sorted(nx.connected_components(g), key=lambda c: (-len(c), min(c)))
+    component_id = {s: cid for cid, comp in enumerate(components) for s in comp}
+    expected = {s: len(d) / sum(d.values()) if len(d) > 1 else None for s, d in lengths.items()}
+
+    assert {s: bfs(net.adjacency(view), s) for s in net.nodes} == lengths
+    dm = shortest_paths(net, layer_mode)
+    assert dm.distances == lengths and dm.component_id == component_id
+    assert {s: closeness(net, s, layer_mode) for s in net.nodes} == expected
+    rows = [(s, c, g.degree(s), len(components[component_id[s]]))
+            for s, c in expected.items() if c is not None]
+    assert centrality_report(net, layer_mode).rows == sorted(rows, key=lambda r: (-r[1], r[0]))
 
 
 # ---------------------------------------------------------------------------

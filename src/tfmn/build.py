@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -281,12 +282,14 @@ def network_from_json(text: str) -> MultiplexLexicalNetwork:
             _typed(n["stem"], str, "stem"): Concept(
                 stem=n["stem"],
                 valence_label=_typed(n["valence_label"], str, "valence_label"),
-                valence_score=_typed(n["valence_score"], (int, float, type(None)), "valence_score"),
+                valence_score=_valence_score(n["valence_score"]),
                 emotions=frozenset(_typed(e, str, "emotion") for e in _typed(n["emotions"], list, "emotions")),
                 is_negation_marker=_typed(n["is_negation_marker"], bool, "is_negation_marker"),
             )
             for n in payload["nodes"]
         }
+        if len(nodes) < len(payload["nodes"]):
+            raise ValueError("duplicate stem: two nodes entries share a stem")
         syntactic = {_ordered(a, b): count for a, b, count in payload["syntactic_edges"]}
         synonym = {_ordered(a, b) for a, b in payload["synonym_edges"]}
         if (len(syntactic) < len(payload["syntactic_edges"])
@@ -314,6 +317,17 @@ def _typed(value, kind, what: str):
     return value
 
 
+def _valence_score(score):
+    """None or a number that a double holds finitely (strict JSON has no NaN or Infinity)."""
+    _typed(score, (int, float, type(None)), "valence_score")
+    try:
+        if score is None or math.isfinite(score):
+            return score
+    except OverflowError:  # an int too large for a double
+        pass
+    raise ValueError(f"valence_score is not a finite number: {score!r}")
+
+
 def load_network(path: str | Path) -> MultiplexLexicalNetwork:
     return network_from_json(Path(path).read_text(encoding="utf-8"))
 
@@ -322,28 +336,76 @@ def save_network(net: MultiplexLexicalNetwork, path: str | Path) -> None:
     Path(path).write_text(network_to_json(net), encoding="utf-8")
 
 
-def write_graphml(net: MultiplexLexicalNetwork, path: str | Path) -> None:
-    import networkx as nx
+# The layout networkx's ElementTree writer gives this network: keys d0-d6
+# listed in reverse, two-space indent, the graph's data after its edges.
+_GRAPHML_HEAD = (
+    "<?xml version='1.0' encoding='utf-8'?>\n"
+    '<graphml xmlns="http://graphml.graphdrawing.org/xmlns" '
+    'xmlns:xsi="http://www.w3.org/2001/XMLSchema-instance" '
+    'xsi:schemaLocation="http://graphml.graphdrawing.org/xmlns '
+    'http://graphml.graphdrawing.org/xmlns/1.0/graphml.xsd">\n'
+)
+_GRAPHML_KEYS = [  # (for, attr.name, attr.type) of key d0, d1, ...
+    ("graph", "provenance", "string"),
+    ("node", "valence_label", "string"),
+    ("node", "valence_score", "double"),
+    ("node", "emotions", "string"),
+    ("node", "is_negation_marker", "boolean"),
+    ("edge", "layer", "string"),
+    ("edge", "count", "long"),
+]
+_TEXT_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
+_ATTR_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;",
+                               "\r": "&#13;", "\n": "&#10;", "\t": "&#09;"})
 
-    g = nx.Graph()
-    g.graph["provenance"] = json.dumps(net.provenance, sort_keys=True)
+
+def _graphml_data(indent: str, key: str, value) -> str:
+    text = str(value).translate(_TEXT_ESCAPES)
+    if not text:
+        return f'{indent}<data key="{key}" />\n'
+    return f'{indent}<data key="{key}">{text}</data>\n'
+
+
+def write_graphml(net: MultiplexLexicalNetwork, path: str | Path) -> None:
+    """GraphML of the network, byte for byte what networkx's writer gives,
+    with the stdlib only; valence_score is always a double (-999.0 when
+    missing). An edge in both layers has layer "syntactic+synonym", a
+    synonym-only edge count 0."""
+    edges: dict[tuple[str, str], list] = {}  # pair -> [layer, count], first seen first
+    for pair, count in sorted(net.syntactic_edges.items()):
+        edges[_ordered(*pair)] = ["syntactic", count]
+    for pair in sorted(net.synonym_edges):
+        pair = _ordered(*pair)
+        if pair in edges:
+            edges[pair][0] = "syntactic+synonym"
+        else:
+            edges[pair] = ["synonym", 0]
+
+    n_keys = 7 if edges else 5 if net.nodes else 1
+    out = [_GRAPHML_HEAD]
+    for i in reversed(range(n_keys)):
+        scope, name, kind = _GRAPHML_KEYS[i]
+        out.append(f'  <key id="d{i}" for="{scope}" attr.name="{name}" attr.type="{kind}" />\n')
+    out.append('  <graph edgedefault="undirected">\n')
     for s in sorted(net.nodes):
         c = net.nodes[s]
-        g.add_node(
-            s,
-            valence_label=c.valence_label,
-            valence_score=-999.0 if c.valence_score is None else c.valence_score,
-            emotions=",".join(sorted(c.emotions)),
-            is_negation_marker=c.is_negation_marker,
-        )
-    for (a, b), count in sorted(net.syntactic_edges.items()):
-        g.add_edge(a, b, layer="syntactic", count=count)
-    for a, b in sorted(net.synonym_edges):
-        if g.has_edge(a, b):
-            g[a][b]["layer"] = "syntactic+synonym"
-        else:
-            g.add_edge(a, b, layer="synonym", count=0)
-    nx.write_graphml(g, str(path))
+        score = -999.0 if c.valence_score is None else float(c.valence_score)
+        out += [f'    <node id="{s.translate(_ATTR_ESCAPES)}">\n',
+                _graphml_data("      ", "d1", c.valence_label),
+                _graphml_data("      ", "d2", score),
+                _graphml_data("      ", "d3", ",".join(sorted(c.emotions))),
+                _graphml_data("      ", "d4", c.is_negation_marker),
+                "    </node>\n"]
+    # grouped by the smaller stem, as networkx walks its adjacency
+    for (a, b), (layer, count) in sorted(edges.items(), key=lambda e: e[0][0]):
+        out += [f'    <edge source="{a.translate(_ATTR_ESCAPES)}" '
+                f'target="{b.translate(_ATTR_ESCAPES)}">\n',
+                _graphml_data("      ", "d5", layer),
+                _graphml_data("      ", "d6", count),
+                "    </edge>\n"]
+    out += [_graphml_data("    ", "d0", json.dumps(net.provenance, sort_keys=True)),
+            "  </graph>\n</graphml>\n"]
+    Path(path).write_bytes("".join(out).encode("utf-8", "xmlcharrefreplace"))
 
 
 def read_graphml(path: str | Path) -> MultiplexLexicalNetwork:

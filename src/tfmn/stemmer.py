@@ -7,6 +7,8 @@ accepted; callers lowercase and strip tokens before stemming.
 
 from __future__ import annotations
 
+import functools
+
 __all__ = ["stem", "StemError"]
 
 
@@ -106,6 +108,8 @@ def _step1c(word: str) -> str:
     return word
 
 
+# rule tables, each sorted longest suffix first once: the first suffix that
+# matches a word is its longest matching suffix
 _STEP2 = [
     ("ational", "ate"), ("tional", "tion"), ("enci", "ence"), ("anci", "ance"),
     ("izer", "ize"), ("abli", "able"), ("alli", "al"), ("entli", "ent"),
@@ -113,20 +117,23 @@ _STEP2 = [
     ("ator", "ate"), ("alism", "al"), ("iveness", "ive"), ("fulness", "ful"),
     ("ousness", "ous"), ("aliti", "al"), ("iviti", "ive"), ("biliti", "ble"),
 ]
+_STEP2.sort(key=lambda r: -len(r[0]))
 
 _STEP3 = [
     ("icate", "ic"), ("ative", ""), ("alize", "al"), ("iciti", "ic"),
     ("ical", "ic"), ("ful", ""), ("ness", ""),
 ]
+_STEP3.sort(key=lambda r: -len(r[0]))
 
 _STEP4 = [
     "al", "ance", "ence", "er", "ic", "able", "ible", "ant", "ement",
     "ment", "ent", "ion", "ou", "ism", "ate", "iti", "ous", "ive", "ize",
 ]
+_STEP4.sort(key=len, reverse=True)
 
 
 def _replace_longest(word: str, rules, min_measure: int) -> str:
-    for suffix, repl in sorted(rules, key=lambda r: -len(r[0])):
+    for suffix, repl in rules:
         if word.endswith(suffix):
             stem_part = word[: -len(suffix)]
             if _measure(stem_part) > min_measure - 1:
@@ -136,7 +143,7 @@ def _replace_longest(word: str, rules, min_measure: int) -> str:
 
 
 def _step4(word: str) -> str:
-    for suffix in sorted(_STEP4, key=len, reverse=True):
+    for suffix in _STEP4:
         if word.endswith(suffix):
             stem_part = word[: -len(suffix)]
             if suffix == "ion" and not stem_part.endswith(("s", "t")):
@@ -158,10 +165,12 @@ def _step5(word: str) -> str:
     return word
 
 
+@functools.cache
 def stem(word: str) -> str:
     """Stem a single lowercase alphabetic token.
 
-    Raises StemError on empty or non-alphabetic input.
+    Raises StemError on empty or non-alphabetic input. Results are memoized
+    (text repeats its words); an error is raised anew on every call.
     """
     if not word:
         raise StemError("cannot stem empty token")

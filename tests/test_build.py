@@ -1,10 +1,13 @@
 import json
+import tempfile
+from pathlib import Path
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tfmn.build import (
+    _VALENCE_LABELS,
     Concept,
     MultiplexLexicalNetwork,
     _is_content,
@@ -352,6 +355,101 @@ def test_graphml_roundtrip(tmp_path, valence, emotions, synonyms):
     assert again.provenance == net.provenance
 
 
+def reference_write_graphml(net: MultiplexLexicalNetwork, path) -> None:
+    """The networkx writer that the stdlib one replaced; both must give the
+    same bytes (except for an int valence_score, see below)."""
+    g = nx.Graph()
+    g.graph["provenance"] = json.dumps(net.provenance, sort_keys=True)
+    for s in sorted(net.nodes):
+        c = net.nodes[s]
+        g.add_node(
+            s,
+            valence_label=c.valence_label,
+            valence_score=-999.0 if c.valence_score is None else c.valence_score,
+            emotions=",".join(sorted(c.emotions)),
+            is_negation_marker=c.is_negation_marker,
+        )
+    for (a, b), count in sorted(net.syntactic_edges.items()):
+        g.add_edge(a, b, layer="syntactic", count=count)
+    for a, b in sorted(net.synonym_edges):
+        if g.has_edge(a, b):
+            g[a][b]["layer"] = "syntactic+synonym"
+        else:
+            g.add_edge(a, b, layer="synonym", count=0)
+    nx.write_graphml(g, str(path))
+
+
+def _graphml_bytes(writer, net) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "net.graphml"
+        writer(net, path)
+        return path.read_bytes()
+
+
+# characters ElementTree escapes in text or attributes, other whitespace and non-ASCII
+ODD_TEXT = st.text(st.sampled_from("ab&<>\"'\t\r\n ,éß日"), max_size=6)
+
+
+@st.composite
+def graphml_networks(draw) -> MultiplexLexicalNetwork:
+    """Valid networks with odd stems, float or missing scores, isolated nodes
+    and layers that may overlap; possibly no nodes or no edges."""
+    stems = sorted(draw(st.sets(ODD_TEXT, max_size=8)))
+    pairs = [(a, b) for i, a in enumerate(stems) for b in stems[i + 1 :]]
+    nodes = {
+        s: Concept(
+            stem=s,
+            valence_label=draw(st.sampled_from(sorted(_VALENCE_LABELS))),
+            valence_score=draw(st.none() | st.floats(allow_nan=False, allow_infinity=False)),
+            emotions=frozenset(draw(st.sets(ODD_TEXT, max_size=3))),
+            is_negation_marker=draw(st.booleans()),
+        )
+        for s in stems
+    }
+    syntactic = {p: draw(st.integers(1, 10**12)) for p in pairs if draw(st.booleans())}
+    synonym = {p for p in pairs if draw(st.booleans())}
+    provenance = {draw(ODD_TEXT): draw(ODD_TEXT | st.integers()) for _ in range(draw(st.integers(0, 3)))}
+    net = MultiplexLexicalNetwork(nodes, syntactic, synonym, provenance)
+    net.validate()
+    return net
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphml_networks())
+def test_graphml_bytes_match_networkx_reference(net):
+    assert _graphml_bytes(write_graphml, net) == _graphml_bytes(reference_write_graphml, net)
+
+
+@pytest.mark.parametrize("syntactic, synonym, isolated", [
+    ({}, set(), set()),  # empty network: only the graph key
+    ({}, set(), {"lone"}),  # nodes but no edges: no edge keys
+    ({}, {("joy", "love")}, set()),  # synonym-only edge, count 0
+    ({("joy", "love"): 2, ("hope", "joy"): 1}, {("joy", "love"), ("hope", "love")}, {"z"}),
+])
+def test_graphml_bytes_match_networkx_reference_examples(syntactic, synonym, isolated):
+    net = make_network(syntactic, synonym)
+    for s in isolated:
+        net.nodes[s] = Concept(s, "unrated", None, frozenset())
+    net.provenance["note"] = 'a <&> "b"\nc'
+    assert _graphml_bytes(write_graphml, net) == _graphml_bytes(reference_write_graphml, net)
+
+
+def test_graphml_writes_int_valence_score_as_double(tmp_path):
+    payload = json.loads(_network_file(["joy", "love"], [("joy", "love", 1)]))
+    payload["nodes"][0]["valence_score"] = 5
+    payload["nodes"][1]["valence_score"] = 2.5
+    net = network_from_json(json.dumps(payload))
+    text = _graphml_bytes(write_graphml, net).decode("utf-8")
+    assert text.count('attr.name="valence_score"') == 1
+    assert '<data key="d2">5.0</data>' in text
+    # networkx adds a second, `long` valence_score key for the int
+    assert _graphml_bytes(reference_write_graphml, net).decode("utf-8").count(
+        'attr.name="valence_score"') == 2
+    path = tmp_path / "net.graphml"
+    path.write_text(text, encoding="utf-8")
+    assert read_graphml(path).nodes["joy"].valence_score == 5.0
+
+
 def _network_file(nodes, syntactic, synonym=(), labels=None) -> str:
     labels = labels or {}
     return json.dumps({
@@ -420,6 +518,21 @@ def test_field_types_accepted():
     net = network_from_json(json.dumps(payload))
     assert net.nodes["joy"].valence_score == 7 and net.nodes["love"].valence_score == 2.5
     assert net.nodes["joy"].emotions == {"joy", "trust"} and net.syntactic_edges == {("joy", "love"): 3}
+
+
+@pytest.mark.parametrize("score", ["NaN", "Infinity", "-Infinity",
+                                   pytest.param("1" + "0" * 400, id="int_beyond_double")])
+def test_valence_score_not_finite_rejected(score):
+    text = _network_file(["joy", "love"], [("joy", "love", 1)])
+    text = text.replace('"valence_score": null', f'"valence_score": {score}', 1)
+    with pytest.raises(ValueError, match="valence_score is not a finite number"):
+        network_from_json(text)
+
+
+def test_duplicate_stem_rejected():
+    text = _network_file(["joy", "love", "joy"], [("joy", "love", 1)])
+    with pytest.raises(ValueError, match="duplicate stem"):
+        network_from_json(text)
 
 
 def test_unknown_valence_label_rejected():

@@ -1,6 +1,7 @@
 import csv
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -294,6 +295,16 @@ MALFORMED = {
     "emotions_string": json.dumps({"nodes": [_node("joy"), {**_node("love"), "emotions": "joy"}],
                                    "syntactic_edges": [["joy", "love", 1]],
                                    "synonym_edges": [], "provenance": {}}),
+    "score_nan": json.dumps({"nodes": [_node("joy"), {**_node("love"), "valence_score": math.nan}],
+                             "syntactic_edges": [["joy", "love", 1]],
+                             "synonym_edges": [], "provenance": {}}),
+    "score_infinity": json.dumps({"nodes": [_node("joy"), {**_node("love"), "valence_score": math.inf}],
+                                  "syntactic_edges": [["joy", "love", 1]],
+                                  "synonym_edges": [], "provenance": {}}),
+    "duplicate_stem": json.dumps({"nodes": [_node("joy", "positive"), _node("love"),
+                                            _node("joy", "negative")],
+                                  "syntactic_edges": [["joy", "love", 1]],
+                                  "synonym_edges": [], "provenance": {}}),
 }
 EMPTY = json.dumps({"nodes": [], "syntactic_edges": [], "synonym_edges": [], "provenance": {}})
 
@@ -357,6 +368,22 @@ def test_cli_import_leaves_networkx_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_build_leaves_networkx_and_numpy_unloaded(tmp_path):
+    (tmp_path / "corpus.txt").write_text(CORPUS, encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": str(Path(tfmn.__file__).resolve().parents[1])}
+    code = (
+        "import sys; from tfmn.cli import main\n"
+        "main.main(args=['build', '--corpus', 'corpus.txt', '--corpus-id', 'toy',"
+        " '--out-dir', 'out'], standalone_mode=False)\n"
+        "loaded = {'networkx', 'numpy'} & set(sys.modules)\n"
+        "assert not loaded, loaded"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "out" / "toy.network.graphml").exists()
 
 
 def test_every_traced_name_resolves():

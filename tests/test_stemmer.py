@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from tfmn.stemmer import StemError, stem
+from tfmn.stemmer import _STEP2, _STEP3, _STEP4, StemError, stem
 
 # canonical suffix-stripping vocabulary, checked against the published
 # algorithm's worked examples
@@ -99,3 +99,27 @@ def test_total_and_deterministic_on_alphabetic(word):
     assert out
     assert out.isalpha()
     assert out == stem(word)
+
+
+def test_rule_tables_sorted_longest_first():
+    # each step takes the first suffix that matches, which must be the longest
+    for table in (_STEP2, _STEP3, [(s, "") for s in _STEP4]):
+        lengths = [len(suffix) for suffix, _ in table]
+        assert lengths == sorted(lengths, reverse=True)
+
+
+@given(st.text(alphabet="abcdefghijklmnopqrstuvwxyzAEIOUY", min_size=1, max_size=20)
+       | st.sampled_from(sorted(CANONICAL)))
+def test_memoized_stem_matches_uncached(word):
+    expected = stem.__wrapped__(word)
+    assert stem(word) == expected
+    assert stem(word) == expected  # the second call is answered from the cache
+
+
+@pytest.mark.parametrize("bad", ["", "  ", "it's", "123", "ab1", "two words"])
+def test_errors_raised_on_every_call_and_never_cached(bad):
+    size = stem.cache_info().currsize
+    for _ in range(3):
+        with pytest.raises(StemError):
+            stem(bad)
+    assert stem.cache_info().currsize == size

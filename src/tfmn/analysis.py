@@ -9,6 +9,8 @@ support the cluster-level views.
 
 from __future__ import annotations
 
+import random
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .build import MultiplexLexicalNetwork
@@ -143,16 +145,125 @@ class CommunityPartition:
 
 def louvain_partition(net: MultiplexLexicalNetwork, seed: int) -> CommunityPartition:
     """Seeded Louvain modularity optimization on the aggregate graph
-    (resolution 1); deterministic for a fixed seed."""
-    from networkx.algorithms.community import louvain_communities, modularity
-    g = net.aggregate_graph()
-    if g.number_of_nodes() == 0:
+    (resolution 1, threshold 1e-7; Blondel et al., J. Stat. Mech. 2008).
+
+    A port of networkx 3.x's `louvain_communities` and `modularity`: the
+    same seed gives the same partition and the same modularity float."""
+    stems = sorted(net.nodes)
+    if not stems:
         raise ValueError("empty network")
-    communities = louvain_communities(g, seed=seed)
-    communities = sorted((sorted(c) for c in communities), key=lambda c: c[0])
-    assignment = {s: cid for cid, comm in enumerate(communities) for s in comm}
-    q = modularity(g, [set(c) for c in communities])
+    # networkx's neighbour order: nodes, then each layer's edges, sorted,
+    # then the graph rebuilt in its edge iteration order
+    index = {s: i for i, s in enumerate(stems)}
+    inserted: list[dict[int, int]] = [{} for _ in stems]
+    for edges in (net.syntactic_edges, net.synonym_edges):
+        for a, b in sorted(edges):
+            inserted[index[a]][index[b]] = inserted[index[b]][index[a]] = 1
+    graph = _level_graph(len(stems), _edges(inserted))
+    if not any(graph):
+        raise ValueError("network has no edges")
+    m = sum(map(_degree, graph, range(len(graph)))) / 2
+    rng = random.Random(seed)
+
+    level, members = graph, [{u} for u in range(len(graph))]
+    mod = _modularity(level, members)
+    partition, inner, _ = _one_level(level, m, [set(c) for c in members], members, rng)
+    while True:
+        new_mod = _modularity(level, inner)
+        if new_mod - mod <= 1e-7:
+            break
+        mod = new_mod
+        level, members = _gen_graph(level, inner, members)
+        partition, inner, moved = _one_level(level, m, partition, members, rng)
+        if not moved:  # then partition is the one the last level found
+            break
+
+    communities = sorted(sorted(c) for c in partition)
+    assignment = {stems[u]: cid for cid, comm in enumerate(communities) for u in comm}
+    q = _modularity(graph, [set(c) for c in communities])
     return CommunityPartition(communities=assignment, modularity_value=q, seed=seed)
+
+
+def _edges(adj: list[dict[int, int]]):
+    """(u, v, weight) in networkx's edge order: by u, then u's neighbour order."""
+    return ((u, v, w) for u, nbrs in enumerate(adj) for v, w in nbrs.items() if v >= u)
+
+
+def _level_graph(n: int, edges) -> list[dict[int, int]]:
+    """Neighbour -> weight maps of nodes 0..n-1; a repeated edge adds its weight."""
+    adj: list[dict[int, int]] = [{} for _ in range(n)]
+    for u, v, w in edges:
+        adj[u][v] = adj[v][u] = w + adj[u].get(v, 0)
+    return adj
+
+
+def _degree(nbrs: dict[int, int], u: int) -> int:
+    """Weighted degree; a self-loop counts twice."""
+    return sum(nbrs.values()) + nbrs.get(u, 0)
+
+
+def _modularity(adj: list[dict[int, int]], communities: list[set[int]]) -> float:
+    degrees = list(map(_degree, adj, range(len(adj))))
+    deg_sum = sum(degrees)
+    m = deg_sum / 2
+    norm = 1 / deg_sum**2
+
+    def contribution(comm: set[int]) -> float:
+        internal = sum(w for u in comm for v, w in adj[u].items() if v >= u and v in comm)
+        degree = sum(degrees[u] for u in comm)
+        return internal / m - degree * degree * norm
+
+    return sum(map(contribution, communities))
+
+
+def _one_level(adj, m, partition, members, rng):
+    """Move each node, in one shuffled order, to the neighbour community of
+    largest positive gain until no move helps; returns the non-empty
+    (partition of the original nodes, partition of this level, moved?)."""
+    node2com = list(range(len(adj)))
+    inner = [{u} for u in range(len(adj))]
+    degrees = list(map(_degree, adj, range(len(adj))))
+    stot = list(degrees)
+    nbrs = [{v: w for v, w in a.items() if v != u} for u, a in enumerate(adj)]
+    two_m2 = 2 * m**2
+    order = list(range(len(adj)))
+    rng.shuffle(order)
+    moves = 1
+    improvement = False
+    while moves > 0:
+        moves = 0
+        for u in order:
+            best_mod = 0
+            best_com = node2com[u]
+            weights2com: defaultdict[int, float] = defaultdict(float)
+            for v, w in nbrs[u].items():
+                weights2com[node2com[v]] += w
+            degree = degrees[u]
+            stot[best_com] -= degree
+            remove_cost = -weights2com[best_com] / m + (stot[best_com] * degree) / two_m2
+            for com, w in weights2com.items():
+                gain = remove_cost + w / m - (stot[com] * degree) / two_m2
+                if gain > best_mod:
+                    best_mod = gain
+                    best_com = com
+            stot[best_com] += degree
+            if best_com != node2com[u]:
+                partition[node2com[u]].difference_update(members[u])
+                inner[node2com[u]].remove(u)
+                partition[best_com].update(members[u])
+                inner[best_com].add(u)
+                improvement = True
+                moves += 1
+                node2com[u] = best_com
+    return [c for c in partition if c], [c for c in inner if c], improvement
+
+
+def _gen_graph(adj, inner, members):
+    """One node per community of this level, edge weights summed in edge order."""
+    node2com = {u: i for i, comm in enumerate(inner) for u in comm}
+    merged = [set().union(*(members[u] for u in comm)) for comm in inner]
+    edges = ((node2com[u], node2com[v], w) for u, v, w in _edges(adj))
+    return _level_graph(len(inner), edges), merged
 
 
 def neighborhood_subgraph(

@@ -82,7 +82,7 @@ class MultiplexLexicalNetwork:
         return layers[view]
 
     def aggregate_graph(self):
-        """A new networkx graph of the aggregate view, for Louvain."""
+        """A new networkx graph of the aggregate view; networkx must be installed."""
         return self._nx_graph("aggregate")
 
     def layer_graph(self, layer: str):
@@ -90,8 +90,9 @@ class MultiplexLexicalNetwork:
         return self._nx_graph(layer)
 
     def _nx_graph(self, view: str):
-        """Nodes, then each layer's edges, in sorted order: seeded Louvain depends on it."""
-        import networkx as nx
+        """Nodes, then each layer's edges, in sorted order, the order in which
+        louvain_partition adds them, so networkx's Louvain gives the same result."""
+        import networkx as nx  # a test and reference dependency only
 
         g = nx.Graph()
         g.add_nodes_from(sorted(self.nodes))
@@ -408,35 +409,67 @@ def write_graphml(net: MultiplexLexicalNetwork, path: str | Path) -> None:
     Path(path).write_bytes("".join(out).encode("utf-8", "xmlcharrefreplace"))
 
 
-def read_graphml(path: str | Path) -> MultiplexLexicalNetwork:
-    import networkx as nx
+_GRAPHML_NS = "{http://graphml.graphdrawing.org/xmlns}"
+_GRAPHML_BOOLS = {"true": True, "false": False, "1": True, "0": False}
+_GRAPHML_TYPES = {"string": str, "int": int, "long": int, "float": float, "double": float,
+                  "boolean": lambda text: _GRAPHML_BOOLS[text.lower()]}
 
-    g = nx.read_graphml(str(path))
-    nodes = {}
-    for s, data in g.nodes(data=True):
-        score = data.get("valence_score", -999.0)
-        nodes[s] = Concept(
-            stem=s,
-            valence_label=data["valence_label"],
-            valence_score=None if score == -999.0 else float(score),
-            emotions=frozenset(e for e in data.get("emotions", "").split(",") if e),
-            is_negation_marker=bool(data.get("is_negation_marker", False)),
-        )
-    syntactic: dict[tuple[str, str], int] = {}
-    synonym: set[tuple[str, str]] = set()
-    for a, b, data in g.edges(data=True):
-        pair = _ordered(a, b)
-        layer = data["layer"]
-        if "syntactic" in layer:
-            syntactic[pair] = int(data.get("count", 1))
-        if "synonym" in layer:
-            synonym.add(pair)
-    provenance = json.loads(
-        g.graph.get("provenance", '{"corpus_id": "graphml", "config": {}, "config_hash": ""}')
-    )
-    return MultiplexLexicalNetwork(
+
+def read_graphml(path: str | Path) -> MultiplexLexicalNetwork:
+    """The network of a GraphML file that write_graphml wrote, with <data>
+    decoded through each <key>'s attr.name and attr.type as networkx reads
+    them. Raises ValueError on a file that holds no valid network."""
+    from xml.etree import ElementTree  # here, so that no command pays for its import
+
+    try:
+        root = ElementTree.parse(path).getroot()
+        keys = {k.get("id"): (k.get("attr.name"), _GRAPHML_TYPES[k.get("attr.type", "string")])
+                for k in root.findall(f"{_GRAPHML_NS}key")}
+
+        def data(element) -> dict:
+            decoded = {}
+            for d in element.findall(f"{_GRAPHML_NS}data"):
+                name, kind = keys[d.get("key")]
+                if d.text is not None:
+                    decoded[name] = kind(d.text)
+            return decoded
+
+        graph = root.find(f"{_GRAPHML_NS}graph")
+        if graph is None:
+            raise ValueError("no <graph> element")
+        nodes = {}
+        for element in graph.findall(f"{_GRAPHML_NS}node"):
+            s, d = element.get("id"), data(element)
+            score = d.get("valence_score", -999.0)
+            nodes[s] = Concept(
+                stem=s,
+                valence_label=d.get("valence_label"),
+                valence_score=None if score == -999.0 else _valence_score(float(score)),
+                emotions=frozenset(e for e in d.get("emotions", "").split(",") if e),
+                is_negation_marker=bool(d.get("is_negation_marker", False)),
+            )
+        syntactic: dict[tuple[str, str], int] = {}
+        synonym: set[tuple[str, str]] = set()
+        seen: set[tuple[str, str]] = set()
+        for element in graph.findall(f"{_GRAPHML_NS}edge"):
+            pair, d = _ordered(element.get("source"), element.get("target")), data(element)
+            if pair in seen:
+                raise ValueError(f"duplicate edge {pair}")
+            seen.add(pair)
+            if "syntactic" in d["layer"]:
+                syntactic[pair] = int(d.get("count", 1))
+            if "synonym" in d["layer"]:
+                synonym.add(pair)
+        provenance = _typed(json.loads(data(graph).get(
+            "provenance", '{"corpus_id": "graphml", "config": {}, "config_hash": ""}'
+        )), dict, "provenance")
+    except (KeyError, TypeError, ValueError, ElementTree.ParseError) as exc:
+        raise ValueError(f"invalid GraphML file: {exc}") from exc
+    net = MultiplexLexicalNetwork(
         nodes=nodes,
         syntactic_edges=syntactic,
         synonym_edges=synonym,
         provenance=provenance,
     )
+    net.validate()
+    return net

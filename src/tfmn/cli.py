@@ -179,7 +179,20 @@ def _resolve_targets(net, targets: tuple[str, ...]) -> tuple[list[str], list[str
     return known, unknown
 
 
-@click.group()
+class _JsonErrorGroup(click.Group):
+    """Turns a usage error, an OSError or a ValueError in any subcommand into
+    one JSON line on stderr and exit code 1; --help and --version exit as usual."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except click.UsageError as exc:
+            _fail(exc.format_message())
+        except (OSError, ValueError) as exc:
+            _fail(str(exc))
+
+
+@click.group(cls=_JsonErrorGroup)
 @click.version_option(__version__)
 def main():
     """Build and analyse textual forma mentis networks."""
@@ -354,10 +367,7 @@ def nulltest(network_path, realizations, seed, swaps_per_edge, out_path):
     net = _load_network_or_fail(network_path)
     settings = {"command": "nulltest", "network": net.provenance.get("config_hash", ""),
                 "realizations": realizations, "seed": seed, "swaps_per_edge": swaps_per_edge}
-    try:
-        report = clustering_null_test(net, realizations, seed, swaps_per_edge)
-    except ValueError as exc:
-        _fail(str(exc))
+    report = clustering_null_test(net, realizations, seed, swaps_per_edge)
     click.echo(
         f"clustering {report['empirical_clustering']:.3f} "
         f"({report['ensemble_mean']:.3f} +/- {report['ensemble_std']:.3f} for configuration models)"
@@ -419,10 +429,7 @@ def benchmark(config_path, paragraph_dir, oracle_path, lexicon_dir, top_k, reali
         topic_stem = stem(topic_word)
         rankings[topic_stem] = [s for s, _ in rank_concepts(net, top_k)]
         sizes[path.stem] = len(net.nodes)
-    try:
-        report = benchmark_topic_relevance(rankings, oracle, realizations, seed)
-    except ValueError as exc:
-        _fail(str(exc))
+    report = benchmark_topic_relevance(rankings, oracle, realizations, seed)
     report["paragraph_sizes"] = sizes
     _write_json(out_dir / "benchmark.json", _stamp(report, digest, seed))
     click.echo(

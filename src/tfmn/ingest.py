@@ -97,12 +97,13 @@ def _strip_pictographs(text: str) -> str:
 
 
 def clean_document(doc: RawDocument) -> RawDocument:
-    """Strip URLs, @mentions, pictographic codepoints and '#' characters
-    (the hashtag word itself is kept); normalize whitespace. Idempotent."""
-    text = _URL_RE.sub(" ", doc.text)
+    """Strip pictographic codepoints and '#' characters (the hashtag word
+    itself is kept), then URLs and @mentions; normalize whitespace.
+    Idempotent: the characters go first, so removing them cannot join the
+    pieces of a new URL or mention."""
+    text = _strip_pictographs(doc.text).replace("#", "")
+    text = _URL_RE.sub(" ", text)
     text = _MENTION_RE.sub(" ", text)
-    text = _strip_pictographs(text)
-    text = text.replace("#", "")
     text = _WS_RE.sub(" ", text).strip()
     return RawDocument(id=doc.id, text=text)
 

@@ -1,12 +1,18 @@
+import random
+
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+from networkx.algorithms.community import louvain_communities, modularity
 
 from tfmn.analysis import (
+    CommunityPartition,
     classify_edges,
     emotional_profile,
     louvain_partition,
     neighborhood_subgraph,
     valence_aura,
 )
+from tfmn.build import Concept, MultiplexLexicalNetwork
 from tfmn.lexicons import AntonymLexicon, EmotionLexicon
 
 from conftest import make_network
@@ -179,6 +185,80 @@ def test_community_ids_stable():
     # ids assigned in lexicographic order of each community's first member
     assert part.community_of("a") == 0
     assert part.community_of("x") == 1
+
+
+def reference_louvain_partition(net: MultiplexLexicalNetwork, seed: int) -> CommunityPartition:
+    """networkx's Louvain, as louvain_partition called it before the port."""
+    g = net.aggregate_graph()
+    communities = louvain_communities(g, seed=seed)
+    communities = sorted((sorted(c) for c in communities), key=lambda c: c[0])
+    assignment = {s: cid for cid, comm in enumerate(communities) for s in comm}
+    q = modularity(g, [set(c) for c in communities])
+    return CommunityPartition(communities=assignment, modularity_value=q, seed=seed)
+
+
+def _assert_same_as_networkx(net, seed):
+    part = louvain_partition(net, seed)
+    ref = reference_louvain_partition(net, seed)
+    assert part == ref  # the modularity floats compare with ==
+    assert list(part.communities) == list(ref.communities)
+
+
+@st.composite
+def two_layer_networks(draw) -> MultiplexLexicalNetwork:
+    """Two layers that may share pairs, plus isolated nodes; at least one edge."""
+    stems = sorted(draw(st.sets(st.text("abcdefghij", min_size=1, max_size=3), min_size=2, max_size=24)))
+    pairs = [(a, b) for i, a in enumerate(stems) for b in stems[i + 1:]]
+    density = draw(st.floats(0.05, 0.6))
+    syntactic = {p: draw(st.integers(1, 5)) for p in pairs if draw(st.floats(0, 1)) < density}
+    synonym = {p for p in pairs if draw(st.floats(0, 1)) < density / 2}
+    assume(syntactic or synonym)
+    net = make_network(syntactic, synonym)
+    for s in stems:
+        net.nodes.setdefault(s, Concept(s, "unrated", None, frozenset()))
+    return net
+
+
+@settings(max_examples=300, deadline=None)
+@given(two_layer_networks(), st.integers(-5, 2**32))
+def test_louvain_matches_networkx(net, seed):
+    _assert_same_as_networkx(net, seed)
+
+
+def _preferential_network(n: int, seed: int) -> MultiplexLexicalNetwork:
+    """Preferential attachment (3 edges per node) plus n // 3 random synonym
+    pairs, so that Louvain runs several levels."""
+    rng = random.Random(seed)
+    names = [f"w{i:03d}" for i in range(n)]
+    syntactic = {(a, b): 1 for i, a in enumerate(names[:4]) for b in names[i + 1:4]}
+    ends = [s for pair in syntactic for s in pair]
+    for new in names[4:]:
+        targets: set[str] = set()
+        while len(targets) < 3:
+            targets.add(rng.choice(ends))
+        for old in sorted(targets):
+            syntactic[(old, new)] = 1
+            ends += [new, old]
+    synonym = set()
+    while len(synonym) < n // 3:
+        synonym.add(tuple(sorted(rng.sample(names, 2))))
+    return make_network(syntactic, synonym)
+
+
+# (nodes, network seed, Louvain seed); in the first two a level that still
+# moves nodes gains less than 1e-2, so a coarser stop threshold shows
+@pytest.mark.parametrize("n, net_seed, seed", [(600, 0, 2), (600, 2, 5), (300, 1, 0), (300, 1, 7)])
+def test_louvain_matches_networkx_on_larger_networks(n, net_seed, seed):
+    _assert_same_as_networkx(_preferential_network(n, net_seed), seed)
+
+
+def test_louvain_without_edges_rejected():
+    net = make_network({("a", "b"): 1})
+    net = MultiplexLexicalNetwork(net.nodes, {}, set(), net.provenance)
+    with pytest.raises(ValueError, match="network has no edges"):
+        louvain_partition(net, 0)
+    with pytest.raises(ValueError, match="empty network"):
+        louvain_partition(MultiplexLexicalNetwork({}, {}, set(), {}), 0)
 
 
 # ---------------------------------------------------------------------------

@@ -450,6 +450,113 @@ def test_graphml_writes_int_valence_score_as_double(tmp_path):
     assert read_graphml(path).nodes["joy"].valence_score == 5.0
 
 
+def reference_read_graphml(path) -> MultiplexLexicalNetwork:
+    """The networkx reader that the stdlib one replaced (it did not validate)."""
+    g = nx.read_graphml(str(path))
+    nodes = {}
+    for s, data in g.nodes(data=True):
+        score = data.get("valence_score", -999.0)
+        nodes[s] = Concept(
+            stem=s,
+            valence_label=data["valence_label"],
+            valence_score=None if score == -999.0 else float(score),
+            emotions=frozenset(e for e in data.get("emotions", "").split(",") if e),
+            is_negation_marker=bool(data.get("is_negation_marker", False)),
+        )
+    syntactic: dict[tuple[str, str], int] = {}
+    synonym: set[tuple[str, str]] = set()
+    for a, b, data in g.edges(data=True):
+        pair = _ordered(a, b)
+        if "syntactic" in data["layer"]:
+            syntactic[pair] = int(data.get("count", 1))
+        if "synonym" in data["layer"]:
+            synonym.add(pair)
+    provenance = json.loads(
+        g.graph.get("provenance", '{"corpus_id": "graphml", "config": {}, "config_hash": ""}')
+    )
+    return MultiplexLexicalNetwork(nodes, syntactic, synonym, provenance)
+
+
+def _as_graphml_holds_it(net: MultiplexLexicalNetwork) -> MultiplexLexicalNetwork:
+    """The network a GraphML file can hold: emotions are one comma-joined
+    text (a comma splits an emotion, an empty one vanishes, and XML reads
+    CR and CRLF as LF), and -999.0 stands for a missing score."""
+    def emotions(c: Concept) -> frozenset[str]:
+        text = ",".join(sorted(c.emotions)).replace("\r\n", "\n").replace("\r", "\n")
+        return frozenset(e for e in text.split(",") if e)
+
+    nodes = {s: Concept(s, c.valence_label, None if c.valence_score == -999.0 else c.valence_score,
+                        emotions(c), c.is_negation_marker)
+             for s, c in net.nodes.items()}
+    return MultiplexLexicalNetwork(nodes, dict(net.syntactic_edges), set(net.synonym_edges),
+                                   net.provenance)
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphml_networks())
+def test_graphml_roundtrip_random(net):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "net.graphml"
+        write_graphml(net, path)
+        again = read_graphml(path)
+        assert again == _as_graphml_holds_it(net)
+        assert again == reference_read_graphml(path)
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ('<data key="d1">positive</data>', '<data key="d1">happy</data>', "valence_label 'happy'"),
+    ('<node id="joy">', '<node id="joyful">', "missing node"),
+    ('target="love">', 'target="joy">', "self-loop"),
+    ('<data key="d1">positive</data>', "", "valence_label None"),
+    ('<data key="d4">False</data>', '<data key="d4">maybe</data>', "invalid GraphML file"),
+    ('<data key="d5">syntactic</data>', "", "invalid GraphML file"),
+    ("</edge>", '</edge><edge source="love" target="joy"><data key="d5">synonym</data></edge>',
+     "duplicate edge"),
+    ("</graphml>", "", "invalid GraphML file"),
+    ('<data key="d2">-999.0</data>', '<data key="d2">nan</data>', "not a finite number"),
+], ids=["unknown_label", "edge_to_missing_node", "self_loop", "no_label", "bad_boolean",
+        "no_layer", "duplicate_edge", "not_xml", "score_nan"])
+def test_read_graphml_rejects_invalid_network(tmp_path, old, new, message):
+    path = tmp_path / "net.graphml"
+    write_graphml(make_network({("joy", "love"): 2}, labels={"joy": "positive"}), path)
+    text = path.read_text(encoding="utf-8")
+    assert old in text
+    path.write_text(text.replace(old, new, 1), encoding="utf-8")
+    with pytest.raises(ValueError, match=message):
+        read_graphml(path)
+
+
+def test_read_graphml_decodes_data_by_key_name(tmp_path):
+    """Keys are looked up by attr.name and attr.type, whatever their ids and order."""
+    path = tmp_path / "hand.graphml"
+    path.write_text(
+        '<?xml version="1.0" encoding="utf-8"?>\n'
+        '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">\n'
+        '  <key id="n" for="edge" attr.name="count" attr.type="int" />\n'
+        '  <key id="l" for="edge" attr.name="layer" attr.type="string" />\n'
+        '  <key id="neg" for="node" attr.name="is_negation_marker" attr.type="boolean" />\n'
+        '  <key id="v" for="node" attr.name="valence_label" attr.type="string" />\n'
+        '  <key id="s" for="node" attr.name="valence_score" attr.type="float" />\n'
+        '  <key id="e" for="node" attr.name="emotions" attr.type="string" />\n'
+        '  <graph edgedefault="undirected">\n'
+        '    <node id="not"><data key="v">neutral</data><data key="neg">TRUE</data></node>\n'
+        '    <node id="joy"><data key="v">positive</data><data key="s">7.5</data>'
+        '<data key="e">joy,trust</data><data key="neg">0</data></node>\n'
+        '    <edge source="not" target="joy"><data key="l">syntactic+synonym</data>'
+        '<data key="n">3</data></edge>\n'
+        '  </graph>\n</graphml>\n',
+        encoding="utf-8",
+    )
+    net = read_graphml(path)
+    assert net.nodes == {
+        "not": Concept("not", "neutral", None, frozenset(), True),
+        "joy": Concept("joy", "positive", 7.5, frozenset({"joy", "trust"}), False),
+    }
+    assert net.syntactic_edges == {("joy", "not"): 3} and net.synonym_edges == {("joy", "not")}
+    assert net.provenance == {"corpus_id": "graphml", "config": {}, "config_hash": ""}
+    assert net == reference_read_graphml(path)
+
+
 def _network_file(nodes, syntactic, synonym=(), labels=None) -> str:
     labels = labels or {}
     return json.dumps({

@@ -307,12 +307,16 @@ MALFORMED = {
                                   "synonym_edges": [], "provenance": {}}),
 }
 EMPTY = json.dumps({"nodes": [], "syntactic_edges": [], "synonym_edges": [], "provenance": {}})
+NO_EDGES = json.dumps({"nodes": [_node("joy"), _node("love")], "syntactic_edges": [],
+                       "synonym_edges": [], "provenance": {}})
 
 
 @pytest.mark.parametrize(
     "command, text",
-    [(c, t) for c in NETWORK_COMMANDS for t in MALFORMED.values()] + [("communities", EMPTY)],
-    ids=[f"{c}-{k}" for c in NETWORK_COMMANDS for k in MALFORMED] + ["communities-empty"],
+    [(c, t) for c in NETWORK_COMMANDS for t in MALFORMED.values()]
+    + [("communities", EMPTY), ("communities", NO_EDGES)],
+    ids=[f"{c}-{k}" for c in NETWORK_COMMANDS for k in MALFORMED]
+    + ["communities-empty", "communities-no_edges"],
 )
 def test_bad_network_fails_with_one_json_line(runner, tmp_path, command, text):
     path = tmp_path / "bad.json"
@@ -362,6 +366,37 @@ def test_nulltest_rejects_swaps_per_edge_below_one(built, runner, tmp_path, swap
     assert not out.exists()
 
 
+def test_missing_network_path_fails_with_one_json_line(runner, tmp_path):
+    result = runner.invoke(main, ["rank", "--network", str(tmp_path / "nope.json")])
+    _assert_one_json_error(result)
+    assert "--network" in json.loads(result.stderr)["error"]
+    _assert_one_json_error(runner.invoke(main, ["rank"]))
+
+
+def test_bad_config_value_fails_with_one_json_line(runner, tmp_path):
+    corpus = tmp_path / "c.txt"
+    corpus.write_text(CORPUS, encoding="utf-8")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"corpus = {corpus}\nmin_words = abc\n", encoding="utf-8")
+    result = runner.invoke(main, ["build", "--config", str(cfg), "--out-dir", str(tmp_path / "o")])
+    _assert_one_json_error(result)
+    assert "abc" in json.loads(result.stderr)["error"]
+
+
+def test_out_dir_that_is_a_file_fails_with_one_json_line(runner, tmp_path):
+    corpus = tmp_path / "c.txt"
+    corpus.write_text(CORPUS, encoding="utf-8")
+    (tmp_path / "taken").write_text("", encoding="utf-8")
+    _assert_one_json_error(runner.invoke(
+        main, ["build", "--corpus", str(corpus), "--out-dir", str(tmp_path / "taken")]
+    ))
+
+
+def test_help_unchanged(runner):
+    result = runner.invoke(main, ["rank", "--help"])
+    assert result.exit_code == 0 and result.output.startswith("Usage:")
+
+
 def test_cli_import_leaves_networkx_unloaded():
     env = {**os.environ, "PYTHONPATH": str(Path(tfmn.__file__).resolve().parents[1])}
     code = "import sys, tfmn.cli; assert 'networkx' not in sys.modules, 'networkx loaded'"
@@ -384,6 +419,24 @@ def test_build_leaves_networkx_and_numpy_unloaded(tmp_path):
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "out" / "toy.network.graphml").exists()
+
+
+def test_communities_and_read_graphml_leave_networkx_unloaded(tmp_path):
+    (tmp_path / "corpus.txt").write_text(CORPUS, encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": str(Path(tfmn.__file__).resolve().parents[1])}
+    code = (
+        "import sys; from tfmn.cli import main; from tfmn.build import read_graphml\n"
+        "for args in (['build', '--corpus', 'corpus.txt', '--corpus-id', 'toy', '--out-dir', 'out'],\n"
+        "             ['communities', '--network', 'out/toy.network.json', '--target', 'love',\n"
+        "              '--out', 'out/comm.json']):\n"
+        "    main.main(args=args, standalone_mode=False)\n"
+        "assert read_graphml('out/toy.network.graphml').nodes\n"
+        "assert 'networkx' not in sys.modules, 'networkx loaded'"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "love" in json.loads((tmp_path / "out" / "comm.json").read_text())["target_community"]
 
 
 def test_every_traced_name_resolves():

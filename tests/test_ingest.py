@@ -51,6 +51,18 @@ def test_clean_idempotent(text):
     assert clean_document(once) == once
 
 
+@pytest.mark.parametrize("text, cleaned", [
+    ("@#abc", ""),  # '#' removed after the mention pass left "@abc"
+    ("@\U0001F600bob hi", "hi"),  # a pictograph inside a mention
+    ("http#://x.org y", "y"),  # '#' inside a URL scheme
+    ("@\U000f00000", ""),  # a private-use character inside a mention
+])
+def test_clean_joined_mentions_and_urls(text, cleaned):
+    once = clean_document(doc(text))
+    assert once.text == cleaned
+    assert clean_document(once) == once
+
+
 # ---------------------------------------------------------------------------
 # filtering
 

@@ -277,8 +277,8 @@ def network_to_json(net: MultiplexLexicalNetwork) -> str:
 
 
 def network_from_json(text: str) -> MultiplexLexicalNetwork:
-    payload = json.loads(text)
     try:
+        payload = json.loads(text)
         nodes = {
             _typed(n["stem"], str, "stem"): Concept(
                 stem=n["stem"],
@@ -299,7 +299,7 @@ def network_from_json(text: str) -> MultiplexLexicalNetwork:
         if not all(_typed(count, int, "edge count") >= 1 for count in syntactic.values()):
             raise ValueError("edge count below 1")
         provenance = _typed(payload["provenance"], dict, "provenance")
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:  # RecursionError: deep nesting
         raise ValueError(f"invalid network file: {exc}") from exc
     net = MultiplexLexicalNetwork(
         nodes=nodes,

@@ -76,10 +76,18 @@ def _fail(message: str, **details) -> None:
     sys.exit(1)
 
 
-def _read_config(path: str | None) -> dict[str, str]:
+class _Config(dict):
+    """The key=value pairs of a config file, and the file's path."""
+
+    def __init__(self, path: str | None = None):
+        super().__init__()
+        self.path = path
+
+
+def _read_config(path: str | None) -> _Config:
+    config = _Config(path)
     if not path:
-        return {}
-    config = {}
+        return config
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -91,15 +99,18 @@ def _read_config(path: str | None) -> dict[str, str]:
     return config
 
 
-def _resolve(flag_value, config: dict, key: str, default=None, cast=str):
+def _resolve(flag_value, config: _Config, key: str, default=None, cast=str):
     if flag_value is not None:
         return flag_value
-    if key in config:
+    if key not in config:
+        return default
+    try:
         return cast(config[key])
-    return default
+    except ValueError:
+        _fail(f"config key {key!r}: expected {cast.__name__}, got {config[key]!r}", file=config.path)
 
 
-def _lexicon_dir(value: str | None, config: dict) -> Path:
+def _lexicon_dir(value: str | None, config: _Config) -> Path:
     value = _resolve(value, config, "lexicon_dir")
     if value is None:
         value = os.environ.get(DEFAULT_LEXICON_DIR_ENV)
@@ -180,8 +191,9 @@ def _resolve_targets(net, targets: tuple[str, ...]) -> tuple[list[str], list[str
 
 
 class _JsonErrorGroup(click.Group):
-    """Turns a usage error, an OSError or a ValueError in any subcommand into
-    one JSON line on stderr and exit code 1; --help and --version exit as usual."""
+    """Turns a usage error (a missing subcommand too), an OSError or a
+    ValueError in any subcommand into one JSON line on stderr and exit code 1;
+    --help and --version exit as usual."""
 
     def invoke(self, ctx):
         try:
@@ -192,7 +204,7 @@ class _JsonErrorGroup(click.Group):
             _fail(str(exc))
 
 
-@click.group(cls=_JsonErrorGroup)
+@click.group(cls=_JsonErrorGroup, no_args_is_help=False)
 @click.version_option(__version__)
 def main():
     """Build and analyse textual forma mentis networks."""
@@ -309,7 +321,7 @@ def aura(network_path, targets, out_path):
 def profile(network_path, targets, lexicon_dir, out_dir):
     """Emotional profiles of target concepts, with chart data per target."""
     net = _load_network_or_fail(network_path)
-    _, emotions, _, antonyms = _load_lexicons(_lexicon_dir(lexicon_dir, {}))
+    _, emotions, _, antonyms = _load_lexicons(_lexicon_dir(lexicon_dir, _Config()))
     known, unknown = _resolve_targets(net, tuple(t.strip() for t in targets.split(",") if t.strip()))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -363,7 +375,7 @@ def communities(network_path, seed, target, out_path):
 @click.option("--swaps-per-edge", type=int, default=10)
 @click.option("--out", "out_path", type=click.Path(), default=None)
 def nulltest(network_path, realizations, seed, swaps_per_edge, out_path):
-    """Clustering vs. configuration-model ensemble."""
+    """Mean clustering against a configuration-model ensemble."""
     net = _load_network_or_fail(network_path)
     settings = {"command": "nulltest", "network": net.provenance.get("config_hash", ""),
                 "realizations": realizations, "seed": seed, "swaps_per_edge": swaps_per_edge}

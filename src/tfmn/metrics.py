@@ -20,12 +20,15 @@ __all__ = [
     "shortest_paths",
     "bfs",
     "closeness",
+    "closeness_rows",
+    "top_rows",
     "rank_concepts",
     "mean_clustering",
 ]
 
 LAYER_MODES = ("aggregate", "syntactic_only", "synonym_only")
 Row = tuple[str, float, int, int]  # (stem, closeness, degree, component size)
+_BLOCK_BITS = 4096  # BFS sources per pass of _distance_sums
 
 
 def _view(net: MultiplexLexicalNetwork, layer_mode: str) -> Adjacency:
@@ -81,10 +84,6 @@ def closeness(net: MultiplexLexicalNetwork, node: str, layer_mode: str = "aggreg
     adj = _view(net, layer_mode)
     if node not in adj:
         raise KeyError(f"unknown node {node!r}")
-    return _closeness_in_graph(adj, node)
-
-
-def _closeness_in_graph(adj: Adjacency, node: str) -> float | None:
     lengths = bfs(adj, node)
     return len(lengths) / sum(lengths.values()) if len(lengths) > 1 else None
 
@@ -103,14 +102,47 @@ class CentralityReport:
 def closeness_rows(net: MultiplexLexicalNetwork, layer_mode: str = "aggregate") -> list[list[Row]]:
     """Closeness rows of a layer view, one list per connected component:
     components largest first (ties: smallest stem), rows by closeness,
-    descending, then stem; a single-node component has none. Each BFS runs
-    on the whole view, since it never leaves its source's component."""
+    descending, then stem; a single-node component has none. Distance sums
+    come from one bit-parallel BFS per component (`_distance_sums`)."""
     adj = _view(net, layer_mode)
     out = []
     for comp in _components(adj):
-        rows = [(s, _closeness_in_graph(adj, s), len(adj[s]), len(comp)) for s in comp]
-        out.append(sorted((r for r in rows if r[1] is not None), key=lambda r: (-r[1], r[0])))
+        stems = sorted(comp)
+        index = {s: i for i, s in enumerate(stems)}
+        sums = _distance_sums([[index[t] for t in adj[s]] for s in stems])
+        n = len(stems)
+        rows = [(s, n / d, len(adj[s]), n) for s, d in zip(stems, sums) if d]
+        out.append(sorted(rows, key=lambda r: (-r[1], r[0])))
     return out
+
+
+def _distance_sums(nbrs: list[list[int]]) -> list[int]:
+    """Sum of shortest-path distances from each node of a connected graph
+    (integer ids, neighbour lists) to all others: a multi-source BFS in which
+    node v's bitset holds the sources that have reached it (Then et al.,
+    VLDB 2014). Sources run in blocks of _BLOCK_BITS, so memory stays
+    O(N * block). A source first reaching v at level d adds d to v's sum,
+    which is v's own distance sum because distances are symmetric."""
+    n = len(nbrs)
+    sums = [0] * n
+    for lo in range(0, n, _BLOCK_BITS):
+        frontier = {i: 1 << (i - lo) for i in range(lo, min(lo + _BLOCK_BITS, n))}
+        seen = [frontier.get(i, 0) for i in range(n)]
+        d = 0
+        while frontier:
+            d += 1
+            reached: dict[int, int] = {}
+            for u, bits in frontier.items():
+                for v in nbrs[u]:
+                    reached[v] = reached.get(v, 0) | bits
+            frontier = {}
+            for v, bits in reached.items():
+                bits &= ~seen[v]
+                if bits:
+                    seen[v] |= bits
+                    frontier[v] = bits
+                    sums[v] += d * bits.bit_count()
+    return sums
 
 
 def top_rows(net: MultiplexLexicalNetwork, top_k: int, layer_mode: str = "aggregate") -> list[Row]:

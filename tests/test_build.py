@@ -646,3 +646,42 @@ def test_unknown_valence_label_rejected():
     text = _network_file(["joy", "love"], [("joy", "love", 1)], labels={"love": "happy"})
     with pytest.raises(ValueError, match="valence_label 'happy'"):
         network_from_json(text)
+
+
+def test_deeply_nested_file_rejected():
+    with pytest.raises(ValueError, match="invalid network file"):
+        network_from_json("[" * 200_000)
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+stems = st.sampled_from(["joy", "love", "fear"])
+nodes = st.fixed_dictionaries({
+    "stem": stems | json_values,
+    "valence_label": st.sampled_from(sorted(_VALENCE_LABELS)) | json_values,
+    "valence_score": st.none() | st.floats() | json_values,
+    "emotions": st.lists(st.sampled_from(["joy", "trust"])) | json_values,
+    "is_negation_marker": st.booleans() | json_values,
+})
+edges = st.lists(st.lists(stems | st.integers(-1, 3) | json_values, min_size=2, max_size=3) | json_values,
+                 max_size=4)
+network_payloads = json_values | st.fixed_dictionaries({
+    "nodes": st.lists(nodes | json_values, max_size=4) | json_values,
+    "syntactic_edges": edges | json_values,
+    "synonym_edges": edges | json_values,
+    "provenance": st.dictionaries(st.text(max_size=4), json_values, max_size=2) | json_values,
+})
+
+
+@settings(max_examples=300, deadline=None)
+@given(network_payloads)
+def test_network_from_json_raises_only_value_error(payload):
+    try:
+        net = network_from_json(json.dumps(payload))
+    except ValueError:
+        return
+    net.validate()
+    assert network_from_json(network_to_json(net)) == net

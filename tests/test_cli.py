@@ -380,7 +380,25 @@ def test_bad_config_value_fails_with_one_json_line(runner, tmp_path):
     cfg.write_text(f"corpus = {corpus}\nmin_words = abc\n", encoding="utf-8")
     result = runner.invoke(main, ["build", "--config", str(cfg), "--out-dir", str(tmp_path / "o")])
     _assert_one_json_error(result)
-    assert "abc" in json.loads(result.stderr)["error"]
+    error = json.loads(result.stderr)
+    assert "'min_words'" in error["error"] and "abc" in error["error"]
+    assert error["file"] == str(cfg)
+
+
+@pytest.mark.parametrize("command, key", [
+    ("rank", "top_k"), ("benchmark", "top_k"), ("benchmark", "realizations"), ("benchmark", "seed"),
+])
+def test_bad_config_value_names_key_and_file(runner, tmp_path, command, key):
+    save_network(make_network({("joy", "love"): 1}), tmp_path / "net.json")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = abc\n", encoding="utf-8")
+    extra = ["--network", str(tmp_path / "net.json")] if command == "rank" else ["--out-dir", str(tmp_path / "o")]
+    result = runner.invoke(main, [command, "--config", str(cfg), *extra])
+    _assert_one_json_error(result)
+    error = json.loads(result.stderr)
+    assert f"'{key}'" in error["error"] and "abc" in error["error"]
+    assert error["file"] == str(cfg)
+    assert not (tmp_path / "o").exists()
 
 
 def test_out_dir_that_is_a_file_fails_with_one_json_line(runner, tmp_path):
@@ -395,6 +413,27 @@ def test_out_dir_that_is_a_file_fails_with_one_json_line(runner, tmp_path):
 def test_help_unchanged(runner):
     result = runner.invoke(main, ["rank", "--help"])
     assert result.exit_code == 0 and result.output.startswith("Usage:")
+
+
+def test_bare_command_fails_with_one_json_line(runner):
+    result = runner.invoke(main, [])
+    _assert_one_json_error(result)
+    assert result.stdout == ""
+
+
+def test_bare_module_run_fails_with_one_json_line():
+    env = {**os.environ, "PYTHONPATH": str(Path(tfmn.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "tfmn.cli"], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 1 and proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and "error" in json.loads(lines[0])
+
+
+def test_group_help_exits_zero(runner):
+    result = runner.invoke(main, ["--help"])
+    assert result.exit_code == 0 and result.output.startswith("Usage:")
+    assert "Mean clustering against a configuration-model ensemble." in result.output
 
 
 def test_cli_import_leaves_networkx_unloaded():

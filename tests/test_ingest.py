@@ -1,5 +1,8 @@
+import tempfile
+from pathlib import Path
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from tfmn.ingest import (
     ConlluError,
@@ -10,6 +13,7 @@ from tfmn.ingest import (
     clean_document,
     filter_short,
     heuristic_parse,
+    iter_conllu,
     parse_conllu,
     read_text_corpus,
     split_sentences,
@@ -249,3 +253,30 @@ def test_duplicate_ids_rejected(tmp_path):
     path.write_text("d1\ta\nd1\tb\n", encoding="utf-8")
     with pytest.raises(ValueError, match="duplicate"):
         read_text_corpus(path)
+
+
+conllu_fields = (st.text(max_size=4) | st.integers(-1, 12).map(str)
+                 | st.sampled_from(["_", "NOUN", "VERB", "root", "nsubj", "1-2", "1.1"]))
+token_lines = st.tuples(
+    st.integers(1, 4).map(str), st.sampled_from(["cat", "sat", "not", "the"]), st.just("_"),
+    st.sampled_from(["NOUN", "VERB", "PART", "DET"]), st.just("_"), st.just("_"),
+    st.integers(0, 4).map(str), st.sampled_from(["root", "nsubj", "det", "advmod"]),
+    st.just("_"), st.just("_"),
+).map("\t".join)
+conllu_lines = (st.text() | st.lists(conllu_fields, min_size=8, max_size=11).map("\t".join)
+                | token_lines | st.sampled_from(["", "# newdoc id = x", "# sent_id = 1", "#"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(conllu_lines, max_size=12) | st.lists(token_lines | st.just(""), max_size=12))
+def test_iter_conllu_raises_only_value_error(lines):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.conllu"
+        path.write_text("\n".join(lines), encoding="utf-8")
+        rejections = []
+        try:
+            sentences = list(iter_conllu(path, rejections))
+        except ValueError:  # ConlluError included
+            return
+    for sent in sentences:
+        sent.validate()

@@ -1,15 +1,20 @@
 import itertools
+import random
+from time import perf_counter
+from unittest import mock
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tfmn.build import Concept
+from tfmn import metrics
+from tfmn.build import Concept, MultiplexLexicalNetwork
 from tfmn.metrics import (
     LAYER_MODES,
     bfs,
     centrality_report,
     closeness,
+    closeness_rows,
     mean_clustering,
     rank_concepts,
     shortest_paths,
@@ -227,6 +232,82 @@ def test_bfs_queries_equal_networkx(syntactic, synonym, isolated, layer_mode):
     rows = [(s, c, g.degree(s), len(components[component_id[s]]))
             for s, c in expected.items() if c is not None]
     assert centrality_report(net, layer_mode).rows == sorted(rows, key=lambda r: (-r[1], r[0]))
+
+
+# ---------------------------------------------------------------------------
+# the bit-parallel closeness table against one BFS per node
+
+
+def per_node_rows(net, layer_mode):
+    """(stem, closeness, degree, component size) of every non-isolated node,
+    from one bfs per node."""
+    adj = net.adjacency(layer_mode.removesuffix("_only"))
+    rows = {}
+    for s in adj:
+        dist = bfs(adj, s)
+        if len(dist) > 1:
+            rows[s] = (s, len(dist) / sum(dist.values()), len(adj[s]), len(dist))
+    return rows
+
+
+@settings(max_examples=100, deadline=None)
+@given(node_pairs, node_pairs, st.integers(0, 4), st.sampled_from(LAYER_MODES),
+       st.sampled_from([1, 2, 3]))
+def test_closeness_table_equals_per_node_bfs_for_any_block(syntactic, synonym, isolated,
+                                                          layer_mode, block):
+    net = make_network({(f"n{a}", f"n{b}"): 1 for a, b in syntactic},
+                       synonym={(f"n{a}", f"n{b}") for a, b in synonym})
+    for k in range(isolated):
+        net.nodes[f"z{k}"] = Concept(f"z{k}", "unrated", None, frozenset())
+    with mock.patch.object(metrics, "_BLOCK_BITS", block):
+        table = closeness_rows(net, layer_mode)
+    expected = per_node_rows(net, layer_mode)
+    assert {row[0]: row for comp in table for row in comp} == expected
+    for comp in table:
+        assert comp == sorted(comp, key=lambda r: (-r[1], r[0]))
+        assert len({row[3] for row in comp}) <= 1
+    sizes = [comp[0][3] if comp else 1 for comp in table]
+    assert sizes == sorted(sizes, reverse=True)
+    assert sum(sizes) == len(net.nodes)
+
+
+def seeded_large_network(nodes: int, seed: int) -> MultiplexLexicalNetwork:
+    """A random recursive tree on 98% of the nodes, one extra syntactic and
+    one synonym edge per 2.5 nodes, and the rest in pairs or alone."""
+    rng = random.Random(seed)
+    names = [f"c{i:05d}" for i in range(nodes)]
+    core = nodes - nodes // 50
+    syntactic = {(names[rng.randrange(i)], names[i]) for i in range(1, core)}
+    while len(syntactic) < 1.4 * core:
+        a, b = sorted(rng.sample(range(core), 2))
+        syntactic.add((names[a], names[b]))
+    syntactic.update((names[i], names[i + 1]) for i in range(core, nodes - 1, 3))
+    synonym = set()
+    while len(synonym) < nodes // 5:
+        a, b = sorted(rng.sample(range(core), 2))
+        synonym.add((names[a], names[b]))
+    net = MultiplexLexicalNetwork(
+        nodes={s: Concept(s, "unrated", None, frozenset()) for s in names},
+        syntactic_edges=dict.fromkeys(syntactic, 1),
+        synonym_edges=synonym,
+        provenance={},
+    )
+    net.validate()
+    return net
+
+
+def test_closeness_table_on_5k_nodes_matches_sampled_bfs():
+    net = seeded_large_network(5000, seed=11)
+    start = perf_counter()
+    table = closeness_rows(net)
+    elapsed = perf_counter() - start
+    assert table[0][0][3] > metrics._BLOCK_BITS  # the largest component takes two blocks
+    rows = {row[0]: row for comp in table for row in comp}
+    adj = net.adjacency()
+    for s in random.Random(5).sample(sorted(rows), 50):
+        dist = bfs(adj, s)
+        assert rows[s] == (s, len(dist) / sum(dist.values()), len(adj[s]), len(dist))
+    assert elapsed < 2.0, f"closeness_rows took {elapsed:.2f} s on 5,000 nodes"
 
 
 # ---------------------------------------------------------------------------

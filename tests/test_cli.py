@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import click
 import pytest
 from click.testing import CliRunner
 
@@ -326,7 +327,9 @@ def test_bad_network_fails_with_one_json_line(runner, tmp_path, command, text):
         args += ["--out-dir", str(tmp_path / "p")]
     if command == "export":
         args += ["--out", str(tmp_path / "x.json")]
-    _assert_one_json_error(runner.invoke(main, args))
+    result = runner.invoke(main, args)
+    _assert_one_json_error(result)
+    assert json.loads(result.stderr)["network"] == str(path)
 
 
 def _assert_one_json_error(result):
@@ -342,17 +345,17 @@ def test_aura_on_isolated_node_fails_with_one_json_line(runner, tmp_path):
     net = make_network({("joy", "love"): 1})
     net.nodes["lone"] = Concept("lone", "unrated", None, frozenset())
     save_network(net, tmp_path / "net.json")
-    _assert_one_json_error(
-        runner.invoke(main, ["aura", "--network", str(tmp_path / "net.json"), "--targets", "lone"])
-    )
+    result = runner.invoke(main, ["aura", "--network", str(tmp_path / "net.json"), "--targets", "lone"])
+    _assert_one_json_error(result)
+    assert json.loads(result.stderr)["network"] == str(tmp_path / "net.json")
 
 
 def test_build_on_line_without_tab_fails_with_one_json_line(runner, tmp_path):
     corpus = tmp_path / "corpus.txt"
     corpus.write_text("no tab here\n", encoding="utf-8")
-    _assert_one_json_error(runner.invoke(
-        main, ["build", "--corpus", str(corpus), "--out-dir", str(tmp_path / "out")]
-    ))
+    result = runner.invoke(main, ["build", "--corpus", str(corpus), "--out-dir", str(tmp_path / "out")])
+    _assert_one_json_error(result)
+    assert json.loads(result.stderr)["corpus"] == str(corpus)
     assert not (tmp_path / "out").exists()
 
 
@@ -386,7 +389,8 @@ def test_bad_config_value_fails_with_one_json_line(runner, tmp_path):
 
 
 @pytest.mark.parametrize("command, key", [
-    ("rank", "top_k"), ("benchmark", "top_k"), ("benchmark", "realizations"), ("benchmark", "seed"),
+    ("rank", "top_k"), ("rank", "layer_mode"), ("build", "corpus_format"),
+    ("benchmark", "top_k"), ("benchmark", "realizations"), ("benchmark", "seed"),
 ])
 def test_bad_config_value_names_key_and_file(runner, tmp_path, command, key):
     save_network(make_network({("joy", "love"): 1}), tmp_path / "net.json")
@@ -398,6 +402,119 @@ def test_bad_config_value_names_key_and_file(runner, tmp_path, command, key):
     error = json.loads(result.stderr)
     assert f"'{key}'" in error["error"] and "abc" in error["error"]
     assert error["file"] == str(cfg)
+    assert not (tmp_path / "o").exists()
+
+
+def _flags_as_config(flags: list[str]) -> str:
+    """The key=value lines that set the same options as `flags`."""
+    return "".join(f"{flag[2:].replace('-', '_')} = {value}\n"
+                   for flag, value in zip(flags[::2], flags[1::2]))
+
+
+def test_config_file_matches_flags_byte_for_byte(runner, tmp_path, data_dir):
+    corpus = tmp_path / "c.txt"
+    corpus.write_text(CORPUS, encoding="utf-8")
+    bench = data_dir / "benchmark"
+    lexicons = str(data_dir / "lexicons")
+    runs = {
+        "build": ["--corpus", str(corpus), "--corpus-format", "text", "--lexicon-dir", lexicons,
+                  "--min-words", "2", "--corpus-id", "toy"],
+        "benchmark": ["--paragraph-dir", str(bench), "--oracle", str(bench / "free_associations.tsv"),
+                      "--lexicon-dir", lexicons, "--top-k", "5", "--realizations", "5", "--seed", "4"],
+    }
+    for command, flags in runs.items():
+        by_flags, by_config = tmp_path / f"{command}-flags", tmp_path / f"{command}-config"
+        cfg = tmp_path / f"{command}.cfg"
+        cfg.write_text(_flags_as_config([*flags, "--out-dir", str(by_config)]), encoding="utf-8")
+        for args in ([command, *flags, "--out-dir", str(by_flags)], [command, "--config", str(cfg)]):
+            result = runner.invoke(main, args)
+            assert result.exit_code == 0, result.output
+        files = sorted(p.name for p in by_flags.iterdir())
+        assert files == sorted(p.name for p in by_config.iterdir()) and files
+        for name in files:
+            assert (by_flags / name).read_bytes() == (by_config / name).read_bytes(), name
+
+
+def test_rank_config_sets_network_and_out(built, runner, tmp_path):
+    cfg = tmp_path / "rank.cfg"
+    cfg.write_text(f"network = {built / 'toy.network.json'}\ntop_k = 2\nout = {tmp_path / 'r.csv'}\n",
+                   encoding="utf-8")
+    result = runner.invoke(main, ["rank", "--config", str(cfg)])
+    assert result.exit_code == 0, result.output
+    assert len(result.stdout.splitlines()) == 2
+    assert len(json.loads((tmp_path / "r.json").read_text())["ranking"]) == 2
+
+
+def test_lexicon_dir_precedence(runner, tmp_path, lexicon_dir):
+    """--lexicon-dir wins over the config file, which wins over
+    TFMN_LEXICON_DIR, which wins over the bundled lexicons."""
+    corpus = tmp_path / "c.txt"
+    corpus.write_text(CORPUS, encoding="utf-8")
+    dirs = {}
+    for name in ("flag", "config", "env"):
+        dirs[name] = tmp_path / name
+        dirs[name].mkdir()
+        for f in lexicon_dir.iterdir():
+            (dirs[name] / f.name).write_bytes(f.read_bytes())
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"lexicon_dir = {dirs['config']}\n", encoding="utf-8")
+
+    def used(extra, env):
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["build", "--corpus", str(corpus), "--corpus-id", "toy",
+                                      "--out-dir", str(out), *extra], env=env)
+        assert result.exit_code == 0, result.output
+        network = json.loads((out / "toy.network.json").read_text())
+        return network["provenance"]["config"]["lexicon_dir"]
+
+    env = {"TFMN_LEXICON_DIR": str(dirs["env"])}
+    assert used(["--config", str(cfg), "--lexicon-dir", str(dirs["flag"])], env) == str(dirs["flag"])
+    assert used(["--config", str(cfg)], env) == str(dirs["config"])
+    assert used([], env) == str(dirs["env"])
+    assert Path(used([], {"TFMN_LEXICON_DIR": None})) == lexicon_dir
+
+
+def test_every_command_runs_inside_the_error_boundary():
+    boundary = main.command_class
+    assert issubclass(boundary, click.Command) and boundary.invoke is not click.Command.invoke
+    assert main.commands and all(type(cmd) is boundary for cmd in main.commands.values())
+
+
+@pytest.mark.parametrize("targets", [",", " , "])
+@pytest.mark.parametrize("command", ["aura", "profile"])
+def test_targets_that_split_to_nothing_fail_with_one_json_line(built, runner, tmp_path, command,
+                                                               targets):
+    out = tmp_path / "o"
+    out_args = ["--out", str(out)] if command == "aura" else ["--out-dir", str(out)]
+    result = runner.invoke(
+        main, [command, "--network", str(built / "toy.network.json"), "--targets", targets, *out_args]
+    )
+    _assert_one_json_error(result)
+    assert result.stdout == ""
+    assert json.loads(result.stderr)["targets"] == targets
+    assert not out.exists()
+
+
+def test_communities_unknown_target_fails_before_louvain(built, runner, tmp_path):
+    out = tmp_path / "comm.json"
+    result = runner.invoke(
+        main, ["communities", "--network", str(built / "toy.network.json"), "--target", "zzzz",
+               "--out", str(out)]
+    )
+    _assert_one_json_error(result)
+    assert result.stdout == ""
+    assert json.loads(result.stderr)["target"] == "zzzz"
+    assert not out.exists()
+
+
+def test_benchmark_without_paragraphs_names_the_directory(runner, tmp_path):
+    paragraphs = tmp_path / "paragraphs"
+    paragraphs.mkdir()
+    (paragraphs / "notes.md").write_text("not a paragraph\n", encoding="utf-8")
+    result = runner.invoke(main, ["benchmark", "--paragraph-dir", str(paragraphs),
+                                  "--out-dir", str(tmp_path / "o")])
+    _assert_one_json_error(result)
+    assert json.loads(result.stderr)["paragraph_dir"] == str(paragraphs)
     assert not (tmp_path / "o").exists()
 
 

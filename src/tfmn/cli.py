@@ -121,18 +121,6 @@ def _lexicon_dir(value: str | None) -> Path:
     return Path(value)
 
 
-def _load_lexicons(lexicon_dir: Path):
-    for name in ("valence.csv", "emotions.tsv", "synonyms.tsv", "antonyms.tsv"):
-        if not (lexicon_dir / name).exists():
-            _fail(f"missing lexicon file {name}", lexicon_dir=str(lexicon_dir))
-    return (
-        load_valence_norms(lexicon_dir / "valence.csv"),
-        load_emotion_lexicon(lexicon_dir / "emotions.tsv"),
-        load_synonyms(lexicon_dir / "synonyms.tsv"),
-        load_antonyms(lexicon_dir / "antonyms.tsv"),
-    )
-
-
 def _parse_corpus(corpus: Path, corpus_format: str, min_words: int):
     """Returns (sentences, ingest stats)."""
     if corpus_format == "text":
@@ -178,8 +166,8 @@ def _resolve_target(net, raw: str) -> str | None:
 
 
 def _resolve_targets(net, targets: str) -> tuple[list[str], list[str]]:
-    """Splits comma-separated targets into (known nodes, unknown raw names);
-    fails when the string names no target at all."""
+    """Splits comma-separated targets into (known nodes, unknown raw names),
+    each once in first-seen order; fails when the string names no target at all."""
     raws = [t.strip() for t in targets.split(",") if t.strip()]
     if not raws:
         _fail("no targets given", targets=targets)
@@ -190,7 +178,7 @@ def _resolve_targets(net, targets: str) -> tuple[list[str], list[str]]:
             unknown.append(raw)
         else:
             known.append(node)
-    return known, unknown
+    return list(dict.fromkeys(known)), list(dict.fromkeys(unknown))
 
 
 class _JsonErrorCommand(click.Command):
@@ -250,7 +238,9 @@ def build(corpus, corpus_format, lexicon_dir, min_words, corpus_id, out_dir):
     }
     digest = config_hash(settings)
 
-    valence, emotions, synonyms, _ = _load_lexicons(lexicon_dir)
+    valence = load_valence_norms(lexicon_dir / "valence.csv")
+    emotions = load_emotion_lexicon(lexicon_dir / "emotions.tsv")
+    synonyms = load_synonyms(lexicon_dir / "synonyms.tsv")
     sentences, ingest_stats = _parse_corpus(Path(corpus), corpus_format, min_words)
     net = build_network(
         sentences, valence, emotions, synonyms,
@@ -320,7 +310,9 @@ def aura(network, targets, out):
 def profile(network, targets, lexicon_dir, out_dir):
     """Emotional profiles of target concepts, with chart data per target."""
     net = load_network(network)
-    _, emotions, _, antonyms = _load_lexicons(_lexicon_dir(lexicon_dir))
+    lexicon_dir = _lexicon_dir(lexicon_dir)
+    emotions = load_emotion_lexicon(lexicon_dir / "emotions.tsv")
+    antonyms = load_antonyms(lexicon_dir / "antonyms.tsv")
     known, unknown = _resolve_targets(net, targets)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -366,7 +358,7 @@ def communities(network, seed, target, out):
 
 @main.command()
 @_network_option
-@click.option("--realizations", type=int, default=50)
+@click.option("--realizations", type=click.IntRange(min=2), default=50)
 @click.option("--seed", type=int, default=0)
 @click.option("--swaps-per-edge", type=int, default=10)
 @click.option("--out", type=click.Path(), default=None)
@@ -391,7 +383,7 @@ def nulltest(network, realizations, seed, swaps_per_edge, out):
 @click.option("--oracle", type=click.Path(exists=True), default=None)
 @_lexicon_dir_option
 @click.option("--top-k", type=int, default=10)
-@click.option("--realizations", type=int, default=50)
+@click.option("--realizations", type=click.IntRange(min=2), default=50)
 @click.option("--seed", type=int, default=0)
 @click.option("--out-dir", type=click.Path(), default=".")
 def benchmark(paragraph_dir, oracle, lexicon_dir, top_k, realizations, seed, out_dir):
@@ -418,7 +410,9 @@ def benchmark(paragraph_dir, oracle, lexicon_dir, top_k, realizations, seed, out
         "lexicon_dir": str(lexicon_dir),
     }
     digest = config_hash(settings)
-    valence, emotions, synonyms, _ = _load_lexicons(lexicon_dir)
+    valence = load_valence_norms(lexicon_dir / "valence.csv")
+    emotions = load_emotion_lexicon(lexicon_dir / "emotions.tsv")
+    synonyms = load_synonyms(lexicon_dir / "synonyms.tsv")
     associations = load_free_associations(oracle)
 
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -12,6 +12,7 @@ import re
 import unicodedata
 from dataclasses import dataclass, field
 from importlib import resources
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -157,37 +158,29 @@ def iter_conllu(
     """Stream sentences from a CoNLL-U file.
 
     Multiword-token and empty-node lines are skipped. Sentences whose head
-    links do not form a valid tree are skipped; a diagnostic is appended to
-    `rejections` when given. Structural file errors raise ConlluError.
+    links do not form a valid tree are skipped; a diagnostic naming the
+    blank line that ends the sentence (one past the file's last line for a
+    sentence at its end) is appended to `rejections` when given. Structural
+    file errors raise ConlluError.
     """
     path = Path(path)
     doc_id = str(path)
     block: list[Token] = []
-    block_start = 0
-
-    def flush(lineno: int) -> ParsedSentence | None:
-        nonlocal block
-        if not block:
-            return None
-        sent = ParsedSentence(doc_id=doc_id, tokens=tuple(block))
-        block = []
-        try:
-            sent.validate()
-        except ValueError as exc:
-            msg = f"{path}: sentence ending line {lineno}: {exc}"
-            if rejections is not None:
-                rejections.append(msg)
-            return None
-        return sent
-
     with path.open(encoding="utf-8") as fh:
-        lineno = 0
-        for lineno, line in enumerate(fh, start=1):
+        # a final "" closes the last block as a blank line would
+        for lineno, line in enumerate(chain(fh, [""]), start=1):
             line = line.rstrip("\n")
             if not line:
-                sent = flush(lineno)
-                if sent is not None:
-                    yield sent
+                if block:
+                    sent = ParsedSentence(doc_id=doc_id, tokens=tuple(block))
+                    block = []
+                    try:
+                        sent.validate()
+                    except ValueError as exc:
+                        if rejections is not None:
+                            rejections.append(f"{path}: sentence ending line {lineno}: {exc}")
+                    else:
+                        yield sent
                 continue
             if line.startswith("#"):
                 m = re.match(r"#\s*newdoc id\s*=\s*(.+)", line)
@@ -205,8 +198,6 @@ def iter_conllu(
                 head = int(fields[6])
             except ValueError as exc:
                 raise ConlluError(f"{path}: line {lineno}: {exc}") from exc
-            if not block:
-                block_start = lineno
             block.append(
                 Token(
                     index=index,
@@ -217,9 +208,6 @@ def iter_conllu(
                     deprel=fields[7],
                 )
             )
-        sent = flush(lineno)
-        if sent is not None:
-            yield sent
 
 
 def parse_conllu(

@@ -3,7 +3,9 @@
 Loads the three external resources backing network enrichment: valence
 norms (CSV of word ratings), an emotion association lexicon (word/emotion/
 flag TSV) and synonym/antonym pair tables. All entries are keyed by Porter
-stem; words sharing a stem are merged at load time.
+stem; words sharing a stem are merged at load time. Every tab-separated
+table goes through `_rows`, and every word-pair table (the free-association
+oracle included) through `_load_pairs`.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterator
 
 from .stemmer import stem
 
@@ -34,6 +37,20 @@ def _safe_stem(word: str) -> str | None:
     if not word or not word.isalpha():
         return None
     return stem(word)
+
+
+def _rows(path: Path, n_fields: int) -> Iterator[tuple[int, list[str]]]:
+    """(line number, tab-separated fields) of each nonblank line of a table
+    whose rows all have n_fields fields."""
+    with path.open(encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            fields = line.split("\t")
+            if len(fields) != n_fields:
+                raise LexiconError(f"{path}: line {lineno}: expected {n_fields} fields, got {len(fields)}")
+            yield lineno, fields
 
 
 @dataclass(frozen=True)
@@ -163,54 +180,40 @@ def load_emotion_lexicon(path: str | Path) -> EmotionLexicon:
     path = Path(path)
     by_stem: dict[str, set[str]] = {}
     skipped = 0
-    with path.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise LexiconError(f"{path}: line {lineno}: expected 3 fields, got {len(fields)}")
-            word, emotion, flag = fields
-            if flag not in ("0", "1"):
-                raise LexiconError(f"{path}: line {lineno}: bad flag {flag!r}")
-            emotion = emotion.strip().lower()
-            if emotion not in EMOTIONS:
-                skipped += 1
-                continue
-            s = _safe_stem(word)
-            if s is None:
-                raise LexiconError(f"{path}: line {lineno}: unusable word {word!r}")
-            by_stem.setdefault(s, set())
-            if flag == "1":
-                by_stem[s].add(emotion)
+    for lineno, (word, emotion, flag) in _rows(path, 3):
+        if flag not in ("0", "1"):
+            raise LexiconError(f"{path}: line {lineno}: bad flag {flag!r}")
+        emotion = emotion.strip().lower()
+        if emotion not in EMOTIONS:
+            skipped += 1
+            continue
+        s = _safe_stem(word)
+        if s is None:
+            raise LexiconError(f"{path}: line {lineno}: unusable word {word!r}")
+        by_stem.setdefault(s, set())
+        if flag == "1":
+            by_stem[s].add(emotion)
     entries = {s: frozenset(v) for s, v in by_stem.items()}
     return EmotionLexicon(entries=entries, skipped_rows=skipped)
 
 
 def _load_pairs(path: str | Path, pre_stemmed: bool) -> tuple[frozenset[tuple[str, str]], int]:
+    """Unordered (min, max) stem pairs of a word-pair table, and the number
+    of self-pairs dropped."""
     path = Path(path)
     pairs: set[tuple[str, str]] = set()
     dropped_self = 0
-    with path.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 2:
-                raise LexiconError(f"{path}: line {lineno}: expected 2 fields, got {len(fields)}")
-            if pre_stemmed:
-                a, b = fields[0].strip().lower(), fields[1].strip().lower()
-            else:
-                a_s, b_s = _safe_stem(fields[0]), _safe_stem(fields[1])
-                if a_s is None or b_s is None:
-                    raise LexiconError(f"{path}: line {lineno}: unusable pair {fields!r}")
-                a, b = a_s, b_s
-            if a == b:
-                dropped_self += 1
-                continue
-            pairs.add((min(a, b), max(a, b)))
+    for lineno, fields in _rows(path, 2):
+        if pre_stemmed:
+            a, b = fields[0].strip().lower(), fields[1].strip().lower()
+        else:
+            a, b = _safe_stem(fields[0]), _safe_stem(fields[1])
+            if a is None or b is None:
+                raise LexiconError(f"{path}: line {lineno}: unusable pair {fields!r}")
+        if a == b:
+            dropped_self += 1
+            continue
+        pairs.add((min(a, b), max(a, b)))
     return frozenset(pairs), dropped_self
 
 

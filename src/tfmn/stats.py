@@ -26,8 +26,8 @@ from pathlib import Path
 from typing import Iterator
 
 from .build import Adjacency, MultiplexLexicalNetwork, adjacency
+from .lexicons import _load_pairs
 from .metrics import bfs, mean_clustering
-from .stemmer import stem
 
 __all__ = [
     "MannWhitneyResult",
@@ -48,7 +48,8 @@ def _rewire_edge_set(
     edges: set[tuple[str, str]], rng: random.Random, swaps_per_edge: int
 ) -> tuple[set[tuple[str, str]], int]:
     """Double edge swaps on an undirected simple edge set. Returns the
-    rewired edges and the number of swaps performed."""
+    rewired edges and the number of swaps performed; warns when the attempt
+    budget runs out before swaps_per_edge swaps per edge are made."""
     if swaps_per_edge < 1:
         raise ValueError(f"swaps_per_edge must be at least 1, got {swaps_per_edge}")
     names = sorted({s for pair in edges for s in pair})
@@ -65,9 +66,10 @@ def _rewire_edge_set(
     keys = {u * n + v for u, v in pairs}
     target = swaps_per_edge * m
     performed = 0
+    attempts = 100 * target
     getrandbits, coin = rng.getrandbits, rng.random
     bits = m.bit_length()
-    for _ in range(100 * target):  # attempts
+    for _ in range(attempts):
         # two rng.randrange(m) draws, inlined as its rejection loop
         i = getrandbits(bits)
         while i >= m:
@@ -104,6 +106,9 @@ def _rewire_edge_set(
         performed += 1
         if performed == target:
             break
+    else:
+        warnings.warn(f"rewiring fell short: {performed or 'no'} swaps of {target} "
+                      f"in {attempts} attempts on {m} edges")
     return {(names[u], names[v]) for u, v in zip(lo, hi)}, performed
 
 
@@ -115,10 +120,6 @@ def configuration_rewire(
     rng = random.Random(seed)
     syn_edges, syn_swaps = _rewire_edge_set(set(net.syntactic_edges), rng, swaps_per_edge)
     sem_edges, sem_swaps = _rewire_edge_set(set(net.synonym_edges), rng, swaps_per_edge)
-    if len(net.syntactic_edges) >= 2 and syn_swaps == 0:
-        warnings.warn("syntactic layer admitted no swaps; returned unchanged")
-    if len(net.synonym_edges) >= 2 and sem_swaps == 0:
-        warnings.warn("synonym layer admitted no swaps; returned unchanged")
     return MultiplexLexicalNetwork(
         nodes=dict(net.nodes),
         syntactic_edges={pair: 1 for pair in syn_edges},
@@ -245,23 +246,11 @@ class FreeAssociationNetwork:
 
 
 def load_free_associations(path: str | Path) -> FreeAssociationNetwork:
-    """Load a stem<TAB>stem edge list, normalizing words with the same
-    stemmer used for network construction."""
-    path = Path(path)
-    edges = []
-    with path.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 2:
-                raise ValueError(f"{path}: line {lineno}: expected 2 fields")
-            a = stem(fields[0].strip().lower())
-            b = stem(fields[1].strip().lower())
-            if a != b:
-                edges.append((a, b))
-    return FreeAssociationNetwork(graph=adjacency({s for e in edges for s in e}, edges), source=str(path))
+    """Load a word<TAB>word edge list, read like the synonym and antonym
+    tables: words stemmed with the stemmer used for network construction,
+    self-pairs dropped."""
+    pairs, _ = _load_pairs(path, pre_stemmed=False)
+    return FreeAssociationNetwork(graph=adjacency({s for e in pairs for s in e}, pairs), source=str(Path(path)))
 
 
 def _topic_distances(adj: Adjacency, topic: str, stems: list[str]) -> tuple[list[int], int]:

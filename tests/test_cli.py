@@ -638,3 +638,104 @@ def test_outputs_identical_across_hash_seeds(tmp_path):
     # corpus, 3 build and 2 rank files, null, communities, 7 networks and benchmark.json
     assert len(outputs[0]) == 16
     assert outputs[0] == outputs[1]
+
+
+def _lexicons_without(tmp_path, lexicon_dir, *missing):
+    """A copy of the bundled lexicon directory without the files named."""
+    copy = tmp_path / "lexicons"
+    copy.mkdir()
+    for f in lexicon_dir.iterdir():
+        if f.name not in missing:
+            (copy / f.name).write_bytes(f.read_bytes())
+    return copy
+
+
+def test_build_and_benchmark_never_read_antonyms(runner, tmp_path, lexicon_dir):
+    lexicons = str(_lexicons_without(tmp_path, lexicon_dir, "antonyms.tsv"))
+    corpus = tmp_path / "c.txt"
+    corpus.write_text(CORPUS, encoding="utf-8")
+    result = runner.invoke(main, ["build", "--corpus", str(corpus), "--lexicon-dir", lexicons,
+                                  "--out-dir", str(tmp_path / "b")])
+    assert result.exit_code == 0, result.output
+    result = runner.invoke(main, ["benchmark", "--lexicon-dir", lexicons, "--realizations", "2",
+                                  "--out-dir", str(tmp_path / "bench")])
+    assert result.exit_code == 0, result.output
+
+
+def test_profile_never_reads_valence_or_synonyms(built, runner, tmp_path, lexicon_dir):
+    lexicons = str(_lexicons_without(tmp_path, lexicon_dir, "valence.csv", "synonyms.tsv"))
+    result = runner.invoke(main, ["profile", "--network", str(built / "toy.network.json"),
+                                  "--targets", "love", "--lexicon-dir", lexicons,
+                                  "--out-dir", str(tmp_path / "p")])
+    assert result.exit_code == 0, result.output
+    assert (tmp_path / "p" / "love.profile.json").exists()
+
+
+def test_build_without_emotions_names_the_file(runner, tmp_path, lexicon_dir):
+    lexicons = _lexicons_without(tmp_path, lexicon_dir, "emotions.tsv")
+    corpus = tmp_path / "c.txt"
+    corpus.write_text(CORPUS, encoding="utf-8")
+    result = runner.invoke(main, ["build", "--corpus", str(corpus), "--lexicon-dir", str(lexicons),
+                                  "--out-dir", str(tmp_path / "b")])
+    _assert_one_json_error(result)
+    error = json.loads(result.stderr)
+    assert str(lexicons / "emotions.tsv") in error["error"]
+    assert error["corpus"] == str(corpus)
+    assert not (tmp_path / "b").exists()
+
+
+@pytest.mark.parametrize("realizations", ["0", "1"])
+@pytest.mark.parametrize("command", ["nulltest", "benchmark"])
+def test_realizations_below_two_fail_before_writing(built, runner, tmp_path, command, realizations):
+    out = tmp_path / "o"
+    args = (["--network", str(built / "toy.network.json"), "--out", str(out)] if command == "nulltest"
+            else ["--out-dir", str(out)])
+    result = runner.invoke(main, [command, *args, "--realizations", realizations])
+    _assert_one_json_error(result)
+    assert "--realizations" in json.loads(result.stderr)["error"]
+    assert result.stdout == "" and not out.exists()
+
+
+def test_benchmark_config_realizations_below_two_fails_before_writing(runner, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("realizations = 1\n", encoding="utf-8")
+    result = runner.invoke(main, ["benchmark", "--config", str(cfg), "--out-dir", str(tmp_path / "o")])
+    _assert_one_json_error(result)
+    error = json.loads(result.stderr)
+    assert "'realizations'" in error["error"] and error["file"] == str(cfg)
+    assert not (tmp_path / "o").exists()
+
+
+def test_repeated_targets_are_merged(built, runner, tmp_path):
+    network = str(built / "toy.network.json")
+    targets = "love,Loves,joy,zzz,LOVE,zzz"
+    result = runner.invoke(main, ["aura", "--network", network, "--targets", targets,
+                                  "--out", str(tmp_path / "a.json")])
+    assert result.exit_code == 0, result.output
+    payload = json.loads((tmp_path / "a.json").read_text())
+    assert [r["target"] for r in payload["auras"]] == ["love", "joi"]
+    assert payload["unknown_targets"] == ["zzz"]
+    assert [line.split("\t")[0] for line in result.stdout.splitlines()] == ["love", "joi"]
+    result = runner.invoke(main, ["profile", "--network", network, "--targets", targets,
+                                  "--out-dir", str(tmp_path / "p")])
+    assert result.exit_code == 0, result.output
+    assert [line.split("\t")[0] for line in result.stdout.splitlines()] == ["love", "joi"]
+    unknown = json.loads((tmp_path / "p" / "unknown_targets.json").read_text())
+    assert unknown == {"unknown_targets": ["zzz"]}
+
+
+def test_null_models_reach_their_swap_target_on_bundled_data(tmp_path, data_dir):
+    """With UserWarning as an error, nulltest on the synthetic corpus and the
+    topic benchmark on the bundled paragraphs and oracle still succeed: no
+    rewiring falls short of its target and no topic is missing."""
+    env = {**os.environ, "PYTHONPATH": str(Path(tfmn.__file__).resolve().parents[1])}
+    runs = [
+        ["build", "--corpus", str(data_dir / "synthetic" / "corpus.txt"), "--corpus-id", "syn",
+         "--out-dir", str(tmp_path)],
+        ["nulltest", "--network", str(tmp_path / "syn.network.json"), "--realizations", "5"],
+        ["benchmark", "--realizations", "5", "--out-dir", str(tmp_path / "bench")],
+    ]
+    for args in runs:
+        proc = subprocess.run([sys.executable, "-W", "error::UserWarning", "-m", "tfmn.cli", *args],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0 and proc.stderr == "", proc.stderr

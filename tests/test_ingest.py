@@ -20,6 +20,8 @@ from tfmn.ingest import (
     to_conllu,
 )
 
+from conllu_reference import reference_iter_conllu
+
 
 def doc(text, doc_id="d1"):
     return RawDocument(id=doc_id, text=text)
@@ -280,3 +282,38 @@ def test_iter_conllu_raises_only_value_error(lines):
             return
     for sent in sentences:
         sent.validate()
+
+
+def _read_all(reader, path):
+    """(sentences, rejections, error text) of one CoNLL-U reader over a file."""
+    sentences, rejections = [], []
+    try:
+        for sent in reader(path, rejections):
+            sentences.append(sent)
+    except ValueError as exc:
+        return sentences, rejections, f"{type(exc).__name__}: {exc}"
+    return sentences, rejections, None
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(token_lines | st.sampled_from(["", "", "# sent_id = 1", "# newdoc id = y", "#"]),
+             max_size=16)
+    | st.lists(conllu_lines, max_size=12),
+    st.sampled_from(["", "\n", "\n\n", "\n\n\n"]),
+)
+def test_iter_conllu_matches_reference_reader(lines, ending):
+    """Same sentences, rejections and errors as the reader with a flush
+    closure. The one difference: a sentence left open at the end of the file
+    is rejected one line later, where a closing blank line would stand."""
+    text = "\n".join(lines) + ending
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "a.conllu"
+        path.write_text(text, encoding="utf-8")
+        got = _read_all(iter_conllu, path)
+        old = _read_all(reference_iter_conllu, path)
+        path.write_text(text + "\n\n", encoding="utf-8")
+        closed = _read_all(reference_iter_conllu, path)
+    assert got == closed
+    assert got[0] == old[0] and got[2] == old[2]
+    assert got[1][:-1] == old[1][:-1] and len(got[1]) == len(old[1])

@@ -1,10 +1,12 @@
 import random
+import warnings
 
 import networkx as nx
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from tfmn.build import _ordered, adjacency
+from tfmn.lexicons import LexiconError
 from tfmn.stats import (
     _rewire_edge_set,
     benchmark_topic_relevance,
@@ -15,8 +17,9 @@ from tfmn.stats import (
     null_ensemble,
     rewire_graph,
 )
+from tfmn.stemmer import stem
 
-from conftest import make_network
+from conftest import DATA, make_network
 
 
 def ring_net(n=20, extra=5):
@@ -91,6 +94,28 @@ def test_unswappable_layer_warns():
     net = make_network({("a", "b"): 1, ("a", "c"): 1})  # shared endpoint: no legal swap
     with pytest.warns(UserWarning, match="no swaps"):
         configuration_rewire(net, seed=1)
+
+
+STAR_PLUS_EDGE = {("hub", f"l{i:03d}") for i in range(300)} | {("x", "y")}
+
+
+def test_rewire_shortfall_warns_with_the_swaps_made():
+    """A star with one disjoint edge admits some swaps, but not one per edge."""
+    with pytest.warns(UserWarning, match=r"fell short: [1-9]\d* swaps of 301 in 30100 attempts"):
+        rewire_graph(adjacency({s for e in STAR_PLUS_EDGE for s in e}, STAR_PLUS_EDGE), seed=0,
+                     swaps_per_edge=1)
+    net = make_network(STAR_PLUS_EDGE, synonym={("a", "b"), ("c", "d")})
+    with pytest.warns(UserWarning) as record:
+        configuration_rewire(net, seed=0, swaps_per_edge=1)
+    messages = [str(w.message) for w in record]
+    assert len(messages) == 1 and "swaps of 301" in messages[0]
+
+
+def test_rewire_reaching_its_target_does_not_warn():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        configuration_rewire(ring_net(), seed=4)
+        rewire_graph(cycle(12), seed=2)
 
 
 def test_rewire_graph_plain():
@@ -282,6 +307,26 @@ def test_free_association_bad_row(tmp_path):
     path.write_text("one\ttwo\tthree\n", encoding="utf-8")
     with pytest.raises(ValueError):
         load_free_associations(path)
+
+
+def test_free_association_bad_row_names_line_and_field_count(tmp_path):
+    path = tmp_path / "fa.tsv"
+    path.write_text("cats\tdogs\n\none\ttwo\tthree\n", encoding="utf-8")
+    with pytest.raises(LexiconError, match=r"fa.tsv: line 3: expected 2 fields, got 3$"):
+        load_free_associations(path)
+
+
+def test_bundled_oracle_graph_is_its_stem_pairs_without_self_pairs():
+    path = DATA / "benchmark" / "free_associations.tsv"
+    edges = []
+    for line in path.read_text(encoding="utf-8").splitlines():
+        if line:
+            a, b = (stem(w.strip().lower()) for w in line.split("\t"))
+            if a != b:
+                edges.append((a, b))
+    expected = adjacency({s for e in edges for s in e}, edges)
+    graph = load_free_associations(path).graph
+    assert list(graph) == list(expected) and dict(graph) == dict(expected)
 
 
 def make_oracle(tmp_path):

@@ -102,7 +102,7 @@ class MultiplexLexicalNetwork:
 
     def validate(self) -> None:
         for c in self.nodes.values():
-            if c.valence_label not in _VALENCE_LABELS:
+            if not isinstance(c.valence_label, str) or c.valence_label not in _VALENCE_LABELS:
                 raise ValueError(f"node {c.stem!r}: unknown valence_label {c.valence_label!r}")
         for pair in set(self.syntactic_edges) | self.synonym_edges:
             a, b = pair
@@ -278,35 +278,36 @@ def network_to_json(net: MultiplexLexicalNetwork) -> str:
 
 def network_from_json(text: str) -> MultiplexLexicalNetwork:
     try:
-        payload = json.loads(text)
-        nodes = {
-            _typed(n["stem"], str, "stem"): Concept(
-                stem=n["stem"],
-                valence_label=_typed(n["valence_label"], str, "valence_label"),
-                valence_score=_valence_score(n["valence_score"]),
-                emotions=frozenset(_typed(e, str, "emotion") for e in _typed(n["emotions"], list, "emotions")),
-                is_negation_marker=_typed(n["is_negation_marker"], bool, "is_negation_marker"),
-            )
-            for n in payload["nodes"]
-        }
-        if len(nodes) < len(payload["nodes"]):
-            raise ValueError("duplicate stem: two nodes entries share a stem")
-        syntactic = {_ordered(a, b): count for a, b, count in payload["syntactic_edges"]}
-        synonym = {_ordered(a, b) for a, b in payload["synonym_edges"]}
-        if (len(syntactic) < len(payload["syntactic_edges"])
-                or len(synonym) < len(payload["synonym_edges"])):
-            raise ValueError("duplicate edge: a pair is listed twice in one layer")
-        if not all(_typed(count, int, "edge count") >= 1 for count in syntactic.values()):
-            raise ValueError("edge count below 1")
-        provenance = _typed(payload["provenance"], dict, "provenance")
+        return _network(json.loads(text))
     except (KeyError, TypeError, ValueError, RecursionError) as exc:  # RecursionError: deep nesting
         raise ValueError(f"invalid network file: {exc}") from exc
-    net = MultiplexLexicalNetwork(
-        nodes=nodes,
-        syntactic_edges=syntactic,
-        synonym_edges=synonym,
-        provenance=provenance,
-    )
+
+
+def _network(payload) -> MultiplexLexicalNetwork:
+    """The validated network of a payload shaped like network JSON; every
+    reader ends here. Raises KeyError, TypeError or ValueError, which the
+    reader wraps with the kind of file it read."""
+    nodes = {
+        _typed(n["stem"], str, "stem"): Concept(
+            stem=n["stem"],
+            valence_label=n["valence_label"],  # validate() checks it
+            valence_score=_valence_score(n["valence_score"]),
+            emotions=frozenset(_typed(e, str, "emotion") for e in _typed(n["emotions"], list, "emotions")),
+            is_negation_marker=_typed(n["is_negation_marker"], bool, "is_negation_marker"),
+        )
+        for n in payload["nodes"]
+    }
+    if len(nodes) < len(payload["nodes"]):
+        raise ValueError("duplicate stem: two nodes entries share a stem")
+    syntactic = {_ordered(a, b): count for a, b, count in payload["syntactic_edges"]}
+    synonym = {_ordered(a, b) for a, b in payload["synonym_edges"]}
+    if (len(syntactic) < len(payload["syntactic_edges"])
+            or len(synonym) < len(payload["synonym_edges"])):
+        raise ValueError("duplicate edge: a pair is listed twice in one layer")
+    if not all(_typed(count, int, "edge count") >= 1 for count in syntactic.values()):
+        raise ValueError("edge count below 1")
+    provenance = _typed(payload["provenance"], dict, "provenance")
+    net = MultiplexLexicalNetwork(nodes, syntactic, synonym, provenance)
     net.validate()
     return net
 
@@ -418,7 +419,8 @@ _GRAPHML_TYPES = {"string": str, "int": int, "long": int, "float": float, "doubl
 def read_graphml(path: str | Path) -> MultiplexLexicalNetwork:
     """The network of a GraphML file that write_graphml wrote, with <data>
     decoded through each <key>'s attr.name and attr.type as networkx reads
-    them. Raises ValueError on a file that holds no valid network."""
+    them, then checked as network JSON is. Raises ValueError on a file that
+    holds no valid network."""
     from xml.etree import ElementTree  # here, so that no command pays for its import
 
     try:
@@ -437,39 +439,34 @@ def read_graphml(path: str | Path) -> MultiplexLexicalNetwork:
         graph = root.find(f"{_GRAPHML_NS}graph")
         if graph is None:
             raise ValueError("no <graph> element")
-        nodes = {}
+        nodes = []
         for element in graph.findall(f"{_GRAPHML_NS}node"):
-            s, d = element.get("id"), data(element)
+            d = data(element)
             score = d.get("valence_score", -999.0)
-            nodes[s] = Concept(
-                stem=s,
-                valence_label=d.get("valence_label"),
-                valence_score=None if score == -999.0 else _valence_score(float(score)),
-                emotions=frozenset(e for e in d.get("emotions", "").split(",") if e),
-                is_negation_marker=bool(d.get("is_negation_marker", False)),
-            )
-        syntactic: dict[tuple[str, str], int] = {}
-        synonym: set[tuple[str, str]] = set()
-        seen: set[tuple[str, str]] = set()
+            nodes.append({
+                "stem": element.get("id"),
+                "valence_label": d.get("valence_label"),
+                "valence_score": None if score == -999.0 else score,
+                "emotions": [e for e in _typed(d.get("emotions", ""), str, "emotions").split(",") if e],
+                "is_negation_marker": d.get("is_negation_marker", False),
+            })
+        syntactic, synonym, seen = [], [], set()
         for element in graph.findall(f"{_GRAPHML_NS}edge"):
             pair, d = _ordered(element.get("source"), element.get("target")), data(element)
             if pair in seen:
                 raise ValueError(f"duplicate edge {pair}")
             seen.add(pair)
-            if "syntactic" in d["layer"]:
-                syntactic[pair] = int(d.get("count", 1))
-            if "synonym" in d["layer"]:
-                synonym.add(pair)
-        provenance = _typed(json.loads(data(graph).get(
-            "provenance", '{"corpus_id": "graphml", "config": {}, "config_hash": ""}'
-        )), dict, "provenance")
-    except (KeyError, TypeError, ValueError, ElementTree.ParseError) as exc:
+            layer = d["layer"]
+            if layer not in ("syntactic", "synonym", "syntactic+synonym"):
+                raise ValueError(f"unknown edge layer {layer!r}")
+            if layer != "synonym":
+                syntactic.append([*pair, d.get("count", 1)])
+            if layer != "syntactic":
+                synonym.append(pair)
+        return _network({
+            "nodes": nodes, "syntactic_edges": syntactic, "synonym_edges": synonym,
+            "provenance": json.loads(data(graph).get(
+                "provenance", '{"corpus_id": "graphml", "config": {}, "config_hash": ""}')),
+        })
+    except (KeyError, TypeError, ValueError, RecursionError, ElementTree.ParseError) as exc:
         raise ValueError(f"invalid GraphML file: {exc}") from exc
-    net = MultiplexLexicalNetwork(
-        nodes=nodes,
-        syntactic_edges=syntactic,
-        synonym_edges=synonym,
-        provenance=provenance,
-    )
-    net.validate()
-    return net

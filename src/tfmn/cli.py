@@ -3,8 +3,11 @@
 Subcommands: build, rank, aura, profile, communities, nulltest, benchmark,
 export. build, rank and benchmark also take option values from a key=value
 config file (--config); explicit flags win. All randomness flows from a
-single --seed, fanned out deterministically, and every output embeds the
-config hash and seed so identical runs produce byte-identical files.
+single --seed, fanned out deterministically, so identical runs produce
+byte-identical files. The config hash is stamped on the build summary and
+network provenance, the rank JSON, and the nulltest and benchmark reports,
+which also carry the seed; communities output carries the seed only, and
+aura, profile and the export CSV carry neither.
 """
 
 from __future__ import annotations
@@ -262,7 +265,7 @@ def build(corpus, corpus_format, lexicon_dir, min_words, corpus_id, out_dir):
 @main.command()
 @_config_option
 @_network_option
-@click.option("--top-k", type=int, default=10)
+@click.option("--top-k", type=click.IntRange(min=1), default=10)
 @click.option("--layer-mode", type=click.Choice(["aggregate", "syntactic_only", "synonym_only"]),
               default="aggregate")
 @click.option("--out", type=click.Path(), default=None)
@@ -382,7 +385,7 @@ def nulltest(network, realizations, seed, swaps_per_edge, out):
               help="directory of <topic>.txt paragraphs; defaults to the bundled benchmark")
 @click.option("--oracle", type=click.Path(exists=True), default=None)
 @_lexicon_dir_option
-@click.option("--top-k", type=int, default=10)
+@click.option("--top-k", type=click.IntRange(min=1), default=10)
 @click.option("--realizations", type=click.IntRange(min=2), default=50)
 @click.option("--seed", type=int, default=0)
 @click.option("--out-dir", type=click.Path(), default=".")

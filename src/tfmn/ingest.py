@@ -8,6 +8,7 @@ with no external tooling. The heuristic parser is lower fidelity.
 
 from __future__ import annotations
 
+import functools
 import re
 import unicodedata
 from dataclasses import dataclass, field
@@ -15,6 +16,8 @@ from importlib import resources
 from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator
+
+from .lexicons import _rows
 
 __all__ = [
     "RawDocument",
@@ -251,13 +254,8 @@ def _load_wordlist(name: str) -> frozenset[str]:
 
 
 def _load_lemma_table() -> dict[str, str]:
-    text = resources.files("tfmn.data").joinpath("irregular_lemmas.tsv").read_text(encoding="utf-8")
-    table = {}
-    for line in text.splitlines():
-        if line.strip():
-            surface, lemma = line.split("\t")
-            table[surface] = lemma
-    return table
+    path = resources.files("tfmn.data").joinpath("irregular_lemmas.tsv")
+    return dict(fields for _, fields in _rows(path, 2))
 
 
 @dataclass(frozen=True)
@@ -272,23 +270,18 @@ class _WordClasses:
     lemmas: dict[str, str] = field(default_factory=dict)
 
 
-_CLASSES: _WordClasses | None = None
-
-
+@functools.cache
 def word_classes() -> _WordClasses:
-    global _CLASSES
-    if _CLASSES is None:
-        _CLASSES = _WordClasses(
-            determiners=_load_wordlist("determiners.txt"),
-            prepositions=_load_wordlist("prepositions.txt"),
-            auxiliaries=_load_wordlist("auxiliaries.txt"),
-            copulas=_load_wordlist("copulas.txt"),
-            negations=_load_wordlist("negations.txt"),
-            conjunctions=_load_wordlist("conjunctions.txt"),
-            pronouns=_load_wordlist("pronouns.txt"),
-            lemmas=_load_lemma_table(),
-        )
-    return _CLASSES
+    return _WordClasses(
+        determiners=_load_wordlist("determiners.txt"),
+        prepositions=_load_wordlist("prepositions.txt"),
+        auxiliaries=_load_wordlist("auxiliaries.txt"),
+        copulas=_load_wordlist("copulas.txt"),
+        negations=_load_wordlist("negations.txt"),
+        conjunctions=_load_wordlist("conjunctions.txt"),
+        pronouns=_load_wordlist("pronouns.txt"),
+        lemmas=_load_lemma_table(),
+    )
 
 
 class UnparsedSentence(ValueError):

@@ -514,8 +514,19 @@ def test_graphml_roundtrip_random(net):
      "duplicate edge"),
     ("</graphml>", "", "invalid GraphML file"),
     ('<data key="d2">-999.0</data>', '<data key="d2">nan</data>', "not a finite number"),
+    ("<edge ", '<node id="joy"><data key="d1">neutral</data></node><edge ', "duplicate stem"),
+    ("<edge ", '<node><data key="d1">neutral</data></node><edge ', "stem has the wrong type: None"),
+    ('<data key="d6">2</data>', '<data key="d6">0</data>', "edge count below 1"),
+    ('<data key="d6">2</data>', '<data key="d6">-1</data>', "edge count below 1"),
+    ('attr.name="count" attr.type="long"', 'attr.name="count" attr.type="double"',
+     "edge count has the wrong type: 2.0"),
+    ('attr.name="is_negation_marker" attr.type="boolean"',
+     'attr.name="is_negation_marker" attr.type="string"', "is_negation_marker has the wrong type: 'False'"),
+    ('<data key="d5">syntactic</data>', '<data key="d5">foo</data>', "unknown edge layer 'foo'"),
+    ('<data key="d5">syntactic</data>', '<data key="d5">synonyms</data>', "unknown edge layer 'synonyms'"),
 ], ids=["unknown_label", "edge_to_missing_node", "self_loop", "no_label", "bad_boolean",
-        "no_layer", "duplicate_edge", "not_xml", "score_nan"])
+        "no_layer", "duplicate_edge", "not_xml", "score_nan", "duplicate_node_id", "missing_id",
+        "count_0", "count_negative", "count_double", "negation_string", "layer_foo", "layer_plural"])
 def test_read_graphml_rejects_invalid_network(tmp_path, old, new, message):
     path = tmp_path / "net.graphml"
     write_graphml(make_network({("joy", "love"): 2}, labels={"joy": "positive"}), path)
@@ -524,6 +535,73 @@ def test_read_graphml_rejects_invalid_network(tmp_path, old, new, message):
     path.write_text(text.replace(old, new, 1), encoding="utf-8")
     with pytest.raises(ValueError, match=message):
         read_graphml(path)
+
+
+def test_read_graphml_rejects_emotions_not_text(tmp_path):
+    """An emotions key declared int decodes to an int, which has no emotions to split."""
+    path = tmp_path / "net.graphml"
+    write_graphml(make_network({("joy", "love"): 2}), path)
+    text = path.read_text(encoding="utf-8")
+    text = text.replace('attr.name="emotions" attr.type="string"', 'attr.name="emotions" attr.type="int"')
+    path.write_text(text.replace('<data key="d3" />', '<data key="d3">5</data>', 1), encoding="utf-8")
+    with pytest.raises(ValueError, match="^invalid GraphML file: emotions has the wrong type: 5$"):
+        read_graphml(path)
+
+
+_MUTANT_TYPES = st.sampled_from(["string", "int", "long", "float", "double", "boolean", "date"])
+_MUTANT_TEXTS = st.sampled_from([
+    "", " ", "0", "1", "-4", "2.5", "-999.0", "nan", "1e999", "True", "false", "positive", "happy",
+    "joy,trust", "syntactic", "synonym", "syntactic+synonym", "synonyms", "{}", "[]", '{"a": 1}',
+])
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphml_networks(), st.data())
+def test_read_graphml_raises_only_value_error(net, data):
+    """Files write_graphml wrote, then mutated: key types, data texts, node ids
+    and edge ends changed, elements dropped or duplicated. Each either fails
+    with ValueError or gives a network that round-trips through JSON."""
+    from copy import deepcopy
+    from xml.etree import ElementTree
+
+    ns = "{http://graphml.graphdrawing.org/xmlns}"
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "net.graphml"
+        write_graphml(net, path)
+        root = ElementTree.parse(path).getroot()
+        for _ in range(data.draw(st.integers(1, 4))):
+            parents = {child: parent for parent in root.iter() for child in parent}
+            pools = {"type": root.findall(f"{ns}key"), "text": list(root.iter(f"{ns}data")),
+                     "id": root.findall(f"{ns}graph/{ns}node") + root.findall(f"{ns}graph/{ns}edge"),
+                     "drop": list(parents), "duplicate": list(parents)}
+            op = data.draw(st.sampled_from(sorted(pools)))
+            if not pools[op]:
+                continue
+            element = data.draw(st.sampled_from(pools[op]))
+            if op == "type":
+                element.set("attr.type", data.draw(_MUTANT_TYPES))
+            elif op == "text":
+                element.text = data.draw(_MUTANT_TEXTS)
+            elif op == "id":
+                attr = "id" if element.tag == f"{ns}node" else data.draw(st.sampled_from(["source", "target"]))
+                value = data.draw(st.sampled_from([*sorted(net.nodes), "zzz", None]))
+                if value is None:
+                    element.attrib.pop(attr, None)
+                else:
+                    element.set(attr, value)
+            elif op == "drop":
+                parents[element].remove(element)
+            else:
+                siblings = list(parents[element])
+                parents[element].insert(siblings.index(element), deepcopy(element))
+        ElementTree.ElementTree(root).write(path, encoding="utf-8", xml_declaration=True)
+        try:
+            again = read_graphml(path)
+        except ValueError as exc:
+            assert str(exc).startswith("invalid GraphML file: ")
+            return
+    again.validate()
+    assert network_from_json(network_to_json(again)) == again
 
 
 def test_read_graphml_decodes_data_by_key_name(tmp_path):

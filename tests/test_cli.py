@@ -706,6 +706,26 @@ def test_benchmark_config_realizations_below_two_fails_before_writing(runner, tm
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("by_config", [False, True], ids=["flag", "config"])
+@pytest.mark.parametrize("command", ["rank", "benchmark"])
+def test_top_k_zero_fails_before_writing(built, runner, tmp_path, command, by_config):
+    out = tmp_path / "o"
+    args = (["--network", str(built / "toy.network.json"), "--out", str(out / "rank.csv")]
+            if command == "rank" else ["--realizations", "2", "--out-dir", str(out)])
+    if by_config:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("top_k = 0\n", encoding="utf-8")
+        args += ["--config", str(cfg)]
+    else:
+        args += ["--top-k", "0"]
+    result = runner.invoke(main, [command, *args])
+    _assert_one_json_error(result)
+    error = json.loads(result.stderr)
+    assert ("'top_k'" if by_config else "--top-k") in error["error"]
+    assert "0 is not in the range x>=1" in error["error"]
+    assert result.stdout == "" and not out.exists()
+
+
 def test_repeated_targets_are_merged(built, runner, tmp_path):
     network = str(built / "toy.network.json")
     targets = "love,Loves,joy,zzz,LOVE,zzz"

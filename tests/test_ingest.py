@@ -18,6 +18,7 @@ from tfmn.ingest import (
     read_text_corpus,
     split_sentences,
     to_conllu,
+    word_classes,
 )
 
 from conllu_reference import reference_iter_conllu
@@ -317,3 +318,9 @@ def test_iter_conllu_matches_reference_reader(lines, ending):
     assert got == closed
     assert got[0] == old[0] and got[2] == old[2]
     assert got[1][:-1] == old[1][:-1] and len(got[1]) == len(old[1])
+
+
+def test_lemma_table_is_read_once_from_the_bundled_table(data_dir):
+    rows = (data_dir / "irregular_lemmas.tsv").read_text(encoding="utf-8").splitlines()
+    assert word_classes() is word_classes()
+    assert word_classes().lemmas == dict(row.split("\t") for row in rows) and len(rows) == 74

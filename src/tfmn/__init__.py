@@ -26,7 +26,7 @@ from .lexicons import (
     load_synonyms,
     load_valence_norms,
 )
-from .metrics import closeness, mean_clustering, rank_concepts, shortest_paths
+from .metrics import mean_clustering, rank_concepts
 from .analysis import emotional_profile, louvain_partition, neighborhood_subgraph, valence_aura
 from .stats import (
     benchmark_topic_relevance,

@@ -149,16 +149,12 @@ def louvain_partition(net: MultiplexLexicalNetwork, seed: int) -> CommunityParti
 
     A port of networkx 3.x's `louvain_communities` and `modularity`: the
     same seed gives the same partition and the same modularity float."""
-    stems = sorted(net.nodes)
+    (stems, syntactic), (_, synonym) = net.indexed("syntactic"), net.indexed("synonym")
     if not stems:
         raise ValueError("empty network")
-    # networkx's neighbour order: nodes, then each layer's edges, sorted,
-    # then the graph rebuilt in its edge iteration order
-    index = {s: i for i, s in enumerate(stems)}
-    inserted: list[dict[int, int]] = [{} for _ in stems]
-    for edges in (net.syntactic_edges, net.synonym_edges):
-        for a, b in sorted(edges):
-            inserted[index[a]][index[b]] = inserted[index[b]][index[a]] = 1
+    # networkx's neighbour order: sorted syntactic neighbours, then the sorted
+    # synonym-only ones, then the graph rebuilt in its edge iteration order
+    inserted = [dict.fromkeys(a + b, 1) for a, b in zip(syntactic, synonym)]
     graph = _level_graph(len(stems), _edges(inserted))
     if not any(graph):
         raise ValueError("network has no edges")

@@ -16,6 +16,7 @@ from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
+from typing import NamedTuple
 
 from .ingest import ParsedSentence, word_classes
 from .lexicons import EmotionLexicon, SynonymLexicon, ValenceLexicon
@@ -25,6 +26,8 @@ __all__ = [
     "Concept",
     "MultiplexLexicalNetwork",
     "adjacency",
+    "Indexed",
+    "indexed",
     "extract_syntactic_edges",
     "add_synonym_layer",
     "build_network",
@@ -59,20 +62,46 @@ def adjacency(nodes: Iterable[str], *edge_collections: Iterable[tuple[str, str]]
     return MappingProxyType({s: frozenset(nbrs) for s, nbrs in adj.items()})
 
 
+class Indexed(NamedTuple):
+    """An adjacency map with ids: stems[u] is node u, nbrs[u] its sorted
+    neighbour ids. Ids number the stems in sorted order, so comparing two ids
+    compares the stems: an id pair (lo, hi) orients an edge as the stem pair
+    does, and sorted id pairs list the edges in sorted-stem order. Closeness,
+    Louvain and the swap kernel read these ids, so their floats and random
+    draws are the ones they would give on the stems."""
+
+    stems: tuple[str, ...]
+    nbrs: tuple[tuple[int, ...], ...]
+
+
+def indexed(adj: Adjacency) -> Indexed:
+    """The sorted-stem numbering of an adjacency map."""
+    stems = tuple(sorted(adj))
+    ids = {s: i for i, s in enumerate(stems)}
+    return Indexed(stems, tuple([tuple(sorted(map(ids.__getitem__, adj[s]))) for s in stems]))
+
+
 @dataclass
 class MultiplexLexicalNetwork:
     nodes: dict[str, Concept]
     syntactic_edges: dict[tuple[str, str], int]  # ordered pair (min, max) -> count
     synonym_edges: set[tuple[str, str]]
     provenance: dict
-    # adjacency of each view, built on its first request; edit no field after
+    # adjacency and index of each view, built on its first request; edit no field after
     _adjacency: dict[str, Adjacency] = field(default_factory=dict, init=False, repr=False, compare=False)
+    _indexed: dict[str, Indexed] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def adjacency(self, view: str = "aggregate") -> Adjacency:
         """Neighbour map of the aggregate (both layers), syntactic or synonym view."""
         if view not in self._adjacency:
             self._adjacency[view] = adjacency(self.nodes, *self._layers(view))
         return self._adjacency[view]
+
+    def indexed(self, view: str = "aggregate") -> Indexed:
+        """The view's adjacency with sorted-stem ids; every view numbers all nodes alike."""
+        if view not in self._indexed:
+            self._indexed[view] = indexed(self.adjacency(view))
+        return self._indexed[view]
 
     def _layers(self, view: str) -> tuple:
         layers = {"aggregate": (self.syntactic_edges, self.synonym_edges),
@@ -90,8 +119,8 @@ class MultiplexLexicalNetwork:
         return self._nx_graph(layer)
 
     def _nx_graph(self, view: str):
-        """Nodes, then each layer's edges, in sorted order, the order in which
-        louvain_partition adds them, so networkx's Louvain gives the same result."""
+        """Nodes, then each layer's edges, in sorted order, the neighbour order that
+        louvain_partition reads from the layer indexes, so networkx's Louvain agrees."""
         import networkx as nx  # a test and reference dependency only
 
         g = nx.Graph()
@@ -273,12 +302,17 @@ def network_to_json(net: MultiplexLexicalNetwork) -> str:
         "synonym_edges": [[a, b] for a, b in sorted(net.synonym_edges)],
         "provenance": net.provenance,
     }
-    return json.dumps(payload, sort_keys=True, indent=1)
+    return json.dumps(payload, sort_keys=True, indent=1, allow_nan=False)
+
+
+def _no_constant(constant: str):
+    """json.loads's parse_constant: strict JSON has no NaN, Infinity or -Infinity."""
+    raise ValueError(f"{constant} is not strict JSON")
 
 
 def network_from_json(text: str) -> MultiplexLexicalNetwork:
     try:
-        return _network(json.loads(text))
+        return _network(json.loads(text, parse_constant=_no_constant))
     except (KeyError, TypeError, ValueError, RecursionError) as exc:  # RecursionError: deep nesting
         raise ValueError(f"invalid network file: {exc}") from exc
 
@@ -405,7 +439,7 @@ def write_graphml(net: MultiplexLexicalNetwork, path: str | Path) -> None:
                 _graphml_data("      ", "d5", layer),
                 _graphml_data("      ", "d6", count),
                 "    </edge>\n"]
-    out += [_graphml_data("    ", "d0", json.dumps(net.provenance, sort_keys=True)),
+    out += [_graphml_data("    ", "d0", json.dumps(net.provenance, sort_keys=True, allow_nan=False)),
             "  </graph>\n</graphml>\n"]
     Path(path).write_bytes("".join(out).encode("utf-8", "xmlcharrefreplace"))
 
@@ -429,9 +463,12 @@ def read_graphml(path: str | Path) -> MultiplexLexicalNetwork:
                 for k in root.findall(f"{_GRAPHML_NS}key")}
 
         def data(element) -> dict:
-            decoded = {}
+            decoded, seen = {}, set()
             for d in element.findall(f"{_GRAPHML_NS}data"):
                 name, kind = keys[d.get("key")]
+                if name in seen:
+                    raise ValueError(f"duplicate <data> for {name!r}")
+                seen.add(name)
                 if d.text is not None:
                     decoded[name] = kind(d.text)
             return decoded
@@ -466,7 +503,8 @@ def read_graphml(path: str | Path) -> MultiplexLexicalNetwork:
         return _network({
             "nodes": nodes, "syntactic_edges": syntactic, "synonym_edges": synonym,
             "provenance": json.loads(data(graph).get(
-                "provenance", '{"corpus_id": "graphml", "config": {}, "config_hash": ""}')),
+                "provenance", '{"corpus_id": "graphml", "config": {}, "config_hash": ""}'),
+                parse_constant=_no_constant),
         })
     except (KeyError, TypeError, ValueError, RecursionError, ElementTree.ParseError) as exc:
         raise ValueError(f"invalid GraphML file: {exc}") from exc

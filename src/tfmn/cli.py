@@ -12,6 +12,7 @@ aura, profile and the export CSV carry neither.
 
 from __future__ import annotations
 
+import csv
 import json
 import os
 import sys
@@ -52,7 +53,7 @@ from .lexicons import (
     load_synonyms,
     load_valence_norms,
 )
-from .metrics import CentralityReport, centrality_report, rank_concepts, top_rows
+from .metrics import centrality_report, rank_concepts, top_rows
 from .stats import (
     benchmark_topic_relevance,
     clustering_null_test,
@@ -151,6 +152,11 @@ def _parse_documents(docs: list[RawDocument], min_words: int):
 
 def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=1, allow_nan=False), encoding="utf-8")
+
+
+def _write_rows(path: str, rows: list) -> None:
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([("stem", "closeness", "degree", "component_size"), *rows])
 
 
 def _stamp(payload: dict, digest: str, seed: int | None) -> dict:
@@ -278,7 +284,7 @@ def rank(network, top_k, layer_mode, out):
     for s, c, _, _ in rows:
         click.echo(f"{s}\t{c:.6f}")
     if out:
-        CentralityReport(rows=rows).write_csv(out)
+        _write_rows(out, rows)
         _write_json(
             Path(out).with_suffix(".json"),
             _stamp({"ranking": [[s, c] for s, c, _, _ in rows]}, config_hash(settings), None),
@@ -454,7 +460,7 @@ def export(network, fmt, out):
     elif fmt == "json":
         Path(out).write_text(network_to_json(net), encoding="utf-8")
     else:
-        centrality_report(net).write_csv(out)
+        _write_rows(out, centrality_report(net))
     click.echo(f"wrote {out}")
 
 

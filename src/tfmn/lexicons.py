@@ -97,10 +97,6 @@ class SynonymLexicon:
 
     pairs: frozenset[tuple[str, str]]
 
-    def __contains__(self, pair: tuple[str, str]) -> bool:
-        a, b = pair
-        return (min(a, b), max(a, b)) in self.pairs
-
 
 @dataclass(frozen=True)
 class AntonymLexicon:

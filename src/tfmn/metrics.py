@@ -8,15 +8,12 @@ within a component.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 from .build import Adjacency, MultiplexLexicalNetwork
 
 __all__ = [
     "DistanceMatrix",
-    "CentralityReport",
     "shortest_paths",
     "bfs",
     "closeness",
@@ -31,9 +28,9 @@ Row = tuple[str, float, int, int]  # (stem, closeness, degree, component size)
 _BLOCK_BITS = 4096  # BFS sources per pass of _distance_sums
 
 
-def _view(net: MultiplexLexicalNetwork, layer_mode: str) -> Adjacency:
+def _view(layer_mode: str) -> str:
     if layer_mode in LAYER_MODES:
-        return net.adjacency(layer_mode.removesuffix("_only"))
+        return layer_mode.removesuffix("_only")
     raise ValueError(f"unknown layer_mode {layer_mode!r}; expected one of {LAYER_MODES}")
 
 
@@ -47,7 +44,7 @@ class DistanceMatrix:
 
 
 def bfs(adj: Adjacency, source: str) -> dict[str, int]:
-    """Breadth-first distances from source to every node it reaches."""
+    """Breadth-first distances from source to every node it reaches (stem or id keys)."""
     dist = {source: 0}
     queue = [source]
     for u in queue:  # also reads the nodes appended while it runs
@@ -58,14 +55,14 @@ def bfs(adj: Adjacency, source: str) -> dict[str, int]:
     return dist
 
 
-def _components(adj: Adjacency) -> list[set[str]]:
-    """Connected components, largest first, ties broken by smallest stem."""
+def _components(nbrs) -> list[list[int]]:
+    """Components of id-indexed neighbour lists as sorted ids, largest first, ties by smallest id."""
     comps, seen = [], set()
-    for s in adj:
-        if s not in seen:
-            comps.append(set(bfs(adj, s)))
-            seen |= comps[-1]
-    return sorted(comps, key=lambda c: (-len(c), min(c)))
+    for u in range(len(nbrs)):
+        if u not in seen:
+            comps.append(sorted(bfs(nbrs, u)))
+            seen.update(comps[-1])
+    return sorted(comps, key=lambda c: (-len(c), c[0]))
 
 
 def shortest_paths(
@@ -73,30 +70,20 @@ def shortest_paths(
 ) -> DistanceMatrix:
     """Breadth-first distances within each connected component of the chosen
     layer view; cross-component pairs are simply absent."""
-    adj = _view(net, layer_mode)
-    component_id = {node: cid for cid, comp in enumerate(_components(adj)) for node in comp}
+    stems, nbrs = net.indexed(_view(layer_mode))
+    adj = net.adjacency(_view(layer_mode))
+    component_id = {stems[u]: cid for cid, comp in enumerate(_components(nbrs)) for u in comp}
     return DistanceMatrix(component_id=component_id, distances={s: bfs(adj, s) for s in adj})
 
 
 def closeness(net: MultiplexLexicalNetwork, node: str, layer_mode: str = "aggregate") -> float | None:
     """Closeness of one node: N / sum of distances over its component
     (N = component size). None for isolated nodes."""
-    adj = _view(net, layer_mode)
+    adj = net.adjacency(_view(layer_mode))
     if node not in adj:
         raise KeyError(f"unknown node {node!r}")
     lengths = bfs(adj, node)
     return len(lengths) / sum(lengths.values()) if len(lengths) > 1 else None
-
-
-@dataclass(frozen=True)
-class CentralityReport:
-    rows: list[Row]
-
-    def write_csv(self, path: str | Path) -> None:
-        with Path(path).open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["stem", "closeness", "degree", "component_size"])
-            writer.writerows(self.rows)
 
 
 def closeness_rows(net: MultiplexLexicalNetwork, layer_mode: str = "aggregate") -> list[list[Row]]:
@@ -104,14 +91,13 @@ def closeness_rows(net: MultiplexLexicalNetwork, layer_mode: str = "aggregate") 
     components largest first (ties: smallest stem), rows by closeness,
     descending, then stem; a single-node component has none. Distance sums
     come from one bit-parallel BFS per component (`_distance_sums`)."""
-    adj = _view(net, layer_mode)
+    stems, nbrs = net.indexed(_view(layer_mode))
     out = []
-    for comp in _components(adj):
-        stems = sorted(comp)
-        index = {s: i for i, s in enumerate(stems)}
-        sums = _distance_sums([[index[t] for t in adj[s]] for s in stems])
-        n = len(stems)
-        rows = [(s, n / d, len(adj[s]), n) for s, d in zip(stems, sums) if d]
+    for comp in _components(nbrs):
+        local = {u: i for i, u in enumerate(comp)}
+        sums = _distance_sums([[local[v] for v in nbrs[u]] for u in comp])
+        n = len(comp)
+        rows = [(stems[u], n / d, len(nbrs[u]), n) for u, d in zip(comp, sums) if d]
         out.append(sorted(rows, key=lambda r: (-r[1], r[0])))
     return out
 
@@ -163,14 +149,11 @@ def rank_concepts(
     return [(s, c) for s, c, _, _ in top_rows(net, top_k, layer_mode)]
 
 
-def centrality_report(
-    net: MultiplexLexicalNetwork, layer_mode: str = "aggregate"
-) -> CentralityReport:
+def centrality_report(net: MultiplexLexicalNetwork, layer_mode: str = "aggregate") -> list[Row]:
     """Rows of every component, ordered by closeness alone; values from
     different components are not comparable."""
     rows = [row for comp in closeness_rows(net, layer_mode) for row in comp]
-    rows.sort(key=lambda r: (-r[1], r[0]))
-    return CentralityReport(rows=rows)
+    return sorted(rows, key=lambda r: (-r[1], r[0]))
 
 
 def mean_clustering(net: MultiplexLexicalNetwork) -> float:

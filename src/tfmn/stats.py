@@ -6,13 +6,11 @@ retried), applied independently per layer. Location differences between
 empirical and null samples use the Mann-Whitney U test with midrank ties
 and a tie-corrected normal approximation.
 
-The swap kernel numbers the nodes in sorted-name order, so comparing two
-ids orients an edge exactly as comparing the two names does, and the sorted
-(lo, hi) id pairs list the edges in sorted-name order. Each
-attempt draws from the seeded ``random.Random`` in a fixed sequence: edge
-index i, then edge index j, each exactly as ``rng.randrange(m)`` would draw
-it, then one ``rng.random()`` coin for the swap orientation, drawn only
-when i != j. A given seed therefore always yields the same realization.
+The swap kernel works on the sorted-stem ids of `build.Indexed`. Each attempt
+draws from the seeded ``random.Random`` in a fixed sequence: edge index i,
+then edge index j, each exactly as ``rng.randrange(m)`` would draw it, then
+one ``rng.random()`` coin for the swap orientation, drawn only when i != j.
+A given seed therefore always yields the same realization.
 """
 
 from __future__ import annotations
@@ -21,17 +19,16 @@ import math
 import random
 import statistics
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterator
 
-from .build import Adjacency, MultiplexLexicalNetwork, adjacency
+from .build import Adjacency, Indexed, MultiplexLexicalNetwork, adjacency, indexed
 from .lexicons import _load_pairs
 from .metrics import bfs, mean_clustering
 
 __all__ = [
     "MannWhitneyResult",
-    "FreeAssociationNetwork",
     "configuration_rewire",
     "rewire_graph",
     "mann_whitney_u",
@@ -45,24 +42,22 @@ __all__ = [
 # degree-preserving rewiring
 
 def _rewire_edge_set(
-    edges: set[tuple[str, str]], rng: random.Random, swaps_per_edge: int
+    graph: Indexed, rng: random.Random, swaps_per_edge: int
 ) -> tuple[set[tuple[str, str]], int]:
-    """Double edge swaps on an undirected simple edge set. Returns the
-    rewired edges and the number of swaps performed; warns when the attempt
-    budget runs out before swaps_per_edge swaps per edge are made."""
+    """Double edge swaps on an undirected simple graph. Returns the rewired
+    edges as stem pairs and the number of swaps performed; warns when the
+    attempt budget runs out before swaps_per_edge swaps per edge are made."""
     if swaps_per_edge < 1:
         raise ValueError(f"swaps_per_edge must be at least 1, got {swaps_per_edge}")
-    names = sorted({s for pair in edges for s in pair})
-    ids = {s: k for k, s in enumerate(names)}
-    n = len(names)
-    pairs = sorted({(ids[a], ids[b]) if a < b else (ids[b], ids[a]) for a, b in edges})
-    if len(pairs) < len(edges) or any(u == v for u, v in pairs):
-        raise ValueError("edge set is not simple: self-loop or duplicate pair")
+    stems, n = graph.stems, len(graph.stems)
+    # u <= v keeps a self-loop; the (lo, hi) pairs come out sorted
+    pairs = [(u, v) for u, nbrs in enumerate(graph.nbrs) for v in nbrs if u <= v]
+    if any(u == v for u, v in pairs):
+        raise ValueError("graph is not simple: self-loop")
     m = len(pairs)
     if m < 2:
-        return {(names[u], names[v]) for u, v in pairs}, 0
-    lo = [u for u, _ in pairs]
-    hi = [v for _, v in pairs]
+        return {(stems[u], stems[v]) for u, v in pairs}, 0
+    lo, hi = map(list, zip(*pairs))
     keys = {u * n + v for u, v in pairs}
     target = swaps_per_edge * m
     performed = 0
@@ -109,7 +104,7 @@ def _rewire_edge_set(
     else:
         warnings.warn(f"rewiring fell short: {performed or 'no'} swaps of {target} "
                       f"in {attempts} attempts on {m} edges")
-    return {(names[u], names[v]) for u, v in zip(lo, hi)}, performed
+    return {(stems[u], stems[v]) for u, v in zip(lo, hi)}, performed
 
 
 def configuration_rewire(
@@ -118,8 +113,8 @@ def configuration_rewire(
     """One configuration-model realization: each layer rewired
     independently, per-layer degree sequences preserved exactly."""
     rng = random.Random(seed)
-    syn_edges, syn_swaps = _rewire_edge_set(set(net.syntactic_edges), rng, swaps_per_edge)
-    sem_edges, sem_swaps = _rewire_edge_set(set(net.synonym_edges), rng, swaps_per_edge)
+    syn_edges, syn_swaps = _rewire_edge_set(net.indexed("syntactic"), rng, swaps_per_edge)
+    sem_edges, sem_swaps = _rewire_edge_set(net.indexed("synonym"), rng, swaps_per_edge)
     return MultiplexLexicalNetwork(
         nodes=dict(net.nodes),
         syntactic_edges={pair: 1 for pair in syn_edges},
@@ -134,9 +129,7 @@ def configuration_rewire(
 def rewire_graph(adj: Adjacency, seed: int, swaps_per_edge: int = 10) -> Adjacency:
     """Degree-preserving rewire of a plain simple graph, given and returned
     as an adjacency map with the same nodes."""
-    # u <= v keeps a self-loop, which the kernel refuses as not simple
-    edges = {(u, v) for u, nbrs in adj.items() for v in nbrs if u <= v}
-    rewired, _ = _rewire_edge_set(edges, random.Random(seed), swaps_per_edge)
+    rewired, _ = _rewire_edge_set(indexed(adj), random.Random(seed), swaps_per_edge)
     return adjacency(adj, rewired)
 
 
@@ -164,16 +157,6 @@ class MannWhitneyResult:
     n2: int
     median1: float
     median2: float
-
-    def to_dict(self) -> dict:
-        return {
-            "U": self.U,
-            "p_value": self.p_value,
-            "n1": self.n1,
-            "n2": self.n2,
-            "median1": self.median1,
-            "median2": self.median2,
-        }
 
 
 def _midranks(values: list[float]) -> list[float]:
@@ -235,22 +218,12 @@ def _norm_cdf(x: float) -> float:
 # ---------------------------------------------------------------------------
 # free-association benchmark
 
-@dataclass(frozen=True)
-class FreeAssociationNetwork:
-    graph: Adjacency
-    source: str
-
-    def __post_init__(self):
-        if any(s in nbrs for s, nbrs in self.graph.items()):
-            raise ValueError("free-association network must be simple")
-
-
-def load_free_associations(path: str | Path) -> FreeAssociationNetwork:
-    """Load a word<TAB>word edge list, read like the synonym and antonym
-    tables: words stemmed with the stemmer used for network construction,
-    self-pairs dropped."""
+def load_free_associations(path: str | Path) -> Adjacency:
+    """The adjacency map of a word<TAB>word edge list, read like the synonym
+    and antonym tables: words stemmed with the stemmer used for network
+    construction, self-pairs dropped."""
     pairs, _ = _load_pairs(path, pre_stemmed=False)
-    return FreeAssociationNetwork(graph=adjacency({s for e in pairs for s in e}, pairs), source=str(Path(path)))
+    return adjacency({s for e in pairs for s in e}, pairs)
 
 
 def _topic_distances(adj: Adjacency, topic: str, stems: list[str]) -> tuple[list[int], int]:
@@ -262,7 +235,7 @@ def _topic_distances(adj: Adjacency, topic: str, stems: list[str]) -> tuple[list
 
 def benchmark_topic_relevance(
     rankings: dict[str, list[str]],
-    oracle: FreeAssociationNetwork,
+    oracle: Adjacency,
     n_realizations: int = 50,
     seed: int = 0,
     swaps_per_edge: int = 10,
@@ -276,7 +249,7 @@ def benchmark_topic_relevance(
     """
     if n_realizations < 2:
         raise ValueError("need at least 2 realizations")
-    usable = {t: stems for t, stems in rankings.items() if t in oracle.graph}
+    usable = {t: stems for t, stems in rankings.items() if t in oracle}
     skipped_topics = sorted(set(rankings) - set(usable))
     if not usable:
         raise ValueError("no ranking topic is present in the oracle network")
@@ -287,7 +260,7 @@ def benchmark_topic_relevance(
     per_topic: dict[str, dict] = {}
     absent_stems = 0
     for topic in sorted(usable):
-        distances, skipped = _topic_distances(oracle.graph, topic, usable[topic])
+        distances, skipped = _topic_distances(oracle, topic, usable[topic])
         absent_stems += skipped
         per_topic[topic] = {"empirical_distances": distances, "absent_stems": skipped}
         empirical.extend(float(d) for d in distances)
@@ -295,7 +268,7 @@ def benchmark_topic_relevance(
     null: list[float] = []
     seeds = [seed + k for k in range(n_realizations)]
     for s in seeds:
-        rewired = rewire_graph(oracle.graph, s, swaps_per_edge)
+        rewired = rewire_graph(oracle, s, swaps_per_edge)
         for topic in sorted(usable):
             distances, _ = _topic_distances(rewired, topic, usable[topic])
             null.extend(float(d) for d in distances)
@@ -313,7 +286,7 @@ def benchmark_topic_relevance(
         "per_topic": per_topic,
         "empirical_median": result.median1,
         "null_median": result.median2,
-        "mann_whitney": result.to_dict(),
+        "mann_whitney": asdict(result),
     }
 
 

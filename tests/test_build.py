@@ -16,6 +16,7 @@ from tfmn.build import (
     add_synonym_layer,
     build_network,
     extract_syntactic_edges,
+    indexed,
     network_from_json,
     network_to_json,
     read_graphml,
@@ -280,8 +281,12 @@ def test_graph_views_built_once_and_frozen():
         assert net.adjacency(view) is adj
         with pytest.raises(TypeError):
             adj["a"] = frozenset({"c"})
+        index = net.indexed(view)
+        assert net.indexed(view) is index
+        assert index.stems == tuple(adj)
     assert net.adjacency() is net.adjacency("aggregate")
     assert net.adjacency() is not net.adjacency("syntactic")
+    assert net.indexed() is net.indexed("aggregate")
 
 
 def test_adjacency_views():
@@ -294,6 +299,19 @@ def test_adjacency_views():
     assert all(type(nbrs) is frozenset for nbrs in net.adjacency().values())
     with pytest.raises(ValueError, match="unknown layer"):
         net.adjacency("semantic")
+    with pytest.raises(ValueError, match="unknown layer"):
+        net.indexed("semantic")
+    assert net.indexed().nbrs == ((1,), (0, 2), (1,), ())
+    assert net.indexed("syntactic").nbrs == ((), (2,), (1,), ())
+    assert net.indexed("synonym").nbrs == ((1,), (0, 2), (1,), ())
+    for view in ("aggregate", "syntactic", "synonym"):
+        adj, (stems, nbrs) = net.adjacency(view), net.indexed(view)
+        assert stems == tuple(adj) == ("a", "b", "c", "d")
+        for u, ids in enumerate(nbrs):
+            assert list(ids) == sorted(ids)
+            assert {stems[v] for v in ids} == adj[stems[u]]
+    # any neighbour map: ids in sorted-stem order, whatever the key order
+    assert indexed({"z": {"a"}, "m": set(), "a": {"z"}}) == (("a", "m", "z"), ((2,), (), (0,)))
 
 
 def test_networkx_views_built_anew_from_the_adjacency():
@@ -524,9 +542,16 @@ def test_graphml_roundtrip_random(net):
      'attr.name="is_negation_marker" attr.type="string"', "is_negation_marker has the wrong type: 'False'"),
     ('<data key="d5">syntactic</data>', '<data key="d5">foo</data>', "unknown edge layer 'foo'"),
     ('<data key="d5">syntactic</data>', '<data key="d5">synonyms</data>', "unknown edge layer 'synonyms'"),
+    ('<data key="d1">positive</data>', '<data key="d1">positive</data><data key="d1">negative</data>',
+     "duplicate <data> for 'valence_label'"),
+    ('<data key="d5">syntactic</data>', '<data key="d5">syntactic</data><data key="d5" />',
+     "duplicate <data> for 'layer'"),
+    ('<data key="d0">', '<data key="d0">{}</data><data key="d0">', "duplicate <data> for 'provenance'"),
+    ('<data key="d0">{', '<data key="d0">{"x": NaN, ', "NaN is not strict JSON"),
 ], ids=["unknown_label", "edge_to_missing_node", "self_loop", "no_label", "bad_boolean",
         "no_layer", "duplicate_edge", "not_xml", "score_nan", "duplicate_node_id", "missing_id",
-        "count_0", "count_negative", "count_double", "negation_string", "layer_foo", "layer_plural"])
+        "count_0", "count_negative", "count_double", "negation_string", "layer_foo", "layer_plural",
+        "duplicate_node_data", "duplicate_edge_data", "duplicate_graph_data", "provenance_nan"])
 def test_read_graphml_rejects_invalid_network(tmp_path, old, new, message):
     path = tmp_path / "net.graphml"
     write_graphml(make_network({("joy", "love"): 2}, labels={"joy": "positive"}), path)
@@ -705,13 +730,35 @@ def test_field_types_accepted():
     assert net.nodes["joy"].emotions == {"joy", "trust"} and net.syntactic_edges == {("joy", "love"): 3}
 
 
-@pytest.mark.parametrize("score", ["NaN", "Infinity", "-Infinity",
-                                   pytest.param("1" + "0" * 400, id="int_beyond_double")])
-def test_valence_score_not_finite_rejected(score):
+@pytest.mark.parametrize("score, message", [
+    # a JSON constant is refused while parsing, wherever it stands
+    *(pytest.param(c, f"{c} is not strict JSON", id=c) for c in ("NaN", "Infinity", "-Infinity")),
+    pytest.param("1" + "0" * 400, "valence_score is not a finite number", id="int_beyond_double"),
+    pytest.param("1e400", "valence_score is not a finite number", id="float_beyond_double"),
+])
+def test_valence_score_not_finite_rejected(score, message):
     text = _network_file(["joy", "love"], [("joy", "love", 1)])
     text = text.replace('"valence_score": null', f'"valence_score": {score}', 1)
-    with pytest.raises(ValueError, match="valence_score is not a finite number"):
+    with pytest.raises(ValueError, match=f"^invalid network file: {message}"):
         network_from_json(text)
+
+
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_provenance_rejected(constant):
+    text = _network_file(["joy", "love"], [("joy", "love", 1)])
+    text = text.replace('"provenance": {}', f'"provenance": {{"x": {constant}}}', 1)
+    assert constant in text
+    with pytest.raises(ValueError, match=f"^invalid network file: {constant} is not strict JSON"):
+        network_from_json(text)
+
+
+def test_network_written_as_strict_json(tmp_path):
+    net = make_network({("joy", "love"): 1})
+    net.provenance["x"] = float("nan")
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        network_to_json(net)
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        write_graphml(net, tmp_path / "net.graphml")
 
 
 def test_duplicate_stem_rejected():

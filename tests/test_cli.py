@@ -302,6 +302,9 @@ MALFORMED = {
     "score_infinity": json.dumps({"nodes": [_node("joy"), {**_node("love"), "valence_score": math.inf}],
                                   "syntactic_edges": [["joy", "love", 1]],
                                   "synonym_edges": [], "provenance": {}}),
+    "provenance_nan": json.dumps({"nodes": [_node("joy"), _node("love")],
+                                  "syntactic_edges": [["joy", "love", 1]],
+                                  "synonym_edges": [], "provenance": {"x": math.nan}}),
     "duplicate_stem": json.dumps({"nodes": [_node("joy", "positive"), _node("love"),
                                             _node("joy", "negative")],
                                   "syntactic_edges": [["joy", "love", 1]],

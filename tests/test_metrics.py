@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from tfmn import metrics
 from tfmn.build import Concept, MultiplexLexicalNetwork
+from tfmn.cli import _write_rows
 from tfmn.metrics import (
     LAYER_MODES,
     bfs,
@@ -137,14 +138,14 @@ def test_rank_rejects_nonpositive_k():
 
 
 def test_centrality_report_rows():
-    report = centrality_report(star_net())
-    assert report.rows[0] == ("hub", pytest.approx(4 / 3), 3, 4)
-    assert [r[0] for r in report.rows[1:]] == ["x", "y", "z"]
+    rows = centrality_report(star_net())
+    assert rows[0] == ("hub", pytest.approx(4 / 3), 3, 4)
+    assert [r[0] for r in rows[1:]] == ["x", "y", "z"]
 
 
 def test_centrality_report_csv(tmp_path):
     path = tmp_path / "r.csv"
-    centrality_report(star_net()).write_csv(path)
+    _write_rows(path, centrality_report(star_net()))
     lines = path.read_text().splitlines()
     assert lines[0] == "stem,closeness,degree,component_size"
     assert lines[1].startswith("hub,")
@@ -231,7 +232,7 @@ def test_bfs_queries_equal_networkx(syntactic, synonym, isolated, layer_mode):
     assert {s: closeness(net, s, layer_mode) for s in net.nodes} == expected
     rows = [(s, c, g.degree(s), len(components[component_id[s]]))
             for s, c in expected.items() if c is not None]
-    assert centrality_report(net, layer_mode).rows == sorted(rows, key=lambda r: (-r[1], r[0]))
+    assert centrality_report(net, layer_mode) == sorted(rows, key=lambda r: (-r[1], r[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,10 @@ the other 2% in syntactic pairs and triangles (small components), and a
 synonym layer of nodes/2.5 random pairs (2,000 at 5k nodes), so
 `synonym_only` has thousands of tiny components. For each layer mode
 the script prints the component count, the `closeness_rows` time (best
-of three), the time of the per-node reference and the number of rows that
-differ from it (`==` on stem, float, degree and component size, in order).
+of three, each on a freshly built network, so that the time includes
+building the view's adjacency and index, as in one `tfmn rank`), the time
+of the per-node reference and the number of rows that differ from it
+(`==` on stem, float, degree and component size, in order).
 """
 
 from __future__ import annotations
@@ -102,8 +104,9 @@ def main() -> None:
     for mode in LAYER_MODES:
         times = []
         for _ in range(3):
+            fresh = scale_network(args.nodes, args.seed)  # no view built yet
             start = perf_counter()
-            rows = closeness_rows(net, mode)
+            rows = closeness_rows(fresh, mode)
             times.append(perf_counter() - start)
         start = perf_counter()
         expected = per_node_rows(net, mode)

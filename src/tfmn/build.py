@@ -133,12 +133,16 @@ class MultiplexLexicalNetwork:
         for c in self.nodes.values():
             if not isinstance(c.valence_label, str) or c.valence_label not in _VALENCE_LABELS:
                 raise ValueError(f"node {c.stem!r}: unknown valence_label {c.valence_label!r}")
-        for pair in set(self.syntactic_edges) | self.synonym_edges:
-            a, b = pair
-            if a == b:
-                raise ValueError(f"self-loop {pair}")
-            if a not in self.nodes or b not in self.nodes:
-                raise ValueError(f"edge {pair} references missing node")
+        for layer in (self.syntactic_edges, self.synonym_edges):
+            for pair in layer:
+                a, b = pair
+                if a == b:
+                    raise ValueError(f"self-loop {pair}")
+                if a not in self.nodes or b not in self.nodes:
+                    raise ValueError(f"edge {pair} references missing node")
+                # the readers and build_network store (min, max) pairs; a reversed pair repeats one
+                if a > b and (b, a) in layer:
+                    raise ValueError("duplicate edge: a pair is listed twice in one layer")
 
 
 def _ordered(a: str, b: str) -> tuple[str, str]:

@@ -6,8 +6,8 @@ config file (--config); explicit flags win. All randomness flows from a
 single --seed, fanned out deterministically, so identical runs produce
 byte-identical files. The config hash is stamped on the build summary and
 network provenance, the rank JSON, and the nulltest and benchmark reports,
-which also carry the seed; communities output carries the seed only, and
-aura, profile and the export CSV carry neither.
+which also carry the seed and the swaps per edge; communities output carries
+the seed only, and aura, profile and the export CSV carry neither.
 """
 
 from __future__ import annotations
@@ -55,6 +55,7 @@ from .lexicons import (
 )
 from .metrics import centrality_report, rank_concepts, top_rows
 from .stats import (
+    SWAPS_PER_EDGE,
     benchmark_topic_relevance,
     clustering_null_test,
     load_free_associations,
@@ -369,7 +370,8 @@ def communities(network, seed, target, out):
 @_network_option
 @click.option("--realizations", type=click.IntRange(min=2), default=50)
 @click.option("--seed", type=int, default=0)
-@click.option("--swaps-per-edge", type=int, default=10)
+@click.option("--swaps-per-edge", type=int, default=SWAPS_PER_EDGE, show_default=True,
+              help="degree-preserving swaps per edge in each realization")
 @click.option("--out", type=click.Path(), default=None)
 def nulltest(network, realizations, seed, swaps_per_edge, out):
     """Mean clustering against a configuration-model ensemble."""
@@ -416,6 +418,7 @@ def benchmark(paragraph_dir, oracle, lexicon_dir, top_k, realizations, seed, out
         "top_k": top_k,
         "realizations": realizations,
         "seed": seed,
+        "swaps_per_edge": SWAPS_PER_EDGE,
         "lexicon_dir": str(lexicon_dir),
     }
     digest = config_hash(settings)

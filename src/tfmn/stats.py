@@ -28,6 +28,7 @@ from .lexicons import _load_pairs
 from .metrics import bfs, mean_clustering
 
 __all__ = [
+    "SWAPS_PER_EDGE",
     "MannWhitneyResult",
     "configuration_rewire",
     "rewire_graph",
@@ -40,6 +41,12 @@ __all__ = [
 
 # ---------------------------------------------------------------------------
 # degree-preserving rewiring
+
+# Default swaps per edge of each realization: twice the largest plateau that
+# tools/mixing.py measures on the bundled graphs (3 swaps per edge, the edge
+# overlap of the synthetic syntactic layer), capped at 5.
+SWAPS_PER_EDGE = 5
+
 
 def _rewire_edge_set(
     graph: Indexed, rng: random.Random, swaps_per_edge: int
@@ -108,7 +115,7 @@ def _rewire_edge_set(
 
 
 def configuration_rewire(
-    net: MultiplexLexicalNetwork, seed: int, swaps_per_edge: int = 10
+    net: MultiplexLexicalNetwork, seed: int, swaps_per_edge: int = SWAPS_PER_EDGE
 ) -> MultiplexLexicalNetwork:
     """One configuration-model realization: each layer rewired
     independently, per-layer degree sequences preserved exactly."""
@@ -126,7 +133,7 @@ def configuration_rewire(
     )
 
 
-def rewire_graph(adj: Adjacency, seed: int, swaps_per_edge: int = 10) -> Adjacency:
+def rewire_graph(adj: Adjacency, seed: int, swaps_per_edge: int = SWAPS_PER_EDGE) -> Adjacency:
     """Degree-preserving rewire of a plain simple graph, given and returned
     as an adjacency map with the same nodes."""
     rewired, _ = _rewire_edge_set(indexed(adj), random.Random(seed), swaps_per_edge)
@@ -137,7 +144,7 @@ def null_ensemble(
     net: MultiplexLexicalNetwork,
     n_realizations: int,
     seed: int,
-    swaps_per_edge: int = 10,
+    swaps_per_edge: int = SWAPS_PER_EDGE,
 ) -> Iterator[MultiplexLexicalNetwork]:
     """Configuration-model realizations for seeds seed, seed + 1, ..., each
     drawn only when the iterator reaches it, so callers can drop it after use."""
@@ -238,7 +245,7 @@ def benchmark_topic_relevance(
     oracle: Adjacency,
     n_realizations: int = 50,
     seed: int = 0,
-    swaps_per_edge: int = 10,
+    swaps_per_edge: int = SWAPS_PER_EDGE,
 ) -> dict:
     """Compare oracle distances from ranked stems to their topics against
     the same distances on degree-preserving rewires of the oracle.
@@ -283,6 +290,7 @@ def benchmark_topic_relevance(
         "n_realizations": n_realizations,
         "seed": seed,
         "seeds": seeds,
+        "swaps_per_edge": swaps_per_edge,
         "per_topic": per_topic,
         "empirical_median": result.median1,
         "null_median": result.median2,
@@ -294,7 +302,7 @@ def clustering_null_test(
     net: MultiplexLexicalNetwork,
     n_realizations: int = 50,
     seed: int = 0,
-    swaps_per_edge: int = 10,
+    swaps_per_edge: int = SWAPS_PER_EDGE,
 ) -> dict:
     """Empirical mean clustering against the configuration-ensemble
     mean +/- standard deviation; z-score None if the ensemble has no spread."""
@@ -312,4 +320,5 @@ def clustering_null_test(
         "n_realizations": n_realizations,
         "seed": seed,
         "seeds": [seed + k for k in range(n_realizations)],
+        "swaps_per_edge": swaps_per_edge,
     }

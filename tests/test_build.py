@@ -699,6 +699,19 @@ def test_duplicate_pair_in_a_layer_rejected(syntactic, synonym):
         network_from_json(_network_file(["a", "b", "c"], syntactic, synonym))
 
 
+@pytest.mark.parametrize("syntactic, synonym", [
+    ({("a", "b"): 1, ("b", "a"): 2}, set()),
+    ({("a", "b"): 1}, {("b", "c"), ("c", "b")}),
+], ids=["syntactic", "synonym"])
+def test_pair_in_both_orientations_fails_validate(syntactic, synonym):
+    """A hand-built layer holding one pair both ways is refused with the readers' message."""
+    nodes = {s: Concept(s, "unrated", None, frozenset()) for s in "abc"}
+    net = MultiplexLexicalNetwork(nodes, syntactic, synonym, {})
+    with pytest.raises(ValueError, match="^duplicate edge: a pair is listed twice in one layer$"):
+        net.validate()
+    MultiplexLexicalNetwork(nodes, {("b", "a"): 1}, {("c", "b")}, {}).validate()  # one orientation
+
+
 def test_same_pair_in_both_layers_allowed():
     net = network_from_json(_network_file(["a", "b"], [("b", "a", 1)], [("a", "b")]))
     assert set(net.syntactic_edges) == net.synonym_edges == {("a", "b")}

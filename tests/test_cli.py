@@ -14,6 +14,7 @@ from click.testing import CliRunner
 import tfmn
 from tfmn.build import Concept, MultiplexLexicalNetwork, save_network
 from tfmn.cli import main
+from tfmn.stats import SWAPS_PER_EDGE
 
 from conftest import make_network
 
@@ -186,6 +187,18 @@ def test_nulltest(built, runner, tmp_path):
     assert "z_score" in payload
 
 
+def test_nulltest_default_swaps_per_edge_is_the_constant(built, runner, tmp_path):
+    written = []
+    for extra in ([], ["--swaps-per-edge", str(SWAPS_PER_EDGE)]):
+        out = tmp_path / f"null{len(written)}.json"
+        result = runner.invoke(main, ["nulltest", "--network", str(built / "toy.network.json"),
+                                      "--realizations", "5", "--seed", "1", *extra, "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
+    assert json.loads(written[0])["swaps_per_edge"] == SWAPS_PER_EDGE
+
+
 def test_export_roundtrip(built, runner, tmp_path):
     for fmt, name in (("graphml", "x.graphml"), ("json", "x.json"), ("csv", "x.csv")):
         result = runner.invoke(
@@ -209,6 +222,10 @@ def test_benchmark_command(runner, tmp_path):
     assert payload["n_realizations"] == 5
     assert len(payload["paragraph_sizes"]) == 7
     assert payload["empirical_median"] < payload["null_median"]
+    assert payload["swaps_per_edge"] == SWAPS_PER_EDGE
+    paragraph = json.loads((out / "emergence.network.json").read_text())
+    assert paragraph["provenance"]["config"]["swaps_per_edge"] == SWAPS_PER_EDGE
+    assert paragraph["provenance"]["config"]["config_hash"] == payload["config_hash"]
     assert not [p.name for p in out.iterdir() if p.name.startswith(".")]
 
 

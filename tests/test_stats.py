@@ -1,5 +1,7 @@
+import importlib.util
 import random
 import warnings
+from pathlib import Path
 
 import networkx as nx
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from tfmn.build import _ordered, adjacency, indexed
 from tfmn.lexicons import LexiconError
 from tfmn.stats import (
+    SWAPS_PER_EDGE,
     _rewire_edge_set,
     benchmark_topic_relevance,
     clustering_null_test,
@@ -135,6 +138,35 @@ def test_null_ensemble_seeds_fan_out():
 def test_null_ensemble_needs_two():
     with pytest.raises(ValueError):
         null_ensemble(ring_net(), n_realizations=1, seed=0)
+
+
+def _mixing_tool():
+    path = Path(__file__).resolve().parents[1] / "tools" / "mixing.py"
+    spec = importlib.util.spec_from_file_location("mixing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_default_swaps_per_edge_exceeds_every_measured_plateau():
+    """The default is set from tools/mixing.py: on both bundled graphs, every
+    tracked statistic of the stepped swap chain plateaus before it."""
+    mixing = _mixing_tool()
+    plateaus = {}
+    for name, (adj, stats) in mixing.bundled_graphs().items():
+        for stat, per_step in mixing.trajectories(adj, stats).items():
+            plateaus[name, stat] = mixing.plateau(per_step)
+    assert len(plateaus) == 5
+    assert all(p < SWAPS_PER_EDGE for p in plateaus.values()), plateaus
+    assert SWAPS_PER_EDGE == min(2 * max(plateaus.values()), 5)
+
+
+def test_plateau_is_the_first_step_that_stays_level():
+    plateau = _mixing_tool().plateau
+    level = [1.0, 1.2]  # the seed values of one step: mean 1.1, standard error 0.1
+    assert plateau([[3.0, 3.2], [1.1, 1.3], [1.1, 1.3], [1.6, 1.8], *[level] * 6]) == 5
+    assert plateau([level] * 10) == 1
+    assert plateau([level] * 9 + [[5.0, 5.2]]) == 11  # no plateau
 
 
 @settings(max_examples=30, deadline=None)

@@ -43,9 +43,9 @@ __all__ = [
 # degree-preserving rewiring
 
 # Default swaps per edge of each realization: twice the largest plateau that
-# tools/mixing.py measures on the bundled graphs (3 swaps per edge, the edge
-# overlap of the synthetic syntactic layer), capped at 5.
-SWAPS_PER_EDGE = 5
+# tools/mixing.py measures on the bundled graphs (2 swaps per edge, the edge
+# overlap of the oracle and of the synthetic syntactic layer), capped at 5.
+SWAPS_PER_EDGE = 4
 
 
 def _rewire_edge_set(

@@ -156,15 +156,27 @@ def test_default_swaps_per_edge_exceeds_every_measured_plateau():
     for name, (adj, stats) in mixing.bundled_graphs().items():
         for stat, per_step in mixing.trajectories(adj, stats).items():
             plateaus[name, stat] = mixing.plateau(per_step)
-    assert len(plateaus) == 5
+    assert len(plateaus) * mixing.STEPS == mixing.TESTS
     assert all(p < SWAPS_PER_EDGE for p in plateaus.values()), plateaus
     assert SWAPS_PER_EDGE == min(2 * max(plateaus.values()), 5)
 
 
+def test_band_is_a_bonferroni_t_bound():
+    mixing = _mixing_tool()
+    assert mixing.t_quantile(0.975, 45) == pytest.approx(2.0141, abs=1e-3)
+    assert mixing.t_quantile(1 - 1e-4, 45) == pytest.approx(4.0493, abs=2e-3)
+    assert mixing.t_quantile(0.995, 20) == pytest.approx(2.8453, abs=2e-3)
+    # t at 1 - 0.01 / 100 for 45 degrees of freedom, times sqrt(1 + 1/5)
+    assert mixing.BAND == pytest.approx(4.0493 * 1.2**0.5, abs=2e-3)
+
+
 def test_plateau_is_the_first_step_that_stays_level():
-    plateau = _mixing_tool().plateau
+    mixing = _mixing_tool()
+    plateau = mixing.plateau
     level = [1.0, 1.2]  # the seed values of one step: mean 1.1, standard error 0.1
-    assert plateau([[3.0, 3.2], [1.1, 1.3], [1.1, 1.3], [1.6, 1.8], *[level] * 6]) == 5
+    inside = [v + (mixing.BAND - 1) * 0.1 for v in level]
+    outside = [v + (mixing.BAND + 1) * 0.1 for v in level]
+    assert plateau([[9.0, 9.2], inside, inside, outside, *[level] * 6]) == 5
     assert plateau([level] * 10) == 1
     assert plateau([level] * 9 + [[5.0, 5.2]]) == 11  # no plateau
 

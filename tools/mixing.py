@@ -4,11 +4,11 @@ tracked statistic reaches its plateau.
 Stdlib only, apart from `tfmn` itself, imported from this checkout. Run from the
 repository root:
 
-    python3 tools/mixing.py [--seeds 10] [--steps 10]
+    python3 tools/mixing.py
 
 The chain is the swap kernel of the null models (`tfmn.stats.rewire_graph`),
 stepped one swap per edge at a time: each step rewires the previous step's
-graph with its own seed (seed * steps + step). Swaps pick edges uniformly, so
+graph with its own seed (seed * STEPS + step). Swaps pick edges uniformly, so
 a chain stopped after k steps is a draw of the same law as one null
 realization made with k swaps per edge. Two graphs, each from its bundled
 data:
@@ -24,16 +24,15 @@ benchmark topic stems to every node they reach (topic_distance), the
 distance that the topic benchmark tests. It prints one markdown table row
 per graph and statistic: the start value, the seed mean at each step and the
 plateau. The plateau is the first step from which the seed mean stays within
-3 standard errors of its mean over steps 6-10 (the standard error of a seed
-mean, from the seed variance pooled over steps 6-10); see Ray, Pinar & Seshadhri, "Are we there yet? When to stop a Markov
-chain while generating random graphs" (WAW 2012), and Fosdick et al.,
+BAND standard errors (about 4.4) of its level, its mean over steps 6-10; see
+Ray, Pinar & Seshadhri, "Are we there yet? When to stop a Markov chain while
+generating random graphs" (WAW 2012), and Fosdick et al.,
 "Configuring Random Graph Models with Fixed Degree Sequences" (SIAM Review
 2018), for stopping a swap chain at a measured plateau.
 """
 
 from __future__ import annotations
 
-import argparse
 import math
 import statistics
 import sys
@@ -54,17 +53,36 @@ from tfmn.stemmer import stem  # noqa: E402
 SEEDS = 10
 STEPS = 10
 REFERENCE = range(6, 11)  # steps whose seed means set the plateau level
+TESTS = STEPS * 5  # every step of the five statistics in the table
 Statistic = Callable[[Adjacency], float]
+
+
+def t_quantile(p: float, df: int) -> float:
+    """Student's t quantile, by the Cornish-Fisher expansion about the normal
+    one: 4.0480 for p = 1 - 1e-4 and df = 45, against an exact 4.0493."""
+    z = statistics.NormalDist().inv_cdf(p)
+    return z + (z**3 + z) / (4 * df) + (5 * z**5 + 16 * z**3 + 3 * z) / (96 * df**2)
+
+
+# Half-width of the plateau band, in standard errors of one step's seed mean.
+# It is a Bonferroni bound: a chain already at its level leaves the band at
+# some step of some statistic with probability at most 1%. The quantile is
+# Student's t for the 45 degrees of freedom of the seed variance pooled over
+# the reference steps; sqrt(1 + 1/5) allows for the level being itself a mean
+# of five step means. Over 200 disjoint 10-seed sets, a plain 3 gave a
+# largest plateau of 4 or more in 29; this band did in one.
+BAND = (t_quantile(1 - 0.01 / (2 * TESTS), len(REFERENCE) * (SEEDS - 1))
+        * math.sqrt(1 + 1 / len(REFERENCE)))
 
 
 def edges_of(adj: Adjacency) -> set[tuple[str, str]]:
     return {(a, b) for a, nbrs in adj.items() for b in nbrs if a < b}
 
 
-def chain(adj: Adjacency, seed: int, steps: int) -> Iterator[Adjacency]:
-    """The graphs after 1, 2, ..., steps swaps per edge."""
-    for step in range(steps):
-        adj = rewire_graph(adj, seed * steps + step, 1)
+def chain(adj: Adjacency, seed: int) -> Iterator[Adjacency]:
+    """The graphs after 1, 2, ..., STEPS swaps per edge."""
+    for step in range(STEPS):
+        adj = rewire_graph(adj, seed * STEPS + step, 1)
         yield adj
 
 
@@ -85,30 +103,29 @@ def topic_distance(topics: list[str]) -> Statistic:
     return mean_distance
 
 
-def trajectories(adj: Adjacency, stats: dict[str, Statistic], seeds: int = SEEDS,
-                 steps: int = STEPS) -> dict[str, list[list[float]]]:
-    """For each statistic, its values at steps 1..steps, one list of per-seed values per step."""
-    series = {name: [[] for _ in range(steps)] for name in stats}
-    for seed in range(seeds):
-        for step, graph in enumerate(chain(adj, seed, steps)):
+def trajectories(adj: Adjacency, stats: dict[str, Statistic]) -> dict[str, list[list[float]]]:
+    """For each statistic, its values at steps 1..STEPS, one list of per-seed values per step."""
+    series = {name: [[] for _ in range(STEPS)] for name in stats}
+    for seed in range(SEEDS):
+        for step, graph in enumerate(chain(adj, seed)):
             for name, stat in stats.items():
                 series[name][step].append(stat(graph))
     return series
 
 
-def plateau(per_step: list[list[float]], reference: range = REFERENCE) -> int:
-    """The first step (counted from 1) from which the seed mean stays within 3
-    standard errors of the level, the mean of the seed means over the
+def plateau(per_step: list[list[float]]) -> int:
+    """The first step (counted from 1) from which the seed mean stays within
+    BAND standard errors of the level, the mean of the seed means over the
     reference steps; len(per_step) + 1 when even the last step lies outside.
     The standard error is that of one step's seed mean at the level, from the
     seed variance pooled over the reference steps: one step's own 10 values
     estimate it so loosely that flat statistics show late plateaus."""
     means = [statistics.fmean(values) for values in per_step]
-    level = statistics.fmean(means[step - 1] for step in reference)
-    variance = statistics.fmean(statistics.variance(per_step[step - 1]) for step in reference)
+    level = statistics.fmean(means[step - 1] for step in REFERENCE)
+    variance = statistics.fmean(statistics.variance(per_step[step - 1]) for step in REFERENCE)
     se = math.sqrt(variance / len(per_step[0]))
     for step in range(len(per_step), 0, -1):
-        if abs(means[step - 1] - level) > 3 * se:
+        if abs(means[step - 1] - level) > BAND * se:
             return step + 1
     return 1
 
@@ -132,17 +149,11 @@ def bundled_graphs() -> dict[str, tuple[Adjacency, dict[str, Statistic]]]:
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--seeds", type=int, default=SEEDS)
-    parser.add_argument("--steps", type=int, default=STEPS)
-    args = parser.parse_args()
-    if args.seeds < 2 or args.steps < REFERENCE[-1]:
-        parser.error(f"need at least 2 seeds and {REFERENCE[-1]} steps")
     print("| graph | edges | statistic | start | "
-          + " | ".join(map(str, range(1, args.steps + 1))) + " | plateau |")
-    print("|---|---:|---|---:|" + "---:|" * args.steps + "---:|")
+          + " | ".join(map(str, range(1, STEPS + 1))) + " | plateau |")
+    print("|---|---:|---|---:|" + "---:|" * STEPS + "---:|")
     for name, (adj, stats) in bundled_graphs().items():
-        series = trajectories(adj, stats, args.seeds, args.steps)
+        series = trajectories(adj, stats)
         for stat, per_step in series.items():
             means = [statistics.fmean(values) for values in per_step]
             print(f"| {name} | {len(edges_of(adj))} | {stat} | {stats[stat](adj):.3f} | "

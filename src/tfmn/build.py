@@ -9,11 +9,14 @@ emotions.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
+import re
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from types import MappingProxyType
 from typing import NamedTuple
@@ -156,7 +159,12 @@ def _is_content(token, negations: frozenset[str]) -> bool:
 
 
 def _token_stem(token, negations: frozenset[str]) -> str | None:
-    word = token.lemma.lower() if token.lemma else token.surface.lower()
+    return _word_stem(token.lemma or token.surface, negations)
+
+
+@functools.cache  # a corpus repeats its words
+def _word_stem(word: str, negations: frozenset[str]) -> str | None:
+    word = word.lower()
     if word in negations:
         return word
     word = "".join(ch for ch in word if ch.isalpha())
@@ -289,24 +297,50 @@ def summary(net: MultiplexLexicalNetwork) -> dict:
 # serialization
 
 def network_to_json(net: MultiplexLexicalNetwork) -> str:
-    payload = {
-        "nodes": [
-            {
-                "stem": c.stem,
-                "valence_label": c.valence_label,
-                "valence_score": c.valence_score,
-                "emotions": sorted(c.emotions),
-                "is_negation_marker": c.is_negation_marker,
-            }
-            for c in (net.nodes[s] for s in sorted(net.nodes))
-        ],
-        "syntactic_edges": [
-            [a, b, count] for (a, b), count in sorted(net.syntactic_edges.items())
-        ],
-        "synonym_edges": [[a, b] for a, b in sorted(net.synonym_edges)],
-        "provenance": net.provenance,
-    }
-    return json.dumps(payload, sort_keys=True, indent=1, allow_nan=False)
+    """The network as json.dumps(payload, sort_keys=True, indent=1, allow_nan=False)
+    writes it, for a payload of sorted "nodes" ({"emotions": [...],
+    "is_negation_marker", "stem", "valence_label", "valence_score"}),
+    "syntactic_edges" ([a, b, count]), "synonym_edges" ([a, b]) and
+    "provenance". With an indent json.dumps runs its pure-Python encoder, so
+    the rows are laid out here, strings escaped by its C escaper; the
+    provenance, of no fixed shape, still goes through json.dumps."""
+    q = encode_basestring_ascii
+    nodes = [
+        f'{{\n   "emotions": {_json_array([q(e) for e in sorted(c.emotions)], "   ")},\n'
+        f'   "is_negation_marker": {"true" if c.is_negation_marker else "false"},\n'
+        f'   "stem": {q(c.stem)},\n   "valence_label": {q(c.valence_label)},\n'
+        f'   "valence_score": {_json_number(c.valence_score)}\n  }}'
+        for c in (net.nodes[s] for s in sorted(net.nodes))
+    ]
+    syntactic = [f"[\n   {q(a)},\n   {q(b)},\n   {int.__repr__(count)}\n  ]"
+                 for (a, b), count in sorted(net.syntactic_edges.items())]
+    synonym = [f"[\n   {q(a)},\n   {q(b)}\n  ]" for a, b in sorted(net.synonym_edges)]
+    # one level deeper than json.dumps puts it; a JSON string holds no raw newline
+    provenance = json.dumps(net.provenance, sort_keys=True, indent=1, allow_nan=False)
+    provenance = provenance.replace("\n", "\n ")
+    return (f'{{\n "nodes": {_json_array(nodes, " ")},\n'
+            f' "provenance": {provenance},\n'
+            f' "synonym_edges": {_json_array(synonym, " ")},\n'
+            f' "syntactic_edges": {_json_array(syntactic, " ")}\n}}')
+
+
+def _json_array(items: list[str], indent: str) -> str:
+    """A JSON array whose closing bracket stands at indent, of items encoded
+    one level deeper, as json.dumps(indent=1) writes it."""
+    if not items:
+        return "[]"
+    return f"[\n{indent} " + f",\n{indent} ".join(items) + f"\n{indent}]"
+
+
+def _json_number(x) -> str:
+    """None, an int or a finite float, as json.dumps writes it."""
+    if x is None:
+        return "null"
+    if not isinstance(x, float):
+        return int.__repr__(x)
+    if not math.isfinite(x):
+        raise ValueError(f"Out of range float values are not JSON compliant: {x!r}")
+    return float.__repr__(x)
 
 
 def _no_constant(constant: str):
@@ -397,10 +431,19 @@ _GRAPHML_KEYS = [  # (for, attr.name, attr.type) of key d0, d1, ...
 _TEXT_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
 _ATTR_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;",
                                "\r": "&#13;", "\n": "&#10;", "\t": "&#09;"})
+# translate costs several times a search, and few strings hold a character to escape
+_TEXT_SPECIAL = re.compile("[&<>]").search
+_ATTR_SPECIAL = re.compile('[&<>"\r\n\t]').search
+
+
+def _attr(text: str) -> str:
+    return text.translate(_ATTR_ESCAPES) if _ATTR_SPECIAL(text) else text
 
 
 def _graphml_data(indent: str, key: str, value) -> str:
-    text = str(value).translate(_TEXT_ESCAPES)
+    text = str(value)
+    if _TEXT_SPECIAL(text):
+        text = text.translate(_TEXT_ESCAPES)
     if not text:
         return f'{indent}<data key="{key}" />\n'
     return f'{indent}<data key="{key}">{text}</data>\n'
@@ -430,7 +473,7 @@ def write_graphml(net: MultiplexLexicalNetwork, path: str | Path) -> None:
     for s in sorted(net.nodes):
         c = net.nodes[s]
         score = -999.0 if c.valence_score is None else float(c.valence_score)
-        out += [f'    <node id="{s.translate(_ATTR_ESCAPES)}">\n',
+        out += [f'    <node id="{_attr(s)}">\n',
                 _graphml_data("      ", "d1", c.valence_label),
                 _graphml_data("      ", "d2", score),
                 _graphml_data("      ", "d3", ",".join(sorted(c.emotions))),
@@ -438,8 +481,7 @@ def write_graphml(net: MultiplexLexicalNetwork, path: str | Path) -> None:
                 "    </node>\n"]
     # grouped by the smaller stem, as networkx walks its adjacency
     for (a, b), (layer, count) in sorted(edges.items(), key=lambda e: e[0][0]):
-        out += [f'    <edge source="{a.translate(_ATTR_ESCAPES)}" '
-                f'target="{b.translate(_ATTR_ESCAPES)}">\n',
+        out += [f'    <edge source="{_attr(a)}" target="{_attr(b)}">\n',
                 _graphml_data("      ", "d5", layer),
                 _graphml_data("      ", "d6", count),
                 "    </edge>\n"]

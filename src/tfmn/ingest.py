@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .lexicons import _rows
 
@@ -41,8 +41,7 @@ class RawDocument:
     text: str
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     index: int  # 1-based
     surface: str
     lemma: str
@@ -66,15 +65,21 @@ class ParsedSentence:
         roots = [t for t in self.tokens if t.head == 0]
         if len(roots) != 1:
             raise ValueError(f"expected exactly one root, found {len(roots)}")
-        # follow head links from every token; a cycle never reaches the root
+        # follow head links from every token; a cycle never reaches the root.
+        # reaches[i] is True once token i is known to reach the root and None
+        # while it is on the current walk, so no link is followed twice.
+        reaches: list[bool | None] = [True] + [False] * n
         for tok in self.tokens:
-            seen = set()
+            path = []
             cur = tok.index
-            while cur != 0:
-                if cur in seen:
-                    raise ValueError(f"cycle in head links at token {tok.index}")
-                seen.add(cur)
+            while reaches[cur] is False:
+                reaches[cur] = None
+                path.append(cur)
                 cur = self.tokens[cur - 1].head
+            if reaches[cur] is None:
+                raise ValueError(f"cycle in head links at token {tok.index}")
+            for i in path:
+                reaches[i] = True
 
 
 class ConlluError(ValueError):
@@ -87,17 +92,17 @@ class ConlluError(ValueError):
 _URL_RE = re.compile(r"(?:https?://|www\.)\S+")
 _MENTION_RE = re.compile(r"@\w+")
 _WS_RE = re.compile(r"\s+")
+# every removed code point is at or above U+2190; the negated class compiles
+# in about a fifth of the time of the range [\u2190-\U0010ffff]
+_HIGH_RE = re.compile(r"[^\x00-\u218f]")
 
 
-def _strip_pictographs(text: str) -> str:
-    out = []
-    for ch in text:
-        if ord(ch) >= 0x2190 and unicodedata.category(ch) in ("So", "Sk", "Cs", "Co"):
-            continue
-        if 0x1F000 <= ord(ch) <= 0x1FFFF or 0x2600 <= ord(ch) <= 0x27BF:
-            continue
-        out.append(ch)
-    return "".join(out)
+def _pictograph(match: re.Match) -> str:
+    """A matched code point, or "" for a symbol, surrogate, private-use or emoji-block one."""
+    ch = match.group()
+    if 0x2600 <= ord(ch) <= 0x27BF or 0x1F000 <= ord(ch) <= 0x1FFFF:
+        return ""
+    return "" if unicodedata.category(ch) in ("So", "Sk", "Cs", "Co") else ch
 
 
 def clean_document(doc: RawDocument) -> RawDocument:
@@ -105,7 +110,7 @@ def clean_document(doc: RawDocument) -> RawDocument:
     itself is kept), then URLs and @mentions; normalize whitespace.
     Idempotent: the characters go first, so removing them cannot join the
     pieces of a new URL or mention."""
-    text = _strip_pictographs(doc.text).replace("#", "")
+    text = _HIGH_RE.sub(_pictograph, doc.text).replace("#", "")
     text = _URL_RE.sub(" ", text)
     text = _MENTION_RE.sub(" ", text)
     text = _WS_RE.sub(" ", text).strip()
@@ -338,22 +343,22 @@ def heuristic_parse(sentence: str, doc_id: str = "heuristic") -> ParsedSentence:
     deprels = [""] * n
     upos = [""] * n
 
+    # next_content[i]: the first content word after word i, if any
+    next_content: list[int | None] = [None] * n
+    for i in range(n - 1, 0, -1):
+        next_content[i - 1] = i if tags[i] == _CONTENT else next_content[i]
+
     # copula construction: be-form with content on both sides
     cop_i = next(
-        (
-            i
-            for i, w in enumerate(words)
-            if w in classes.copulas
-            and any(j < i for j in content_idx)
-            and any(j > i for j in content_idx)
-        ),
+        (i for i, w in enumerate(words)
+         if w in classes.copulas and content_idx[0] < i < content_idx[-1]),
         None,
     )
 
     if cop_i is not None:
-        root = next(j for j in content_idx if j > cop_i)
+        root = next_content[cop_i]
         subj = max(j for j in content_idx if j < cop_i)
-        neg = next((i for i, t in enumerate(tags) if t == _NEG and cop_i < i < root), None)
+        neg = next((i for i in range(cop_i + 1, root) if tags[i] == _NEG), None)
         heads[root] = 0
         deprels[root] = "root"
         upos[root] = "NOUN"
@@ -389,7 +394,7 @@ def heuristic_parse(sentence: str, doc_id: str = "heuristic") -> ParsedSentence:
                 prev_content = i
             continue
         t = tags[i]
-        nxt_content = next((j for j in content_idx if j > i), None)
+        nxt_content = next_content[i]
         if t == _DET:
             heads[i] = (nxt_content + 1) if nxt_content is not None else root + 1
             deprels[i] = "det"
@@ -413,8 +418,7 @@ def heuristic_parse(sentence: str, doc_id: str = "heuristic") -> ParsedSentence:
             prev_content = i
         else:  # CONTENT
             if i < root:
-                nxt = next(j for j in content_idx if j > i)  # root at worst
-                heads[i] = nxt + 1
+                heads[i] = nxt_content + 1  # root at worst
                 deprels[i] = "amod"
             else:
                 prev_tag = tags[i - 1] if i > 0 else None
@@ -433,17 +437,8 @@ def heuristic_parse(sentence: str, doc_id: str = "heuristic") -> ParsedSentence:
             upos[i] = "PRON" if words[i] in classes.pronouns else "NOUN"
             prev_content = i
 
-    tokens = tuple(
-        Token(
-            index=i + 1,
-            surface=words[i],
-            lemma=classes.lemmas.get(words[i], words[i]),
-            upos=upos[i],
-            head=heads[i],
-            deprel=deprels[i],
-        )
-        for i in range(n)
-    )
+    lemmas = [classes.lemmas.get(w, w) for w in words]
+    tokens = tuple(map(Token, range(1, n + 1), words, lemmas, upos, heads, deprels))
     parsed = ParsedSentence(doc_id=doc_id, tokens=tokens)
     parsed.validate()
     return parsed

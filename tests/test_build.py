@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import tempfile
 from pathlib import Path
@@ -772,6 +773,53 @@ def test_network_written_as_strict_json(tmp_path):
         network_to_json(net)
     with pytest.raises(ValueError, match="not JSON compliant"):
         write_graphml(net, tmp_path / "net.graphml")
+
+
+def reference_network_json(net: MultiplexLexicalNetwork) -> str:
+    """The payload network_to_json writes, through json.dumps and its
+    pure-Python indenting encoder."""
+    payload = {
+        "nodes": [
+            {
+                "stem": c.stem,
+                "valence_label": c.valence_label,
+                "valence_score": c.valence_score,
+                "emotions": sorted(c.emotions),
+                "is_negation_marker": c.is_negation_marker,
+            }
+            for c in (net.nodes[s] for s in sorted(net.nodes))
+        ],
+        "syntactic_edges": [[a, b, count] for (a, b), count in sorted(net.syntactic_edges.items())],
+        "synonym_edges": [[a, b] for a, b in sorted(net.synonym_edges)],
+        "provenance": net.provenance,
+    }
+    return json.dumps(payload, sort_keys=True, indent=1, allow_nan=False)
+
+
+finite_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False) | ODD_TEXT,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(ODD_TEXT, inner, max_size=3),
+    max_leaves=10,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphml_networks(), st.data())
+def test_network_json_matches_json_dumps(net, data):
+    """Int scores too, which the reader accepts, and nested provenance."""
+    for s, c in net.nodes.items():
+        if data.draw(st.booleans()):
+            net.nodes[s] = dataclasses.replace(c, valence_score=data.draw(st.integers()))
+    net.provenance.update(data.draw(st.dictionaries(ODD_TEXT, finite_json, max_size=3)))
+    assert network_to_json(net) == reference_network_json(net)
+
+
+@pytest.mark.parametrize("score", [float("nan"), float("inf"), float("-inf")])
+def test_network_json_refuses_non_finite_score(score):
+    net = make_network({("joy", "love"): 1})
+    net.nodes["joy"] = dataclasses.replace(net.nodes["joy"], valence_score=score)
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        network_to_json(net)
 
 
 def test_duplicate_stem_rejected():

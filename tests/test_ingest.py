@@ -1,8 +1,11 @@
+import hashlib
+import re
 import tempfile
+import unicodedata
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tfmn.ingest import (
     ConlluError,
@@ -20,6 +23,7 @@ from tfmn.ingest import (
     to_conllu,
     word_classes,
 )
+from tfmn.cli import _parse_documents
 
 from conllu_reference import reference_iter_conllu
 
@@ -68,6 +72,41 @@ def test_clean_joined_mentions_and_urls(text, cleaned):
     once = clean_document(doc(text))
     assert once.text == cleaned
     assert clean_document(once) == once
+
+
+def reference_clean(text: str) -> str:
+    """clean_document's text as the per-character pictograph rule gives it."""
+    out = []
+    for ch in text:
+        if ord(ch) >= 0x2190 and unicodedata.category(ch) in ("So", "Sk", "Cs", "Co"):
+            continue
+        if 0x1F000 <= ord(ch) <= 0x1FFFF or 0x2600 <= ord(ch) <= 0x27BF:
+            continue
+        out.append(ch)
+    text = "".join(out).replace("#", "")
+    text = re.sub(r"(?:https?://|www\.)\S+", " ", text)
+    text = re.sub(r"@\w+", " ", text)
+    return re.sub(r"\s+", " ", text).strip()
+
+
+# the rule's range bounds, a lone surrogate, private use, symbols kept and removed,
+# and code points that only the emoji ranges remove (Ps, unassigned)
+EDGE_CODE_POINTS = ["\u218f", "\u2190", "\u2600", "\u27bf", "\U0001f000", "\U0001ffff", "\ud800",
+                    "\u2191", "\u27c0", "\U00020000", "\ue000", "\u2318", "\u00a9", "\u2122",
+                    "\u2768", "\U0001f0ff"]
+
+
+@pytest.mark.parametrize("ch", EDGE_CODE_POINTS)
+def test_clean_edge_code_points(ch):
+    for text in (ch, f"a{ch}b", f"#{ch}x @y{ch}z www.{ch}"):
+        assert clean_document(doc(text)).text == reference_clean(text)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(st.characters(min_codepoint=0, max_codepoint=0x10FFFF, blacklist_categories=()))
+       | st.text(st.sampled_from([*EDGE_CODE_POINTS, "a", " ", "#", "@", "."])))
+def test_clean_matches_per_character_rule(text):
+    assert clean_document(doc(text)).text == reference_clean(text)
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +215,61 @@ def test_conllu_roundtrip(tmp_path):
     assert again == sentences
 
 
+def reference_validate(sentence: ParsedSentence) -> None:
+    """ParsedSentence.validate with a fresh head walk from every token."""
+    n = len(sentence.tokens)
+    for pos, tok in enumerate(sentence.tokens, start=1):
+        if tok.index != pos:
+            raise ValueError(f"non-contiguous token index {tok.index} at position {pos}")
+        if not 0 <= tok.head <= n:
+            raise ValueError(f"head {tok.head} out of range for {n}-token sentence")
+    roots = [t for t in sentence.tokens if t.head == 0]
+    if len(roots) != 1:
+        raise ValueError(f"expected exactly one root, found {len(roots)}")
+    for tok in sentence.tokens:
+        seen = set()
+        cur = tok.index
+        while cur != 0:
+            if cur in seen:
+                raise ValueError(f"cycle in head links at token {tok.index}")
+            seen.add(cur)
+            cur = sentence.tokens[cur - 1].head
+
+
+@st.composite
+def head_links(draw) -> list[int]:
+    """Heads into the sentence with zero, one or two roots, so that cycles are
+    common, and now and then a head out of range."""
+    n = draw(st.integers(1, 9))
+    heads = draw(st.lists(st.integers(1, n), min_size=n, max_size=n))
+    for _ in range(draw(st.integers(0, 2))):
+        heads[draw(st.integers(0, n - 1))] = 0
+    if draw(st.integers(0, 9)) == 0:
+        heads[draw(st.integers(0, n - 1))] = draw(st.sampled_from([-1, n + 1]))
+    return heads
+
+
+def _verdict(check, sentence: ParsedSentence) -> str | None:
+    try:
+        check(sentence)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=500, deadline=None)
+@given(head_links())
+@example([]).via("no tokens")
+@example([2, 1, 0]).via("two-cycle before the root")
+@example([0, 3, 4, 3]).via("tail into a cycle")
+@example([0, 2]).via("self-loop")
+@example([3, 0, 2, 0]).via("two roots")
+def test_validate_matches_per_token_walk(heads):
+    tokens = tuple(Token(k, "w", "w", "NOUN", h, "dep") for k, h in enumerate(heads, start=1))
+    sentence = ParsedSentence("h", tokens)
+    assert _verdict(ParsedSentence.validate, sentence) == _verdict(reference_validate, sentence)
+
+
 # ---------------------------------------------------------------------------
 # heuristic parser
 
@@ -214,6 +308,18 @@ def test_lemma_table_applied():
     parsed = heuristic_parse("the cat sat on the chair")
     sat = next(t for t in parsed.tokens if t.surface == "sat")
     assert sat.lemma == "sit"
+
+
+def test_heuristic_trees_are_pinned(data_dir):
+    """Every tree the parser gives for the bundled synthetic corpus and the
+    benchmark paragraphs, parsed as build and benchmark parse them, so that a
+    changed tree fails here and not only in the network bytes."""
+    sentences, _ = _parse_documents(read_text_corpus(data_dir / "synthetic" / "corpus.txt"), 3)
+    for path in sorted((data_dir / "benchmark").glob("*.txt")):
+        sentences += _parse_documents([RawDocument(path.stem, path.read_text(encoding="utf-8"))], 1)[0]
+    digest = hashlib.sha256("".join(map(to_conllu, sentences)).encode("utf-8")).hexdigest()
+    assert (len(sentences), digest) == (
+        1190, "c57bcbd105a8d71a432c1c5cd12db94cc0307b95b51947253d6666d6e165947d")
 
 
 def test_single_word_unparsed():

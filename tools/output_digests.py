@@ -7,10 +7,13 @@ Stdlib only; the commands themselves need what `tfmn` needs (click).
 
 SRC_DIR is a checkout's `src` directory. The bundled lexicons, synthetic
 corpus, benchmark paragraphs and free-association oracle are copied from
-SRC_DIR into a temporary directory, and each command runs there as
+SRC_DIR into a temporary directory, together with TWEETS, a small fixed tweet-like corpus (emoji,
+URLs, mentions, hashtags, contractions, negated copulas, non-ASCII letters)
+that the bundled ASCII corpus lacks. Each command runs there as
 `python -m tfmn.cli` with SRC_DIR on PYTHONPATH, relative paths and an
 explicit --lexicon-dir, --paragraph-dir and --oracle, so the paths stamped
-into outputs are the same for every checkout. The commands: build; rank in
+into outputs are the same for every checkout. The commands: build of each
+corpus; rank in
 each layer mode; aura; profile; communities --seed 3 --target love; nulltest
 --realizations 5 --seed 7; export in each format; benchmark --realizations 5
 --seed 0. In this order, the script prints each command's exit code and the
@@ -37,6 +40,8 @@ NETWORK = "out/synthetic.network.json"
 COMMANDS = [
     ["build", "--corpus", "corpus.txt", "--corpus-id", "synthetic", "--lexicon-dir", "lexicons",
      "--out-dir", "out"],
+    ["build", "--corpus", "tweets.txt", "--corpus-id", "tweets", "--lexicon-dir", "lexicons",
+     "--out-dir", "out"],
     *(["rank", "--network", NETWORK, "--layer-mode", mode, "--out", f"rank-{mode}.csv"]
       for mode in ("aggregate", "syntactic_only", "synonym_only")),
     ["aura", "--network", NETWORK, "--targets", "love,trust,zzz", "--out", "aura.json"],
@@ -51,6 +56,22 @@ COMMANDS = [
 ]
 
 
+TWEETS = """\
+t01	Science is not boring \u2764\ufe0f #STEM https://t.co/abc123
+t02	@jane_doe Women can't be engineers? Wrong! Girls won't quit math \U0001f469\u200d\U0001f52c
+t03	The gender gap isn't closing. Mentors don't help enough \U0001f622\U0001f622 www.example.org/gap
+t04	Physics is beautiful and chemistry is fun \u2728\u2600 #physics #chemistry
+t05	My teacher wasn't supportive but my mother is amazing \u263a
+t06	Boys aren't smarter than girls. Talent is not gendered \u2192 data shows it
+t07	The caf\u00e9 scientist is na\u00efve about \u00c4rzte and their r\u00f4le \u2122 \u20ac
+t08	Mathematics is hard. Mathematics is not impossible \U0001f4aa #WomenInSTEM @stem_org
+t09	Computer science cannot exclude women \u2318 \ue000 engineering needs diversity
+t10	She doesn't fear failure and she loves research \u2665 \u2190\u218f
+t11	STEM careers are rewarding. Stereotypes are harmful \U0001f52c\U0001f9ea\U0001f4bb
+t12	\u6570\u5b66 is universal and \u00fcbung makes progress. Anxiety isn't destiny
+"""
+
+
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -62,6 +83,7 @@ def copy_inputs(data: Path, work: Path) -> None:
     for paragraph in sorted((data / "benchmark").glob("*.txt")):
         shutil.copy(paragraph, work / "paragraphs" / paragraph.name)
     shutil.copy(data / "benchmark" / "free_associations.tsv", work / "oracle.tsv")
+    (work / "tweets.txt").write_text(TWEETS, encoding="utf-8")
 
 
 def main(argv: list[str]) -> int:

@@ -338,9 +338,14 @@ def _json_number(x) -> str:
         return "null"
     if not isinstance(x, float):
         return int.__repr__(x)
+    return float.__repr__(_finite(x))
+
+
+def _finite(x: float) -> float:
+    """x, refused if it is NaN or infinite, with json.dumps's message."""
     if not math.isfinite(x):
         raise ValueError(f"Out of range float values are not JSON compliant: {x!r}")
-    return float.__repr__(x)
+    return x
 
 
 def _no_constant(constant: str):
@@ -452,8 +457,9 @@ def _graphml_data(indent: str, key: str, value) -> str:
 def write_graphml(net: MultiplexLexicalNetwork, path: str | Path) -> None:
     """GraphML of the network, byte for byte what networkx's writer gives,
     with the stdlib only; valence_score is always a double (-999.0 when
-    missing). An edge in both layers has layer "syntactic+synonym", a
-    synonym-only edge count 0."""
+    missing), and a NaN or infinite one is refused before the file is
+    opened, as network_to_json refuses it. An edge in both layers has layer
+    "syntactic+synonym", a synonym-only edge count 0."""
     edges: dict[tuple[str, str], list] = {}  # pair -> [layer, count], first seen first
     for pair, count in sorted(net.syntactic_edges.items()):
         edges[_ordered(*pair)] = ["syntactic", count]
@@ -472,7 +478,7 @@ def write_graphml(net: MultiplexLexicalNetwork, path: str | Path) -> None:
     out.append('  <graph edgedefault="undirected">\n')
     for s in sorted(net.nodes):
         c = net.nodes[s]
-        score = -999.0 if c.valence_score is None else float(c.valence_score)
+        score = -999.0 if c.valence_score is None else _finite(float(c.valence_score))
         out += [f'    <node id="{_attr(s)}">\n',
                 _graphml_data("      ", "d1", c.valence_label),
                 _graphml_data("      ", "d2", score),

@@ -822,6 +822,17 @@ def test_network_json_refuses_non_finite_score(score):
         network_to_json(net)
 
 
+@pytest.mark.parametrize("score", [float("nan"), float("inf"), float("-inf")])
+def test_graphml_refuses_non_finite_score_before_writing(score, tmp_path):
+    net = make_network({("joy", "love"): 1})
+    net.nodes["joy"] = dataclasses.replace(net.nodes["joy"], valence_score=score)
+    path = tmp_path / "net.graphml"
+    message = f"^Out of range float values are not JSON compliant: {score!r}$"
+    with pytest.raises(ValueError, match=message):
+        write_graphml(net, path)
+    assert not path.exists()
+
+
 def test_duplicate_stem_rejected():
     text = _network_file(["joy", "love", "joy"], [("joy", "love", 1)])
     with pytest.raises(ValueError, match="duplicate stem"):

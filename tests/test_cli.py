@@ -12,6 +12,7 @@ import pytest
 from click.testing import CliRunner
 
 import tfmn
+from tfmn import stats
 from tfmn.build import Concept, MultiplexLexicalNetwork, save_network
 from tfmn.cli import main
 from tfmn.stats import SWAPS_PER_EDGE
@@ -389,6 +390,26 @@ def test_nulltest_rejects_swaps_per_edge_below_one(built, runner, tmp_path, swap
     assert not out.exists()
 
 
+def test_nulltest_error_in_a_worker_fails_with_one_json_line(built, runner, tmp_path, monkeypatch):
+    original = stats.configuration_rewire
+
+    def failing(net, seed, swaps_per_edge):
+        if seed == 4:
+            raise ValueError("bad seed 4")
+        return original(net, seed, swaps_per_edge)
+
+    monkeypatch.setattr(stats, "configuration_rewire", failing)
+    monkeypatch.setattr(stats, "_usable_cpus", lambda: 2)  # seeds 2-4 go to the worker
+    out = tmp_path / "null.json"
+    result = runner.invoke(main, ["nulltest", "--network", str(built / "toy.network.json"),
+                                  "--realizations", "5", "--out", str(out)])
+    _assert_one_json_error(result)
+    assert json.loads(result.stderr)["error"] == "bad seed 4"
+    assert result.stdout == "" and not out.exists()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_missing_network_path_fails_with_one_json_line(runner, tmp_path):
     result = runner.invoke(main, ["rank", "--network", str(tmp_path / "nope.json")])
     _assert_one_json_error(result)
@@ -575,7 +596,8 @@ def test_group_help_exits_zero(runner):
 
 def test_cli_import_leaves_networkx_unloaded():
     env = {**os.environ, "PYTHONPATH": str(Path(tfmn.__file__).resolve().parents[1])}
-    code = "import sys, tfmn.cli; assert 'networkx' not in sys.modules, 'networkx loaded'"
+    code = ("import sys, tfmn.cli; loaded = {'networkx', 'pickle'} & set(sys.modules); "
+            "assert not loaded, loaded")
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           timeout=60)
     assert proc.returncode == 0, proc.stderr

@@ -1,5 +1,9 @@
 import importlib.util
+import os
 import random
+import subprocess
+import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -7,7 +11,8 @@ import networkx as nx
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from tfmn.build import _ordered, adjacency, indexed
+from tfmn import stats
+from tfmn.build import _ordered, adjacency, indexed, save_network
 from tfmn.lexicons import LexiconError
 from tfmn.stats import (
     SWAPS_PER_EDGE,
@@ -448,3 +453,124 @@ def test_clustering_null_test_detects_triangles():
     assert report["empirical_clustering"] > report["ensemble_mean"]
     assert report["z_score"] > 3.0
     assert len(report["seeds"]) == 20
+
+
+@pytest.mark.parametrize("n_realizations", [0, 1])
+def test_clustering_null_test_needs_two(n_realizations):
+    with pytest.raises(ValueError, match="need at least 2 realizations"):
+        clustering_null_test(ring_net(), n_realizations=n_realizations, seed=0)
+
+
+# ---------------------------------------------------------------------------
+# realizations in worker processes
+
+
+@pytest.fixture()
+def workers(monkeypatch):
+    """Sets the usable CPU count, and with it the worker count, to k."""
+    def force(k):
+        monkeypatch.setattr(stats, "_usable_cpus", lambda: k)
+    return force
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("n_seeds, k, sizes", [(5, 3, [1, 2, 2]), (2, 3, [1, 1]), (4, 2, [2, 2]),
+                                               (3, 1, [3])])
+def test_seeds_go_in_contiguous_chunks_one_per_worker(workers, n_seeds, k, sizes):
+    workers(k)
+    pids = stats._map_seeds(lambda s: os.getpid(), list(range(n_seeds)))
+    assert pids[0] == os.getpid()
+    assert [pids.count(pid) for pid in dict.fromkeys(pids)] == sizes
+    assert stats._map_seeds(lambda s: s * s, list(range(n_seeds))) == [s * s for s in range(n_seeds)]
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("n_realizations", [2, 3, 5])
+def test_reports_do_not_depend_on_the_worker_count(tmp_path, workers, n_realizations):
+    oracle = make_oracle(tmp_path)
+    rankings = {"wbb": ["wbc", "wbd", "wbf"], "wdd": ["wdf", "wfb"]}
+    reports = []
+    for k in (1, 2, 3):
+        workers(k)
+        reports.append((clustering_null_test(ring_net(), n_realizations, seed=4),
+                        benchmark_topic_relevance(rankings, oracle, n_realizations, seed=1)))
+    assert reports[1] == reports[0]
+    assert reports[2] == reports[0]
+    assert_no_child_left()
+
+
+def test_worker_warnings_reach_the_caller_once_per_realization_in_seed_order(workers):
+    net = make_network(STAR_PLUS_EDGE, synonym={("a", "b"), ("c", "d")})
+    expected = []
+    for s in range(3, 8):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            configuration_rewire(net, s, swaps_per_edge=1)
+        expected += [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
+    assert len(expected) == 5 and expected[0][2] == stats.__file__
+    for k in (1, 2):
+        workers(k)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            clustering_null_test(net, n_realizations=5, seed=3, swaps_per_edge=1)
+        assert [(str(w.message), w.category, w.filename, w.lineno) for w in caught] == expected
+
+
+def test_cli_warnings_from_workers_match_the_one_process_run(tmp_path):
+    """Under the default warning filters, nulltest's stderr is the same for 1
+    and 2 workers: each distinct shortfall message once, in seed order. Two of
+    the 8 realizations fall short by the same count, so their warning shows
+    once."""
+    save_network(make_network(STAR_PLUS_EDGE, synonym={("a", "b"), ("c", "d")}), tmp_path / "net.json")
+    entry = ("import sys, tfmn.stats; k = int(sys.argv.pop(1)); tfmn.stats._usable_cpus = lambda: k\n"
+             "from tfmn.cli import main; sys.argv[0] = 'tfmn'; main()")
+    env = {**os.environ, "PYTHONPATH": str(Path(stats.__file__).resolve().parents[1])}
+    stderr = []
+    for k in ("1", "2"):
+        proc = subprocess.run([sys.executable, "-c", entry, k, "nulltest", "--network", "net.json",
+                               "--realizations", "8", "--seed", "0", "--swaps-per-edge", "1"],
+                              cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        stderr.append(proc.stderr)
+    assert stderr[0].count("UserWarning: rewiring fell short") == 7
+    assert stderr[1] == stderr[0]
+
+
+@pytest.mark.parametrize("bad_seed", [0, 4], ids=["own chunk", "worker chunk"])
+@pytest.mark.parametrize("function", ["configuration_rewire", "rewire_graph"])
+def test_worker_error_reaches_the_caller_and_no_child_is_left(tmp_path, monkeypatch, workers,
+                                                            bad_seed, function):
+    original = getattr(stats, function)
+
+    def failing(graph, seed, swaps_per_edge):
+        if seed == bad_seed:
+            raise ValueError(f"bad seed {seed}")
+        return original(graph, seed, swaps_per_edge)
+
+    monkeypatch.setattr(stats, function, failing)
+    workers(2)
+    with pytest.raises(ValueError, match=f"^bad seed {bad_seed}$"):
+        if function == "configuration_rewire":
+            clustering_null_test(ring_net(), n_realizations=5, seed=0)
+        else:
+            benchmark_topic_relevance({"wbb": ["wbc"]}, make_oracle(tmp_path), 5, seed=0)
+    assert_no_child_left()
+
+
+def test_interrupt_in_the_parent_kills_every_worker(workers):
+    def interrupted(s):
+        if s == 0:
+            raise KeyboardInterrupt
+        time.sleep(60)  # the workers' seeds
+        return s
+
+    workers(3)
+    start = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        stats._map_seeds(interrupted, list(range(6)))
+    assert time.perf_counter() - start < 30
+    assert_no_child_left()

@@ -23,7 +23,12 @@ same files and print the same text when
 
     diff <(python3 tools/output_digests.py a/src) <(python3 tools/output_digests.py b/src)
 
-prints nothing.
+prints nothing. nulltest and benchmark spread their realizations over one
+process per usable CPU; their outputs do not depend on that count when
+
+    diff <(taskset -c 0 python3 tools/output_digests.py src) <(python3 tools/output_digests.py src)
+
+prints nothing, on a host with more than one CPU.
 """
 
 from __future__ import annotations

@@ -189,20 +189,23 @@ def extract_syntactic_edges(sentence: ParsedSentence) -> set[tuple[str, str]]:
             adj[tok.index].add(tok.head)
             adj[tok.head].add(tok.index)
 
+    stems: dict[int, str | None] = {}
     for tok in sentence.tokens:
-        if not _is_content(tok, negations):
+        if _is_content(tok, negations):
+            stems[tok.index] = _token_stem(tok, negations)
+        else:
             neighbors = adj.pop(tok.index)
             for u in neighbors:
-                adj[u] = (adj[u] | neighbors) - {u, tok.index}
+                adj[u] |= neighbors
+                adj[u] -= {u, tok.index}
 
-    by_index = {tok.index: tok for tok in sentence.tokens}
+    # adj is symmetric, so each edge is met from both ends and kept from the one with the smaller stem
     edges: set[tuple[str, str]] = set()
-    for u, v in [(u, v) for u, nbrs in adj.items() for v in nbrs if u < v]:
-        su = _token_stem(by_index[u], negations)
-        sv = _token_stem(by_index[v], negations)
-        if su is None or sv is None or su == sv:
-            continue
-        edges.add(_ordered(su, sv))
+    for u, nbrs in adj.items():
+        for v in nbrs:
+            su, sv = stems[u], stems[v]
+            if su is not None and sv is not None and su < sv:
+                edges.add((su, sv))
     return edges
 
 

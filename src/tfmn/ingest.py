@@ -263,27 +263,36 @@ def _load_lemma_table() -> dict[str, str]:
     return dict(fields for _, fields in _rows(path, 2))
 
 
+# (word list, (deprel, upos, attaches to the next content word rather than the
+# root?)) in precedence order: a word on two lists takes the earlier class
+_FUNCTION_CLASSES = [
+    ("negations.txt", ("advmod", "PART", False)),
+    ("determiners.txt", ("det", "DET", True)),
+    ("prepositions.txt", ("case", "ADP", True)),
+    ("auxiliaries.txt", ("aux", "AUX", False)),
+    ("conjunctions.txt", ("cc", "CCONJ", True)),
+]
+
+
 @dataclass(frozen=True)
 class _WordClasses:
-    determiners: frozenset[str]
-    prepositions: frozenset[str]
-    auxiliaries: frozenset[str]
+    function_words: dict[str, tuple[str, str, bool]]  # a word absent from it is a content word
     copulas: frozenset[str]
     negations: frozenset[str]
-    conjunctions: frozenset[str]
     pronouns: frozenset[str]
     lemmas: dict[str, str] = field(default_factory=dict)
 
 
 @functools.cache
 def word_classes() -> _WordClasses:
+    function_words: dict[str, tuple[str, str, bool]] = {}
+    for name, cls in _FUNCTION_CLASSES:
+        for w in _load_wordlist(name):
+            function_words.setdefault(w, cls)
     return _WordClasses(
-        determiners=_load_wordlist("determiners.txt"),
-        prepositions=_load_wordlist("prepositions.txt"),
-        auxiliaries=_load_wordlist("auxiliaries.txt"),
+        function_words=function_words,
         copulas=_load_wordlist("copulas.txt"),
         negations=_load_wordlist("negations.txt"),
-        conjunctions=_load_wordlist("conjunctions.txt"),
         pronouns=_load_wordlist("pronouns.txt"),
         lemmas=_load_lemma_table(),
     )
@@ -297,20 +306,19 @@ _WORD_RE = re.compile(r"[a-zA-Z]+")
 
 _CONTRACTIONS = [("won't", "will not"), ("can't", "can not"), ("cannot", "can not"), ("n't", " not")]
 
-# coarse tag values used only inside the heuristic parser
-_DET, _ADP, _AUX, _CCONJ, _NEG, _CONTENT = "DET", "ADP", "AUX", "CCONJ", "NEG", "CONTENT"
-
 
 def heuristic_parse(sentence: str, doc_id: str = "heuristic") -> ParsedSentence:
     """Rule-based dependency tree for a short English sentence.
 
     Rules: a copula construction roots the predicate with the subject as
     nsubj and the copula as cop; otherwise the second content word is the
-    root verb, the content word before it the subject. Determiners attach
-    to the next content word, prepositions become case markers of the
-    following content word (attached obl to the root), negation attaches
-    between subject and predicate in negated copula sentences and as a
-    root modifier otherwise. Raises UnparsedSentence when no pattern fits.
+    root verb, the content word before it the subject. Each function word
+    gets the deprel and upos of its class in the function-word table:
+    determiners, prepositions (case markers of the following content word,
+    which attaches obl to the root) and conjunctions attach to the next
+    content word, auxiliaries and negations to the root, except that a
+    negation between copula and predicate heads the subject. Raises
+    UnparsedSentence when no pattern fits.
     """
     classes = word_classes()
     lowered = sentence.lower()
@@ -319,34 +327,21 @@ def heuristic_parse(sentence: str, doc_id: str = "heuristic") -> ParsedSentence:
     words = _WORD_RE.findall(lowered)
     if not words:
         raise UnparsedSentence(f"no tokens in {sentence!r}")
-
-    def tag(w: str) -> str:
-        if w in classes.negations:
-            return _NEG
-        if w in classes.determiners:
-            return _DET
-        if w in classes.prepositions:
-            return _ADP
-        if w in classes.auxiliaries:
-            return _AUX
-        if w in classes.conjunctions:
-            return _CCONJ
-        return _CONTENT
-
-    tags = [tag(w) for w in words]
-    content_idx = [i for i, t in enumerate(tags) if t == _CONTENT]
+    fclass = [classes.function_words.get(w) for w in words]  # None for a content word
+    content_idx = [i for i, cls in enumerate(fclass) if cls is None]
     if len(content_idx) < 2:
         raise UnparsedSentence(f"fewer than two content words in {sentence!r}")
 
     n = len(words)
     heads = [-1] * n
     deprels = [""] * n
-    upos = [""] * n
+    # a function word's upos is set from its class below
+    upos = ["PRON" if w in classes.pronouns else "NOUN" for w in words]
 
     # next_content[i]: the first content word after word i, if any
     next_content: list[int | None] = [None] * n
     for i in range(n - 1, 0, -1):
-        next_content[i - 1] = i if tags[i] == _CONTENT else next_content[i]
+        next_content[i - 1] = i if fclass[i] is None else next_content[i]
 
     # copula construction: be-form with content on both sides
     cop_i = next(
@@ -354,87 +349,44 @@ def heuristic_parse(sentence: str, doc_id: str = "heuristic") -> ParsedSentence:
          if w in classes.copulas and content_idx[0] < i < content_idx[-1]),
         None,
     )
-
-    if cop_i is not None:
+    if cop_i is None:
+        root, subj = content_idx[1], content_idx[0]
+        subj_head = root
+        upos[root] = "VERB"
+    else:
         root = next_content[cop_i]
         subj = max(j for j in content_idx if j < cop_i)
-        neg = next((i for i in range(cop_i + 1, root) if tags[i] == _NEG), None)
-        heads[root] = 0
-        deprels[root] = "root"
+        # negated copula: subject - negation - predicate chain
+        subj_head = next((i for i in range(cop_i + 1, root) if words[i] in classes.negations), root)
         upos[root] = "NOUN"
-        heads[cop_i] = root + 1
-        deprels[cop_i] = "cop"
-        upos[cop_i] = "AUX"
-        if neg is not None:
-            # negated copula: subject - negation - predicate chain
-            heads[neg] = root + 1
-            deprels[neg] = "advmod"
-            upos[neg] = "PART"
-            heads[subj] = neg + 1
-        else:
-            heads[subj] = root + 1
-        deprels[subj] = "nsubj"
-        upos[subj] = "PRON" if words[subj] in classes.pronouns else "NOUN"
-    else:
-        root = content_idx[1]
-        subj = content_idx[0]
-        heads[root] = 0
-        deprels[root] = "root"
-        upos[root] = "VERB"
-        heads[subj] = root + 1
-        deprels[subj] = "nsubj"
-        upos[subj] = "PRON" if words[subj] in classes.pronouns else "NOUN"
+        heads[cop_i], deprels[cop_i], upos[cop_i] = root + 1, "cop", "AUX"
+    heads[root], deprels[root] = 0, "root"
+    heads[subj], deprels[subj] = subj_head + 1, "nsubj"
 
     # generic attachment for everything still unheaded
     prev_content: int | None = None
     seen_obj = False
-    for i in range(n):
-        if heads[i] != -1:
-            if tags[i] == _CONTENT or tags[i] == _NEG:
-                prev_content = i
-            continue
-        t = tags[i]
-        nxt_content = next_content[i]
-        if t == _DET:
-            heads[i] = (nxt_content + 1) if nxt_content is not None else root + 1
-            deprels[i] = "det"
-            upos[i] = "DET"
-        elif t == _ADP:
-            heads[i] = (nxt_content + 1) if nxt_content is not None else root + 1
-            deprels[i] = "case"
-            upos[i] = "ADP"
-        elif t == _AUX:
-            heads[i] = root + 1
-            deprels[i] = "aux"
-            upos[i] = "AUX"
-        elif t == _CCONJ:
-            heads[i] = (nxt_content + 1) if nxt_content is not None else root + 1
-            deprels[i] = "cc"
-            upos[i] = "CCONJ"
-        elif t == _NEG:
-            heads[i] = root + 1
-            deprels[i] = "advmod"
-            upos[i] = "PART"
-            prev_content = i
-        else:  # CONTENT
-            if i < root:
-                heads[i] = nxt_content + 1  # root at worst
-                deprels[i] = "amod"
+    for i, cls in enumerate(fclass):
+        if heads[i] == -1:
+            if cls is not None:
+                deprels[i], upos[i], to_next = cls
+                nxt = next_content[i]
+                heads[i] = nxt + 1 if to_next and nxt is not None else root + 1
+            elif i < root:
+                heads[i], deprels[i] = next_content[i] + 1, "amod"  # root at worst
             else:
-                prev_tag = tags[i - 1] if i > 0 else None
-                if prev_tag == _DET and i >= 2:
-                    prev_tag = tags[i - 2]
-                if prev_tag == _ADP:
-                    heads[i] = root + 1
-                    deprels[i] = "obl"
+                before = fclass[i - 1]  # i >= root >= 1
+                if before and before[0] == "det" and i >= 2:
+                    before = fclass[i - 2]
+                if before and before[0] == "case":
+                    heads[i], deprels[i] = root + 1, "obl"
                 elif not seen_obj:
-                    heads[i] = root + 1
-                    deprels[i] = "obj"
+                    heads[i], deprels[i] = root + 1, "obj"
                     seen_obj = True
                 else:
                     heads[i] = (prev_content + 1) if prev_content is not None else root + 1
                     deprels[i] = "nmod"
-            upos[i] = "PRON" if words[i] in classes.pronouns else "NOUN"
+        if cls is None or cls[0] == "advmod":  # a negation heads nmod words as content does
             prev_content = i
 
     lemmas = [classes.lemmas.get(w, w) for w in words]

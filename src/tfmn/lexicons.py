@@ -60,7 +60,6 @@ class ValenceLexicon:
     entries: dict[str, tuple[float, int]]  # stem -> (mean score, word count)
     q1: float
     q3: float
-    scale: tuple[float, float] = (1.0, 9.0)
 
     def score(self, s: str) -> float | None:
         entry = self.entries.get(s)
@@ -109,38 +108,33 @@ class AntonymLexicon:
         return self.lookup.get(s)
 
 
-def load_valence_norms(
-    path: str | Path,
-    scale: tuple[float, float] = (1.0, 9.0),
-    word_column: str = "word",
-    score_column: str = "valence",
-) -> ValenceLexicon:
-    """Load a valence-norms CSV, averaging scores over words that share a stem.
+def load_valence_norms(path: str | Path) -> ValenceLexicon:
+    """Load a `word,valence` CSV on a 1-9 scale, averaging scores over words
+    that share a stem.
 
     Quartiles are computed over the distribution of stem-level scores with
     linear interpolation between order statistics.
     """
     path = Path(path)
-    scale_min, scale_max = scale
     by_stem: dict[str, list[float]] = {}
     bad_rows: list[str] = []
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None or word_column not in reader.fieldnames or score_column not in reader.fieldnames:
+        if reader.fieldnames is None or "word" not in reader.fieldnames or "valence" not in reader.fieldnames:
             raise LexiconError(
-                f"{path}: missing required columns {word_column!r}/{score_column!r} "
+                f"{path}: missing required columns 'word'/'valence' "
                 f"(found {reader.fieldnames})"
             )
         for lineno, row in enumerate(reader, start=2):
-            word = (row.get(word_column) or "").strip().lower()
-            raw = (row.get(score_column) or "").strip()
+            word = (row.get("word") or "").strip().lower()
+            raw = (row.get("valence") or "").strip()
             try:
                 score = float(raw)
             except ValueError:
                 bad_rows.append(f"line {lineno}: unparsable score {raw!r}")
                 continue
-            if not scale_min <= score <= scale_max:
-                bad_rows.append(f"line {lineno}: score {score} outside scale {scale}")
+            if not 1.0 <= score <= 9.0:
+                bad_rows.append(f"line {lineno}: score {score} outside scale (1.0, 9.0)")
                 continue
             s = _safe_stem(word)
             if s is None:
@@ -154,7 +148,7 @@ def load_valence_norms(
     entries = {s: (sum(v) / len(v), len(v)) for s, v in by_stem.items()}
     scores = sorted(v[0] for v in entries.values())
     q1, q3 = _percentile(scores, 0.25), _percentile(scores, 0.75)
-    return ValenceLexicon(entries=entries, q1=q1, q3=q3, scale=scale)
+    return ValenceLexicon(entries=entries, q1=q1, q3=q3)
 
 
 def _percentile(ordered: list[float], q: float) -> float:
@@ -193,19 +187,16 @@ def load_emotion_lexicon(path: str | Path) -> EmotionLexicon:
     return EmotionLexicon(entries=entries, skipped_rows=skipped)
 
 
-def _load_pairs(path: str | Path, pre_stemmed: bool) -> tuple[frozenset[tuple[str, str]], int]:
+def _load_pairs(path: str | Path) -> tuple[frozenset[tuple[str, str]], int]:
     """Unordered (min, max) stem pairs of a word-pair table, and the number
     of self-pairs dropped."""
     path = Path(path)
     pairs: set[tuple[str, str]] = set()
     dropped_self = 0
     for lineno, fields in _rows(path, 2):
-        if pre_stemmed:
-            a, b = fields[0].strip().lower(), fields[1].strip().lower()
-        else:
-            a, b = _safe_stem(fields[0]), _safe_stem(fields[1])
-            if a is None or b is None:
-                raise LexiconError(f"{path}: line {lineno}: unusable pair {fields!r}")
+        a, b = _safe_stem(fields[0]), _safe_stem(fields[1])
+        if a is None or b is None:
+            raise LexiconError(f"{path}: line {lineno}: unusable pair {fields!r}")
         if a == b:
             dropped_self += 1
             continue
@@ -213,16 +204,17 @@ def _load_pairs(path: str | Path, pre_stemmed: bool) -> tuple[frozenset[tuple[st
     return frozenset(pairs), dropped_self
 
 
-def load_synonyms(path: str | Path, pre_stemmed: bool = False) -> SynonymLexicon:
-    """Load a stem-pair TSV of synonyms; symmetric, deduplicated, self-pairs dropped."""
-    pairs, _ = _load_pairs(path, pre_stemmed)
+def load_synonyms(path: str | Path) -> SynonymLexicon:
+    """Load a word-pair TSV of synonyms as stem pairs; symmetric, deduplicated,
+    self-pairs dropped."""
+    pairs, _ = _load_pairs(path)
     return SynonymLexicon(pairs=pairs)
 
 
-def load_antonyms(path: str | Path, pre_stemmed: bool = False) -> AntonymLexicon:
-    """Load a stem-pair TSV of antonyms; per-stem lookup prefers the
-    lexicographically smallest antonym."""
-    pairs, _ = _load_pairs(path, pre_stemmed)
+def load_antonyms(path: str | Path) -> AntonymLexicon:
+    """Load a word-pair TSV of antonyms as stem pairs; per-stem lookup prefers
+    the lexicographically smallest antonym."""
+    pairs, _ = _load_pairs(path)
     lookup: dict[str, str] = {}
     for a, b in sorted(pairs):
         for x, y in ((a, b), (b, a)):

@@ -331,7 +331,7 @@ def load_free_associations(path: str | Path) -> Adjacency:
     """The adjacency map of a word<TAB>word edge list, read like the synonym
     and antonym tables: words stemmed with the stemmer used for network
     construction, self-pairs dropped."""
-    pairs, _ = _load_pairs(path, pre_stemmed=False)
+    pairs, _ = _load_pairs(path)
     return adjacency({s for e in pairs for s in e}, pairs)
 
 

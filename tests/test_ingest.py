@@ -1,4 +1,5 @@
 import hashlib
+import random
 import re
 import tempfile
 import unicodedata
@@ -23,6 +24,7 @@ from tfmn.ingest import (
     to_conllu,
     word_classes,
 )
+from tfmn.build import _is_content
 from tfmn.cli import _parse_documents
 
 from conllu_reference import reference_iter_conllu
@@ -320,6 +322,40 @@ def test_heuristic_trees_are_pinned(data_dir):
     digest = hashlib.sha256("".join(map(to_conllu, sentences)).encode("utf-8")).hexdigest()
     assert (len(sentences), digest) == (
         1190, "c57bcbd105a8d71a432c1c5cd12db94cc0307b95b51947253d6666d6e165947d")
+
+
+def test_heuristic_trees_are_pinned_on_random_sentences(data_dir):
+    """Seeded random sentences over every function-word list, the copulas,
+    pronouns, negations, contractions and a few content words: every tree,
+    upos included, and every UnparsedSentence message is pinned. In each tree
+    the function words are leaves: no token that contraction removes has a
+    dependant."""
+    lists = ("determiners", "prepositions", "auxiliaries", "conjunctions", "copulas", "negations",
+             "pronouns")
+    words = {name: sorted((data_dir / f"{name}.txt").read_text(encoding="utf-8").split())
+             for name in lists}
+    content = ["love", "science", "women", "math", "sat", "Girls", "HARD", "chair", "fun", "ate", ",", "?!"]
+    pools = [words[name] for name in lists[:4]] + [
+        words["copulas"] + words["negations"] + ["can't", "won't", "isn't", "don't", "n't", "cannot"],
+        words["pronouns"], content, content,
+    ]
+    rng = random.Random(15)
+    negations = word_classes().negations
+    blocks, unparsed = [], 0
+    for _ in range(20_000):
+        sentence = " ".join(rng.choice(rng.choice(pools)) for _ in range(rng.randint(1, 9)))
+        try:
+            parsed = heuristic_parse(sentence)
+        except UnparsedSentence as exc:
+            blocks.append(f"{exc}\n")
+            unparsed += 1
+            continue
+        blocks.append(to_conllu(parsed))
+        for tok in parsed.tokens:
+            assert not tok.head or _is_content(parsed.tokens[tok.head - 1], negations), sentence
+    digest = hashlib.sha256("".join(blocks).encode("utf-8")).hexdigest()
+    assert (unparsed, digest) == (
+        10489, "86d329809000d0545522d10798e1acc4f56e430d994d029c65366e30a79cff89")
 
 
 def test_single_word_unparsed():

@@ -66,12 +66,6 @@ def test_missing_columns_rejected(tmp_path):
         load_valence_norms(path)
 
 
-def test_configurable_columns(tmp_path):
-    path = write(tmp_path, "v.csv", "term,score\nweak,2.0\nwide,5.0\nwin,8.0\n")
-    lex = load_valence_norms(path, word_column="term", score_column="score")
-    assert lex.entries["weak"][0] == pytest.approx(2.0)
-
-
 def test_out_of_scale_score_rejected_with_row(tmp_path):
     path = write(tmp_path, "v.csv", "word,valence\nweak,2.0\nodd,42\n")
     with pytest.raises(LexiconError, match="line 3"):
@@ -215,7 +209,7 @@ def test_antonym_lookup(tmp_path):
 
 def test_antonym_tiebreak_lexicographic(tmp_path):
     path = write(tmp_path, "a.tsv", "tall\tzshort\ntall\tbshort\n", )
-    lex = load_antonyms(path, pre_stemmed=True)
+    lex = load_antonyms(path)
     assert lex.antonym("tall") == "bshort"
 
 

@@ -4,37 +4,47 @@ Builds two-layer (syntactic + synonym) lexical graphs with valence and
 emotion enrichment from text corpora, and provides the analysis suite:
 closeness rankings, valence auras, emotional profiles, Louvain
 communities and configuration-model significance tests.
+
+`import tfmn` binds the seven submodules and the names in `__all__`, but
+executes none of them: each submodule is compiled and run on the first
+access to one of its attributes, so a command pays only for the modules it
+uses.
 """
 
-from .build import (
-    Concept,
-    MultiplexLexicalNetwork,
-    build_network,
-    extract_syntactic_edges,
-    load_network,
-    save_network,
-)
-from .ingest import ParsedSentence, RawDocument, Token, clean_document, filter_short, heuristic_parse, parse_conllu
-from .lexicons import (
-    EMOTIONS,
-    AntonymLexicon,
-    EmotionLexicon,
-    SynonymLexicon,
-    ValenceLexicon,
-    load_antonyms,
-    load_emotion_lexicon,
-    load_synonyms,
-    load_valence_norms,
-)
-from .metrics import mean_clustering, rank_concepts
-from .analysis import emotional_profile, louvain_partition, neighborhood_subgraph, valence_aura
-from .stats import (
-    benchmark_topic_relevance,
-    clustering_null_test,
-    configuration_rewire,
-    load_free_associations,
-    mann_whitney_u,
-)
-from .stemmer import stem
+import importlib.util
+import sys
 
 __version__ = "0.1.0"
+
+_EXPORTS = {
+    "build": ("Concept", "MultiplexLexicalNetwork", "build_network", "extract_syntactic_edges",
+              "load_network", "save_network"),
+    "ingest": ("ParsedSentence", "RawDocument", "Token", "clean_document", "filter_short",
+               "heuristic_parse", "parse_conllu"),
+    "lexicons": ("EMOTIONS", "AntonymLexicon", "EmotionLexicon", "SynonymLexicon", "ValenceLexicon",
+                 "load_antonyms", "load_emotion_lexicon", "load_synonyms", "load_valence_norms"),
+    "metrics": ("mean_clustering", "rank_concepts"),
+    "analysis": ("emotional_profile", "louvain_partition", "neighborhood_subgraph", "valence_aura"),
+    "stats": ("benchmark_topic_relevance", "clustering_null_test", "configuration_rewire",
+              "load_free_associations", "mann_whitney_u"),
+    "stemmer": ("stem",),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = [*_HOME, "__version__"]
+
+for _module in _EXPORTS:
+    _spec = importlib.util.find_spec(f"{__name__}.{_module}")
+    _spec.loader = importlib.util.LazyLoader(_spec.loader)
+    globals()[_module] = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
+    _spec.loader.exec_module(globals()[_module])
+del _module, _spec
+
+
+def __getattr__(name: str):
+    if name in _HOME:
+        return getattr(globals()[_HOME[name]], name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return __all__

@@ -14,7 +14,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 from .build import MultiplexLexicalNetwork
-from .lexicons import EMOTIONS, AntonymLexicon, EmotionLexicon
+from . import lexicons
 
 __all__ = [
     "AuraReport",
@@ -94,8 +94,8 @@ class EmotionalProfile:
 def emotional_profile(
     net: MultiplexLexicalNetwork,
     target: str,
-    emotions: EmotionLexicon,
-    antonyms: AntonymLexicon,
+    emotions: lexicons.EmotionLexicon,
+    antonyms: lexicons.AntonymLexicon,
 ) -> EmotionalProfile:
     """Emotion counts over the target's aggregate-layer associates.
 
@@ -108,7 +108,7 @@ def emotional_profile(
     syntactic = net.adjacency("syntactic")
     negation_nodes = {s for s, c in net.nodes.items() if c.is_negation_marker}
 
-    counts = {e: 0 for e in EMOTIONS}
+    counts = {e: 0 for e in lexicons.EMOTIONS}
     contributors: list[tuple[str, str, bool]] = []
     missing_antonyms = 0
     for associate in sorted(aggregate[target]):

@@ -10,7 +10,6 @@ emotions.
 from __future__ import annotations
 
 import functools
-import hashlib
 import json
 import math
 import re
@@ -21,9 +20,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .ingest import ParsedSentence, word_classes
-from .lexicons import EmotionLexicon, SynonymLexicon, ValenceLexicon
-from .stemmer import stem
+from . import ingest, lexicons, stemmer
 
 __all__ = [
     "Concept",
@@ -170,10 +167,10 @@ def _word_stem(word: str, negations: frozenset[str]) -> str | None:
     word = "".join(ch for ch in word if ch.isalpha())
     if not word:
         return None
-    return stem(word)
+    return stemmer.stem(word)
 
 
-def extract_syntactic_edges(sentence: ParsedSentence) -> set[tuple[str, str]]:
+def extract_syntactic_edges(sentence: ingest.ParsedSentence) -> set[tuple[str, str]]:
     """Contract function words out of the dependency tree and return the
     remaining edges as undirected stem pairs.
 
@@ -182,7 +179,7 @@ def extract_syntactic_edges(sentence: ParsedSentence) -> set[tuple[str, str]]:
     tree neighbours clique-connected, iterated to a fixed point, so content
     words connected through function words stay connected.
     """
-    negations = word_classes().negations
+    negations = ingest.word_classes().negations
     adj: dict[int, set[int]] = {tok.index: set() for tok in sentence.tokens}
     for tok in sentence.tokens:
         if tok.head != 0:
@@ -210,7 +207,7 @@ def extract_syntactic_edges(sentence: ParsedSentence) -> set[tuple[str, str]]:
 
 
 def add_synonym_layer(
-    node_stems: set[str], lexicon: SynonymLexicon
+    node_stems: set[str], lexicon: lexicons.SynonymLexicon
 ) -> set[tuple[str, str]]:
     """Synonym edges between stems that both occur in the text; the lexicon
     never introduces nodes."""
@@ -222,17 +219,17 @@ def add_synonym_layer(
 
 
 def build_network(
-    sentences: list[ParsedSentence],
-    valence: ValenceLexicon,
-    emotions: EmotionLexicon,
-    synonyms: SynonymLexicon,
+    sentences: list[ingest.ParsedSentence],
+    valence: lexicons.ValenceLexicon,
+    emotions: lexicons.EmotionLexicon,
+    synonyms: lexicons.SynonymLexicon,
     corpus_id: str = "corpus",
     config: dict | None = None,
 ) -> MultiplexLexicalNetwork:
     """Assemble the full multiplex network from parsed sentences."""
     if not sentences:
         raise ValueError("no sentences")
-    negations = word_classes().negations
+    negations = ingest.word_classes().negations
 
     edge_counts: dict[tuple[str, str], int] = {}
     skipped_sentences = 0
@@ -277,6 +274,8 @@ def build_network(
 
 def config_hash(settings: dict) -> str:
     """Short stable digest of a settings dict, stamped on every output."""
+    import hashlib  # here, so that commands which stamp nothing do not pay for its import
+
     return hashlib.sha256(
         json.dumps(settings, sort_keys=True, default=str).encode("utf-8")
     ).hexdigest()[:16]

@@ -20,47 +20,8 @@ from pathlib import Path
 
 import click
 
-from . import __version__
-from .analysis import (
-    classify_edges,
-    emotional_profile,
-    louvain_partition,
-    neighborhood_subgraph,
-    valence_aura,
-)
-from .build import (
-    build_network,
-    config_hash,
-    load_network,
-    network_to_json,
-    save_network,
-    summary,
-    write_graphml,
-)
-from .ingest import (
-    RawDocument,
-    UnparsedSentence,
-    clean_document,
-    filter_short,
-    heuristic_parse,
-    parse_conllu,
-    read_text_corpus,
-    split_sentences,
-)
-from .lexicons import (
-    load_antonyms,
-    load_emotion_lexicon,
-    load_synonyms,
-    load_valence_norms,
-)
-from .metrics import centrality_report, rank_concepts, top_rows
-from .stats import (
-    SWAPS_PER_EDGE,
-    benchmark_topic_relevance,
-    clustering_null_test,
-    load_free_associations,
-)
-from .stemmer import stem
+from . import __version__, analysis, ingest, lexicons, metrics, stats, stemmer
+from . import build as builder
 
 DEFAULT_LEXICON_DIR_ENV = "TFMN_LEXICON_DIR"
 
@@ -108,6 +69,14 @@ def _read_config(ctx: click.Context, param: click.Parameter, path: str | None) -
                 _fail(f"config key {key!r}: {exc.message}", file=path)
 
 
+class _CalledDefaultOption(click.Option):
+    """An option whose callable default is called for --help too, which then
+    shows its value instead of "(dynamic)"."""
+
+    def get_default(self, ctx, call=True):
+        return super().get_default(ctx, call=True)
+
+
 _config_option = click.option(
     "--config", type=click.Path(exists=True), is_eager=True, expose_value=False,
     callback=_read_config, help="key=value file of option defaults; flags win",
@@ -129,26 +98,26 @@ def _lexicon_dir(value: str | None) -> Path:
 def _parse_corpus(corpus: Path, corpus_format: str, min_words: int):
     """Returns (sentences, ingest stats)."""
     if corpus_format == "text":
-        return _parse_documents(read_text_corpus(corpus), min_words)
-    sentences, rejections = parse_conllu(corpus)
+        return _parse_documents(ingest.read_text_corpus(corpus), min_words)
+    sentences, rejections = ingest.parse_conllu(corpus)
     documents = len({s.doc_id for s in sentences})
     return sentences, {"documents": documents, "dropped_short": 0, "unparsed_sentences": 0,
                        "rejected": len(rejections)}
 
 
-def _parse_documents(docs: list[RawDocument], min_words: int):
+def _parse_documents(docs: list[ingest.RawDocument], min_words: int):
     """Clean, filter, split and heuristically parse plain-text documents;
     returns (sentences, ingest stats)."""
-    docs, dropped = filter_short([clean_document(d) for d in docs], min_words)
-    stats = {"documents": len(docs), "dropped_short": dropped, "unparsed_sentences": 0, "rejected": 0}
+    docs, dropped = ingest.filter_short([ingest.clean_document(d) for d in docs], min_words)
+    counts = {"documents": len(docs), "dropped_short": dropped, "unparsed_sentences": 0, "rejected": 0}
     sentences = []
     for doc in docs:
-        for i, sent in enumerate(split_sentences(doc.text)):
+        for i, sent in enumerate(ingest.split_sentences(doc.text)):
             try:
-                sentences.append(heuristic_parse(sent, doc_id=f"{doc.id}-{i}"))
-            except UnparsedSentence:
-                stats["unparsed_sentences"] += 1
-    return sentences, stats
+                sentences.append(ingest.heuristic_parse(sent, doc_id=f"{doc.id}-{i}"))
+            except ingest.UnparsedSentence:
+                counts["unparsed_sentences"] += 1
+    return sentences, counts
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -171,7 +140,7 @@ def _resolve_target(net, raw: str) -> str | None:
     """The node `raw` names: itself lower-cased, else its stem, else None."""
     candidate = raw.lower()
     if candidate not in net.nodes and candidate.isalpha():
-        candidate = stem(candidate)
+        candidate = stemmer.stem(candidate)
     return candidate if candidate in net.nodes else None
 
 
@@ -246,24 +215,24 @@ def build(corpus, corpus_format, lexicon_dir, min_words, corpus_id, out_dir):
         "corpus_id": corpus_id,
         "lexicon_dir": str(lexicon_dir),
     }
-    digest = config_hash(settings)
+    digest = builder.config_hash(settings)
 
-    valence = load_valence_norms(lexicon_dir / "valence.csv")
-    emotions = load_emotion_lexicon(lexicon_dir / "emotions.tsv")
-    synonyms = load_synonyms(lexicon_dir / "synonyms.tsv")
+    valence = lexicons.load_valence_norms(lexicon_dir / "valence.csv")
+    emotions = lexicons.load_emotion_lexicon(lexicon_dir / "emotions.tsv")
+    synonyms = lexicons.load_synonyms(lexicon_dir / "synonyms.tsv")
     sentences, ingest_stats = _parse_corpus(Path(corpus), corpus_format, min_words)
-    net = build_network(
+    net = builder.build_network(
         sentences, valence, emotions, synonyms,
         corpus_id=corpus_id,
         config={**settings, "config_hash": digest},
     )
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    save_network(net, out_dir / f"{corpus_id}.network.json")
-    write_graphml(net, out_dir / f"{corpus_id}.network.graphml")
+    builder.save_network(net, out_dir / f"{corpus_id}.network.json")
+    builder.write_graphml(net, out_dir / f"{corpus_id}.network.graphml")
     _write_json(
         out_dir / f"{corpus_id}.summary.json",
-        _stamp({**summary(net), "ingest": ingest_stats}, digest, None),
+        _stamp({**builder.summary(net), "ingest": ingest_stats}, digest, None),
     )
     click.echo(f"built {corpus_id}: {len(net.nodes)} nodes, "
                f"{len(net.syntactic_edges)} syntactic / {len(net.synonym_edges)} synonym edges")
@@ -278,18 +247,18 @@ def build(corpus, corpus_format, lexicon_dir, min_words, corpus_id, out_dir):
 @click.option("--out", type=click.Path(), default=None)
 def rank(network, top_k, layer_mode, out):
     """Closeness ranking of the largest connected component."""
-    net = load_network(network)
-    rows = top_rows(net, top_k, layer_mode)
+    net = builder.load_network(network)
+    rows = metrics.top_rows(net, top_k, layer_mode)
     settings = {"command": "rank", "network": net.provenance.get("config_hash", ""),
                 "top_k": top_k, "layer_mode": layer_mode}
-    for s, c, _, _ in rows:
-        click.echo(f"{s}\t{c:.6f}")
     if out:
         _write_rows(out, rows)
         _write_json(
             Path(out).with_suffix(".json"),
-            _stamp({"ranking": [[s, c] for s, c, _, _ in rows]}, config_hash(settings), None),
+            _stamp({"ranking": [[s, c] for s, c, _, _ in rows]}, builder.config_hash(settings), None),
         )
+    for s, c, _, _ in rows:
+        click.echo(f"{s}\t{c:.6f}")
 
 
 @main.command()
@@ -298,14 +267,13 @@ def rank(network, top_k, layer_mode, out):
 @click.option("--out", type=click.Path(), default=None)
 def aura(network, targets, out):
     """Valence auras of target concepts."""
-    net = load_network(network)
+    net = builder.load_network(network)
     known, unknown = _resolve_targets(net, targets)
-    reports = [valence_aura(net, t).to_dict() for t in known]
-    payload = {"auras": reports, "unknown_targets": unknown}
+    reports = [analysis.valence_aura(net, t).to_dict() for t in known]
+    if out:
+        _write_json(Path(out), {"auras": reports, "unknown_targets": unknown})
     for r in reports:
         click.echo(f"{r['target']}\t{r['aura']}")
-    if out:
-        _write_json(Path(out), payload)
     if unknown:
         click.echo(f"unknown targets: {', '.join(unknown)}", err=True)
         if not known:
@@ -319,21 +287,25 @@ def aura(network, targets, out):
 @click.option("--out-dir", type=click.Path(), default=".")
 def profile(network, targets, lexicon_dir, out_dir):
     """Emotional profiles of target concepts, with chart data per target."""
-    net = load_network(network)
+    net = builder.load_network(network)
     lexicon_dir = _lexicon_dir(lexicon_dir)
-    emotions = load_emotion_lexicon(lexicon_dir / "emotions.tsv")
-    antonyms = load_antonyms(lexicon_dir / "antonyms.tsv")
+    emotions = lexicons.load_emotion_lexicon(lexicon_dir / "emotions.tsv")
+    antonyms = lexicons.load_antonyms(lexicon_dir / "antonyms.tsv")
     known, unknown = _resolve_targets(net, targets)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    lines = []
     for target in known:
-        prof = emotional_profile(net, target, emotions, antonyms)
+        prof = analysis.emotional_profile(net, target, emotions, antonyms)
         _write_json(out / f"{target}.profile.json", prof.to_dict())
         _write_json(out / f"{target}.chart.json", {"emotion_fractions": prof.fractions})
         top = sorted(prof.counts.items(), key=lambda kv: (-kv[1], kv[0]))[:3]
-        click.echo(f"{target}\t" + ", ".join(f"{e}={n}" for e, n in top))
+        lines.append(f"{target}\t" + ", ".join(f"{e}={n}" for e, n in top))
     if unknown:
         _write_json(out / "unknown_targets.json", {"unknown_targets": unknown})
+    for line in lines:
+        click.echo(line)
+    if unknown:
         click.echo(f"unknown targets: {', '.join(unknown)}", err=True)
         if not known:
             sys.exit(1)
@@ -346,45 +318,47 @@ def profile(network, targets, lexicon_dir, out_dir):
 @click.option("--out", type=click.Path(), default=None)
 def communities(network, seed, target, out):
     """Louvain communities of the aggregate graph."""
-    net = load_network(network)
+    net = builder.load_network(network)
     node = _resolve_target(net, target) if target else None
     if target and node is None:
         _fail("unknown target", target=target)
-    partition = louvain_partition(net, seed=seed)
-    n_comm = len(set(partition.communities.values()))
-    click.echo(f"{n_comm} communities, modularity {partition.modularity_value:.4f}")
+    partition = analysis.louvain_partition(net, seed=seed)
     payload = {
         "communities": partition.communities,
         "modularity": partition.modularity_value,
         "seed": seed,
     }
     if node is not None:
-        sub = neighborhood_subgraph(net, node, mode="community", partition=partition)
+        sub = analysis.neighborhood_subgraph(net, node, mode="community", partition=partition)
         payload["target_community"] = sorted(sub.nodes)
-        payload["edge_classes"] = {f"{a}|{b}": cls for (a, b), cls in classify_edges(sub).items()}
+        edge_classes = analysis.classify_edges(sub)
+        payload["edge_classes"] = {f"{a}|{b}": cls for (a, b), cls in edge_classes.items()}
     if out:
         _write_json(Path(out), payload)
+    n_comm = len(set(partition.communities.values()))
+    click.echo(f"{n_comm} communities, modularity {partition.modularity_value:.4f}")
 
 
 @main.command()
 @_network_option
 @click.option("--realizations", type=click.IntRange(min=2), default=50)
 @click.option("--seed", type=int, default=0)
-@click.option("--swaps-per-edge", type=int, default=SWAPS_PER_EDGE, show_default=True,
+@click.option("--swaps-per-edge", cls=_CalledDefaultOption, type=int,
+              default=lambda: stats.SWAPS_PER_EDGE, show_default=True,
               help="degree-preserving swaps per edge in each realization")
 @click.option("--out", type=click.Path(), default=None)
 def nulltest(network, realizations, seed, swaps_per_edge, out):
     """Mean clustering against a configuration-model ensemble."""
-    net = load_network(network)
+    net = builder.load_network(network)
     settings = {"command": "nulltest", "network": net.provenance.get("config_hash", ""),
                 "realizations": realizations, "seed": seed, "swaps_per_edge": swaps_per_edge}
-    report = clustering_null_test(net, realizations, seed, swaps_per_edge)
+    report = stats.clustering_null_test(net, realizations, seed, swaps_per_edge)
+    if out:
+        _write_json(Path(out), _stamp(report, builder.config_hash(settings), seed))
     click.echo(
         f"clustering {report['empirical_clustering']:.3f} "
         f"({report['ensemble_mean']:.3f} +/- {report['ensemble_std']:.3f} for configuration models)"
     )
-    if out:
-        _write_json(Path(out), _stamp(report, config_hash(settings), seed))
 
 
 @main.command()
@@ -418,31 +392,31 @@ def benchmark(paragraph_dir, oracle, lexicon_dir, top_k, realizations, seed, out
         "top_k": top_k,
         "realizations": realizations,
         "seed": seed,
-        "swaps_per_edge": SWAPS_PER_EDGE,
+        "swaps_per_edge": stats.SWAPS_PER_EDGE,
         "lexicon_dir": str(lexicon_dir),
     }
-    digest = config_hash(settings)
-    valence = load_valence_norms(lexicon_dir / "valence.csv")
-    emotions = load_emotion_lexicon(lexicon_dir / "emotions.tsv")
-    synonyms = load_synonyms(lexicon_dir / "synonyms.tsv")
-    associations = load_free_associations(oracle)
+    digest = builder.config_hash(settings)
+    valence = lexicons.load_valence_norms(lexicon_dir / "valence.csv")
+    emotions = lexicons.load_emotion_lexicon(lexicon_dir / "emotions.tsv")
+    synonyms = lexicons.load_synonyms(lexicon_dir / "synonyms.tsv")
+    associations = stats.load_free_associations(oracle)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     rankings = {}
     sizes = {}
     for path in paragraphs:
         topic_word = BENCHMARK_TOPICS.get(path.stem, path.stem)
-        doc = RawDocument(id=path.stem, text=path.read_text(encoding="utf-8"))
+        doc = ingest.RawDocument(id=path.stem, text=path.read_text(encoding="utf-8"))
         sentences, _ = _parse_documents([doc], min_words=1)
-        net = build_network(
+        net = builder.build_network(
             sentences, valence, emotions, synonyms,
             corpus_id=path.stem, config={**settings, "config_hash": digest},
         )
-        save_network(net, out_dir / f"{path.stem}.network.json")
-        topic_stem = stem(topic_word)
-        rankings[topic_stem] = [s for s, _ in rank_concepts(net, top_k)]
+        builder.save_network(net, out_dir / f"{path.stem}.network.json")
+        topic_stem = stemmer.stem(topic_word)
+        rankings[topic_stem] = [s for s, _ in metrics.rank_concepts(net, top_k)]
         sizes[path.stem] = len(net.nodes)
-    report = benchmark_topic_relevance(rankings, associations, realizations, seed)
+    report = stats.benchmark_topic_relevance(rankings, associations, realizations, seed)
     report["paragraph_sizes"] = sizes
     _write_json(out_dir / "benchmark.json", _stamp(report, digest, seed))
     click.echo(
@@ -457,13 +431,13 @@ def benchmark(paragraph_dir, oracle, lexicon_dir, top_k, realizations, seed, out
 @click.option("--out", type=click.Path(), required=True)
 def export(network, fmt, out):
     """Re-export a network file as GraphML, JSON or a centrality CSV."""
-    net = load_network(network)
+    net = builder.load_network(network)
     if fmt == "graphml":
-        write_graphml(net, out)
+        builder.write_graphml(net, out)
     elif fmt == "json":
-        Path(out).write_text(network_to_json(net), encoding="utf-8")
+        Path(out).write_text(builder.network_to_json(net), encoding="utf-8")
     else:
-        _write_rows(out, centrality_report(net))
+        _write_rows(out, metrics.centrality_report(net))
     click.echo(f"wrote {out}")
 
 

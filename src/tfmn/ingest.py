@@ -17,7 +17,7 @@ from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
-from .lexicons import _rows
+from . import lexicons
 
 __all__ = [
     "RawDocument",
@@ -260,7 +260,7 @@ def _load_wordlist(name: str) -> frozenset[str]:
 
 def _load_lemma_table() -> dict[str, str]:
     path = resources.files("tfmn.data").joinpath("irregular_lemmas.tsv")
-    return dict(fields for _, fields in _rows(path, 2))
+    return dict(fields for _, fields in lexicons._rows(path, 2))
 
 
 # (word list, (deprel, upos, attaches to the next content word rather than the

@@ -28,8 +28,8 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Iterator
 
+from . import lexicons
 from .build import Adjacency, Indexed, MultiplexLexicalNetwork, adjacency, indexed
-from .lexicons import _load_pairs
 from .metrics import bfs, mean_clustering
 
 __all__ = [
@@ -331,7 +331,7 @@ def load_free_associations(path: str | Path) -> Adjacency:
     """The adjacency map of a word<TAB>word edge list, read like the synonym
     and antonym tables: words stemmed with the stemmer used for network
     construction, self-pairs dropped."""
-    pairs, _ = _load_pairs(path)
+    pairs, _ = lexicons._load_pairs(path)
     return adjacency({s for e in pairs for s in e}, pairs)
 
 

@@ -568,6 +568,29 @@ def test_out_dir_that_is_a_file_fails_with_one_json_line(runner, tmp_path):
     ))
 
 
+@pytest.mark.parametrize("command, extra", [
+    ("rank", []),
+    ("aura", ["--targets", "love"]),
+    ("communities", []),
+    ("nulltest", ["--realizations", "2"]),
+])
+def test_unwritable_out_prints_no_results(built, runner, tmp_path, command, extra):
+    out = tmp_path / "missing" / "out.json"
+    result = runner.invoke(main, [command, "--network", str(built / "toy.network.json"), *extra,
+                                  "--out", str(out)])
+    _assert_one_json_error(result)
+    assert result.stdout == ""
+
+
+def test_profile_that_fails_to_write_prints_no_results(built, runner, tmp_path):
+    out = tmp_path / "prof"
+    (out / "weak.profile.json").mkdir(parents=True)  # the second target's file cannot be written
+    result = runner.invoke(main, ["profile", "--network", str(built / "toy.network.json"),
+                                  "--targets", "love,weak", "--out-dir", str(out)])
+    _assert_one_json_error(result)
+    assert result.stdout == ""
+
+
 def test_help_unchanged(runner):
     result = runner.invoke(main, ["rank", "--help"])
     assert result.exit_code == 0 and result.output.startswith("Usage:")
@@ -601,6 +624,56 @@ def test_cli_import_leaves_networkx_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+LAYERS = ("analysis", "build", "ingest", "lexicons", "metrics", "stats", "stemmer")
+
+
+def test_cli_import_binds_every_layer_and_executes_none():
+    """perfbench/tracer.py looks up sys.modules["tfmn.<layer>"] right after
+    `import tfmn.cli`; a lazy module is of its own type until first use."""
+    env = {**os.environ, "PYTHONPATH": str(Path(tfmn.__file__).resolve().parents[1])}
+    code = ("import json, sys, types, tfmn.cli\n"
+            "print(json.dumps({n: type(sys.modules.get(f'tfmn.{n}')).__name__ for n in sys.argv[1:]}))")
+    proc = subprocess.run([sys.executable, "-c", code, *LAYERS], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {n: "_LazyModule" for n in LAYERS}
+
+
+_REPORT_EXECUTED = """
+import json, sys, types
+from tfmn.cli import main
+try:
+    main.main(args=sys.argv[1:], prog_name="tfmn")
+finally:
+    executed = [n[5:] for n, m in sys.modules.items() if n.startswith("tfmn.") and type(m) is types.ModuleType]
+    print(json.dumps({"executed": executed, "hashlib": "hashlib" in sys.modules}), file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("args, executed", [
+    (["build", "--corpus", "corpus.txt", "--corpus-id", "toy", "--out-dir", "out2"],
+     {"build", "ingest", "lexicons", "stemmer"}),
+    (["rank", "--out", "rank.csv"], {"build", "metrics"}),
+    (["aura", "--targets", "love"], {"build", "analysis"}),
+    (["communities", "--target", "love", "--out", "comm.json"], {"build", "analysis"}),
+    (["profile", "--targets", "love", "--out-dir", "prof"], {"build", "analysis", "lexicons", "stemmer"}),
+    (["nulltest", "--realizations", "2", "--out", "null.json"], {"build", "metrics", "stats"}),
+], ids=["build", "rank", "aura", "communities", "profile", "nulltest"])
+def test_each_command_executes_only_the_layers_it_runs(built, tmp_path, args, executed):
+    (tmp_path / "corpus.txt").write_text(CORPUS, encoding="utf-8")
+    if args[0] != "build":
+        args = [args[0], "--network", str(built / "toy.network.json"), *args[1:]]
+    env = {**os.environ, "PYTHONPATH": str(Path(tfmn.__file__).resolve().parents[1])}
+    env.pop("TFMN_LEXICON_DIR", None)
+    proc = subprocess.run([sys.executable, "-c", _REPORT_EXECUTED, *args], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stderr.splitlines()[-1])
+    assert set(report["executed"]) & set(LAYERS) == executed
+    if args[0] == "aura":
+        assert not report["hashlib"]
 
 
 def test_build_leaves_networkx_and_numpy_unloaded(tmp_path):

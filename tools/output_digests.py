@@ -17,7 +17,8 @@ paths and an explicit --lexicon-dir, --paragraph-dir and --oracle, so the
 paths stamped into outputs are the same for every checkout. The commands:
 build of each corpus; rank in each layer mode; aura; profile; communities
 --seed 3 --target love; nulltest --realizations 5 --seed 7; export in each
-format; benchmark --realizations 5 --seed 0. In this order, the script prints each command's exit code and the
+format; benchmark --realizations 5 --seed 0; --version, --help and each
+subcommand's --help. In this order, the script prints each command's exit code and the
 sha256 of its stdout and stderr, then `sha256  path` of every file in the
 directory, inputs included, in sorted path order. Two checkouts write the
 same files and print the same text when
@@ -61,6 +62,10 @@ COMMANDS = [
       for fmt in ("graphml", "json", "csv")),
     ["benchmark", "--paragraph-dir", "paragraphs", "--oracle", "oracle.tsv", "--lexicon-dir", "lexicons",
      "--realizations", "5", "--seed", "0", "--out-dir", "bench"],
+    ["--version"],
+    ["--help"],
+    *([command, "--help"] for command in ("build", "rank", "aura", "profile", "communities", "nulltest",
+                                          "benchmark", "export")),
 ]
 
 

@@ -13,6 +13,7 @@ the seed only, and aura, profile and the export CSV carry neither.
 from __future__ import annotations
 
 import csv
+import errno
 import json
 import os
 import sys
@@ -118,6 +119,12 @@ def _parse_documents(docs: list[ingest.RawDocument], min_words: int):
             except ingest.UnparsedSentence:
                 counts["unparsed_sentences"] += 1
     return sentences, counts
+
+
+def _check_out(out: str | None) -> None:
+    """Fails before any work when the --out file's directory does not exist."""
+    if out and not Path(out).parent.is_dir():
+        raise FileNotFoundError(errno.ENOENT, "no such directory", str(Path(out).parent))
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -247,6 +254,7 @@ def build(corpus, corpus_format, lexicon_dir, min_words, corpus_id, out_dir):
 @click.option("--out", type=click.Path(), default=None)
 def rank(network, top_k, layer_mode, out):
     """Closeness ranking of the largest connected component."""
+    _check_out(out)
     net = builder.load_network(network)
     rows = metrics.top_rows(net, top_k, layer_mode)
     settings = {"command": "rank", "network": net.provenance.get("config_hash", ""),
@@ -267,6 +275,7 @@ def rank(network, top_k, layer_mode, out):
 @click.option("--out", type=click.Path(), default=None)
 def aura(network, targets, out):
     """Valence auras of target concepts."""
+    _check_out(out)
     net = builder.load_network(network)
     known, unknown = _resolve_targets(net, targets)
     reports = [analysis.valence_aura(net, t).to_dict() for t in known]
@@ -318,6 +327,7 @@ def profile(network, targets, lexicon_dir, out_dir):
 @click.option("--out", type=click.Path(), default=None)
 def communities(network, seed, target, out):
     """Louvain communities of the aggregate graph."""
+    _check_out(out)
     net = builder.load_network(network)
     node = _resolve_target(net, target) if target else None
     if target and node is None:
@@ -349,6 +359,7 @@ def communities(network, seed, target, out):
 @click.option("--out", type=click.Path(), default=None)
 def nulltest(network, realizations, seed, swaps_per_edge, out):
     """Mean clustering against a configuration-model ensemble."""
+    _check_out(out)
     net = builder.load_network(network)
     settings = {"command": "nulltest", "network": net.provenance.get("config_hash", ""),
                 "realizations": realizations, "seed": seed, "swaps_per_edge": swaps_per_edge}

@@ -157,14 +157,21 @@ def centrality_report(net: MultiplexLexicalNetwork, layer_mode: str = "aggregate
 
 
 def mean_clustering(net: MultiplexLexicalNetwork) -> float:
-    """Mean local clustering on the aggregate simple graph; degree < 2
-    nodes contribute zero. Local values are t / (d * (d - 1)), with t twice
-    the node's triangle count, summed in sorted-stem order as
+    """Mean local clustering on the aggregate simple graph, equal to
+    networkx's bit for bit (`_mean_clustering` on the sorted-stem ids)."""
+    return _mean_clustering(net.indexed().nbrs)
+
+
+def _mean_clustering(nbrs) -> float:
+    """Mean local clustering of a simple graph given as id-indexed neighbour
+    lists, in which an id may repeat; degree < 2 nodes contribute zero. Local
+    values are t / (d * (d - 1)), with t twice the node's triangle count,
+    summed in id order. On sorted-stem ids that is the order in which
     `nx.clustering` gives them, so the mean equals networkx's bit for bit."""
-    adj = net.adjacency()
+    nbrs = [set(nb) for nb in nbrs]
     local = []
-    for nbrs in adj.values():
-        d = len(nbrs)
-        t = sum(len(nbrs & adj[w]) for w in nbrs)
+    for nb in nbrs:
+        d = len(nb)
+        t = sum(len(nb & nbrs[w]) for w in nb)
         local.append(0 if t == 0 else t / (d * (d - 1)))
-    return sum(local) / len(adj) if adj else 0.0
+    return sum(local) / len(nbrs) if nbrs else 0.0

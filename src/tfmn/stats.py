@@ -12,6 +12,13 @@ then edge index j, each exactly as ``rng.randrange(m)`` would draw it, then
 one ``rng.random()`` coin for the swap orientation, drawn only when i != j.
 A given seed therefore always yields the same realization.
 
+The realizations of `clustering_null_test` and `benchmark_topic_relevance`
+stay on those ids from the swaps to the number they return: mean clustering
+and BFS distances are measured on id neighbour lists. Ids follow sorted-stem
+order, so the results equal `mean_clustering` or `bfs` applied to the public
+`configuration_rewire` or `rewire_graph`, which map the rewired ids back to
+stems.
+
 The realizations of an ensemble are spread over forked worker processes, one
 per usable CPU, and gathered in seed order, so a report does not depend on
 the number of workers.
@@ -30,7 +37,7 @@ from typing import Callable, Iterator
 
 from . import lexicons
 from .build import Adjacency, Indexed, MultiplexLexicalNetwork, adjacency, indexed
-from .metrics import bfs, mean_clustering
+from .metrics import _mean_clustering, bfs, mean_clustering
 
 __all__ = [
     "SWAPS_PER_EDGE",
@@ -53,24 +60,32 @@ __all__ = [
 SWAPS_PER_EDGE = 4
 
 
-def _rewire_edge_set(
-    graph: Indexed, rng: random.Random, swaps_per_edge: int
-) -> tuple[set[tuple[str, str]], int]:
-    """Double edge swaps on an undirected simple graph. Returns the rewired
-    edges as stem pairs and the number of swaps performed; warns when the
-    attempt budget runs out before swaps_per_edge swaps per edge are made."""
-    if swaps_per_edge < 1:
-        raise ValueError(f"swaps_per_edge must be at least 1, got {swaps_per_edge}")
-    stems, n = graph.stems, len(graph.stems)
+def _edge_lists(graph: Indexed) -> tuple[list[int], list[int]]:
+    """The (lo, hi) id lists of a simple graph's edges, in sorted order."""
     # u <= v keeps a self-loop; the (lo, hi) pairs come out sorted
     pairs = [(u, v) for u, nbrs in enumerate(graph.nbrs) for v in nbrs if u <= v]
     if any(u == v for u, v in pairs):
         raise ValueError("graph is not simple: self-loop")
-    m = len(pairs)
+    return [u for u, _ in pairs], [v for _, v in pairs]
+
+
+def _rewire_ids(
+    lo: list[int], hi: list[int], n: int, rng: random.Random, swaps_per_edge: int
+) -> tuple[list[int], list[int], int]:
+    """Double edge swaps on an undirected simple graph of n nodes, given as
+    the (lo, hi) id lists of `_edge_lists`, which are left as they are.
+    Returns the rewired lists, each edge still in (lo, hi) order, and the
+    number of swaps performed; warns when the attempt budget runs out before
+    swaps_per_edge swaps per edge are made."""
+    if swaps_per_edge < 1:
+        raise ValueError(f"swaps_per_edge must be at least 1, got {swaps_per_edge}")
+    lo, hi = list(lo), list(hi)
+    m = len(lo)
     if m < 2:
-        return {(stems[u], stems[v]) for u, v in pairs}, 0
-    lo, hi = map(list, zip(*pairs))
-    keys = {u * n + v for u, v in pairs}
+        return lo, hi, 0
+    key = [u * n + v for u, v in zip(lo, hi)]  # key[i] packs edge i
+    keys = set(key)
+    remove, add = keys.remove, keys.add
     target = swaps_per_edge * m
     performed = 0
     attempts = 100 * target
@@ -104,10 +119,11 @@ def _rewire_edge_set(
         new2 = b * n + d
         if new2 in keys:
             continue
-        keys.remove(lo[i] * n + hi[i])
-        keys.remove(lo[j] * n + hi[j])
-        keys.add(new1)
-        keys.add(new2)
+        remove(key[i])
+        remove(key[j])
+        add(new1)
+        add(new2)
+        key[i], key[j] = new1, new2
         lo[i], hi[i] = a, c
         lo[j], hi[j] = b, d
         performed += 1
@@ -116,6 +132,16 @@ def _rewire_edge_set(
     else:
         warnings.warn(f"rewiring fell short: {performed or 'no'} swaps of {target} "
                       f"in {attempts} attempts on {m} edges")
+    return lo, hi, performed
+
+
+def _rewire_edge_set(
+    graph: Indexed, rng: random.Random, swaps_per_edge: int
+) -> tuple[set[tuple[str, str]], int]:
+    """`_rewire_ids` on an indexed graph, its rewired edges given back as
+    stem pairs."""
+    lo, hi, performed = _rewire_ids(*_edge_lists(graph), len(graph.stems), rng, swaps_per_edge)
+    stems = graph.stems
     return {(stems[u], stems[v]) for u, v in zip(lo, hi)}, performed
 
 
@@ -143,6 +169,17 @@ def rewire_graph(adj: Adjacency, seed: int, swaps_per_edge: int = SWAPS_PER_EDGE
     as an adjacency map with the same nodes."""
     rewired, _ = _rewire_edge_set(indexed(adj), random.Random(seed), swaps_per_edge)
     return adjacency(adj, rewired)
+
+
+def _neighbours(n: int, *edge_lists: tuple[list[int], list[int]]) -> list[list[int]]:
+    """Id neighbour lists of n nodes from (lo, hi) edge lists; a pair in two
+    of them is listed twice."""
+    nbrs: list[list[int]] = [[] for _ in range(n)]
+    for lo, hi in edge_lists:
+        for u, v in zip(lo, hi):
+            nbrs[u].append(v)
+            nbrs[v].append(u)
+    return nbrs
 
 
 def null_ensemble(
@@ -335,11 +372,14 @@ def load_free_associations(path: str | Path) -> Adjacency:
     return adjacency({s for e in pairs for s in e}, pairs)
 
 
-def _topic_distances(adj: Adjacency, topic: str, stems: list[str]) -> tuple[list[int], int]:
-    lengths = bfs(adj, topic)
-    others = [s for s in stems if s != topic]
-    distances = [lengths[s] for s in others if s in lengths]
-    return distances, len(others) - len(distances)
+def _topic_distances(nbrs, queries: list[tuple[int, list[int]]]) -> list[list[int]]:
+    """Per (topic id, ranked ids) query, the BFS distances on id-indexed
+    neighbour lists from the topic to the ranked ids it reaches, in ranked order."""
+    out = []
+    for topic, ranked in queries:
+        lengths = bfs(nbrs, topic)
+        out.append([lengths[v] for v in ranked if v in lengths])
+    return out
 
 
 def benchmark_topic_relevance(
@@ -354,7 +394,8 @@ def benchmark_topic_relevance(
 
     The oracle (free-association) network is the randomization target,
     since distances are measured on it; this choice is recorded in the
-    report header.
+    report header. Each realization is `rewire_graph` followed by `bfs`,
+    computed on the oracle's sorted-stem ids.
     """
     if n_realizations < 2:
         raise ValueError("need at least 2 realizations")
@@ -365,19 +406,27 @@ def benchmark_topic_relevance(
     if skipped_topics:
         warnings.warn(f"topics absent from oracle skipped: {skipped_topics}")
 
+    graph = indexed(oracle)
+    n = len(graph.stems)
+    ids = {s: i for i, s in enumerate(graph.stems)}
+    topics = sorted(usable)
+    others = {t: [s for s in usable[t] if s != t] for t in topics}
+    queries = [(ids[t], [ids[s] for s in others[t] if s in ids]) for t in topics]
     empirical: list[float] = []
     per_topic: dict[str, dict] = {}
     absent_stems = 0
-    for topic in sorted(usable):
-        distances, skipped = _topic_distances(oracle, topic, usable[topic])
+    for topic, distances in zip(topics, _topic_distances(graph.nbrs, queries)):
+        skipped = len(others[topic]) - len(distances)
         absent_stems += skipped
         per_topic[topic] = {"empirical_distances": distances, "absent_stems": skipped}
         empirical.extend(float(d) for d in distances)
 
+    edges = _edge_lists(graph)  # forked workers inherit them
+
     def null_distances(s: int) -> list[float]:
-        rewired = rewire_graph(oracle, s, swaps_per_edge)
-        return [float(d) for topic in sorted(usable)
-                for d in _topic_distances(rewired, topic, usable[topic])[0]]
+        lo, hi, _ = _rewire_ids(*edges, n, random.Random(s), swaps_per_edge)
+        return [float(d) for distances in _topic_distances(_neighbours(n, (lo, hi)), queries)
+                for d in distances]
 
     seeds = [seed + k for k in range(n_realizations)]
     null = [d for distances in _map_seeds(null_distances, seeds) for d in distances]
@@ -386,7 +435,7 @@ def benchmark_topic_relevance(
     result = mann_whitney_u(empirical, null)
     return {
         "randomization_target": "free-association oracle network",
-        "topics": sorted(usable),
+        "topics": topics,
         "skipped_topics": skipped_topics,
         "absent_ranked_stems": absent_stems,
         "n_realizations": n_realizations,
@@ -407,13 +456,24 @@ def clustering_null_test(
     swaps_per_edge: int = SWAPS_PER_EDGE,
 ) -> dict:
     """Empirical mean clustering against the configuration-ensemble
-    mean +/- standard deviation; z-score None if the ensemble has no spread."""
+    mean +/- standard deviation; z-score None if the ensemble has no spread.
+    Each realization's value is `mean_clustering(configuration_rewire(...))`,
+    computed on the sorted-stem ids."""
     if n_realizations < 2:
         raise ValueError("need at least 2 realizations")
     seeds = [seed + k for k in range(n_realizations)]
     empirical = mean_clustering(net)
-    values = _map_seeds(
-        lambda s: mean_clustering(configuration_rewire(net, s, swaps_per_edge)), seeds)
+    n = len(net.nodes)
+    # forked workers inherit each layer's edge lists
+    syntactic, synonym = _edge_lists(net.indexed("syntactic")), _edge_lists(net.indexed("synonym"))
+
+    def null_clustering(s: int) -> float:
+        rng = random.Random(s)  # draws for the syntactic layer, then the synonym layer
+        syn_lo, syn_hi, _ = _rewire_ids(*syntactic, n, rng, swaps_per_edge)
+        sem_lo, sem_hi, _ = _rewire_ids(*synonym, n, rng, swaps_per_edge)
+        return _mean_clustering(_neighbours(n, (syn_lo, syn_hi), (sem_lo, sem_hi)))
+
+    values = _map_seeds(null_clustering, seeds)
     mean = statistics.fmean(values)
     std = statistics.pstdev(values)
     z = (empirical - mean) / std if std > 0 else None

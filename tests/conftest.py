@@ -1,8 +1,10 @@
+import random
 from pathlib import Path
 
 import pytest
 
 import tfmn
+from tfmn import stats
 from tfmn.build import MultiplexLexicalNetwork, Concept
 from tfmn.lexicons import (
     load_antonyms,
@@ -76,3 +78,16 @@ def make_network(
     )
     net.validate()
     return net
+
+
+def failing_kernel(bad_seed: int):
+    """stats._rewire_ids, raising ValueError("bad seed <bad_seed>") in the first
+    rewire of the realization seeded bad_seed."""
+    original = stats._rewire_ids
+
+    def failing(lo, hi, n, rng, swaps_per_edge):
+        if rng.getstate() == random.Random(bad_seed).getstate():
+            raise ValueError(f"bad seed {bad_seed}")
+        return original(lo, hi, n, rng, swaps_per_edge)
+
+    return failing

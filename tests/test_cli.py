@@ -17,7 +17,7 @@ from tfmn.build import Concept, MultiplexLexicalNetwork, save_network
 from tfmn.cli import main
 from tfmn.stats import SWAPS_PER_EDGE
 
-from conftest import make_network
+from conftest import failing_kernel, make_network
 
 
 CORPUS = (
@@ -391,14 +391,7 @@ def test_nulltest_rejects_swaps_per_edge_below_one(built, runner, tmp_path, swap
 
 
 def test_nulltest_error_in_a_worker_fails_with_one_json_line(built, runner, tmp_path, monkeypatch):
-    original = stats.configuration_rewire
-
-    def failing(net, seed, swaps_per_edge):
-        if seed == 4:
-            raise ValueError("bad seed 4")
-        return original(net, seed, swaps_per_edge)
-
-    monkeypatch.setattr(stats, "configuration_rewire", failing)
+    monkeypatch.setattr(stats, "_rewire_ids", failing_kernel(4))
     monkeypatch.setattr(stats, "_usable_cpus", lambda: 2)  # seeds 2-4 go to the worker
     out = tmp_path / "null.json"
     result = runner.invoke(main, ["nulltest", "--network", str(built / "toy.network.json"),
@@ -580,6 +573,25 @@ def test_unwritable_out_prints_no_results(built, runner, tmp_path, command, extr
                                   "--out", str(out)])
     _assert_one_json_error(result)
     assert result.stdout == ""
+
+
+@pytest.mark.parametrize("command, extra, work", [
+    ("rank", [], "metrics.top_rows"),
+    ("aura", ["--targets", "love"], "analysis.valence_aura"),
+    ("communities", [], "analysis.louvain_partition"),
+    ("nulltest", ["--realizations", "50"], "stats.clustering_null_test"),
+])
+def test_missing_out_directory_fails_before_the_work(built, runner, tmp_path, monkeypatch, command,
+                                                     extra, work):
+    module, name = work.split(".")
+    calls = []
+    monkeypatch.setattr(getattr(tfmn, module), name, lambda *args: calls.append(args))
+    out = tmp_path / "missing" / "out.json"
+    result = runner.invoke(main, [command, "--network", str(built / "toy.network.json"), *extra,
+                                  "--out", str(out)])
+    _assert_one_json_error(result)
+    assert json.loads(result.stderr)["error"] == f"[Errno 2] no such directory: '{out.parent}'"
+    assert calls == [] and result.stdout == ""
 
 
 def test_profile_that_fails_to_write_prints_no_results(built, runner, tmp_path):

@@ -6,14 +6,16 @@ import sys
 import time
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import networkx as nx
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from tfmn import stats
-from tfmn.build import _ordered, adjacency, indexed, save_network
+from tfmn.build import Concept, MultiplexLexicalNetwork, _ordered, adjacency, indexed, save_network
 from tfmn.lexicons import LexiconError
+from tfmn.metrics import bfs, mean_clustering
 from tfmn.stats import (
     SWAPS_PER_EDGE,
     _rewire_edge_set,
@@ -27,7 +29,7 @@ from tfmn.stats import (
 )
 from tfmn.stemmer import stem
 
-from conftest import DATA, make_network
+from conftest import DATA, failing_kernel, make_network
 
 
 def ring_net(n=20, extra=5):
@@ -277,6 +279,87 @@ def test_rewire_graph_matches_reference(edges, isolated, seed):
     expected, _ = reference_rewire(set(edges), random.Random(seed), 2)
     assert list(h) == sorted(nodes)
     assert {_ordered(a, b) for a in h for b in h[a]} == expected
+
+
+def realization_values(call):
+    """The per-seed values that `call` gathers through stats._map_seeds, in
+    seed order, computed in this process."""
+    captured = []
+
+    def recording(fn, seeds):
+        captured.extend(fn(s) for s in seeds)
+        return list(captured)
+
+    with mock.patch.object(stats, "_map_seeds", recording), warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # shortfalls on small graphs
+        call()
+    return captured
+
+
+def multiplex(n_nodes, syntactic, synonym):
+    """A network on the nodes "n0" .. "n{n_nodes - 1}", any of them isolated."""
+    stems = [f"n{k}" for k in range(n_nodes)]
+    return MultiplexLexicalNetwork(
+        nodes={s: Concept(s, "unrated", None, frozenset()) for s in stems},
+        syntactic_edges={(stems[a], stems[b]): 1 for a, b in syntactic},
+        synonym_edges={(stems[a], stems[b]) for a, b in synonym},
+        provenance={},
+    )
+
+
+@st.composite
+def multiplex_layers(draw):
+    """(n_nodes, syntactic, synonym) id pairs; the synonym layer may repeat a
+    syntactic pair, and either layer may hold 0 or 1 edges."""
+    n_nodes = draw(st.integers(0, 12))
+    pair = st.tuples(st.integers(0, max(n_nodes - 1, 0)), st.integers(0, max(n_nodes - 1, 0)))
+    pairs = pair.filter(lambda p: p[0] < p[1])
+    syntactic = draw(st.sets(pairs, max_size=24)) if n_nodes > 1 else set()
+    synonym = draw(st.sets(pairs, max_size=6)) if n_nodes > 1 else set()
+    if syntactic and draw(st.booleans()):
+        synonym.add(draw(st.sampled_from(sorted(syntactic))))
+    return n_nodes, syntactic, synonym
+
+
+@settings(max_examples=60, deadline=None)
+@given(multiplex_layers(), st.integers(0, 2**32), st.integers(1, 3))
+@example((0, set(), set()), 0, 1)
+@example((4, set(), set()), 1, 1)
+@example((5, {(0, 1)}, {(0, 1)}), 2, 1)
+@example((7, {(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5)}, {(0, 2)}), 3, 2)
+@example((9, {(a, b) for a in range(6) for b in range(a + 1, 6)} | {(6, 7)}, {(0, 8), (1, 2)}), 4, 1)
+def test_clustering_null_values_match_the_stem_reference(layers, seed, swaps_per_edge):
+    net = multiplex(*layers)
+    values = realization_values(lambda: clustering_null_test(net, 3, seed, swaps_per_edge))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        expected = [mean_clustering(configuration_rewire(net, s, swaps_per_edge))
+                    for s in range(seed, seed + 3)]
+    assert values == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(simple_edge_sets, st.integers(0, 2**32), st.integers(1, 3))
+@example(set(), 0, 1)
+@example({("n2", "n3"), ("n4", "n5")}, 1, 2)  # n0 and n1 stay a component of their own
+@example(complete_edges(9), 2, 1)
+def test_benchmark_null_distances_match_the_stem_reference(edges, seed, swaps_per_edge):
+    """n9 is isolated, so unreachable in every realization, and "q" is not in
+    the oracle; n0 keeps a neighbour, so each sample is nonempty."""
+    oracle = adjacency([f"n{k}" for k in range(10)], edges | {("n0", "n1")})
+    rankings = {"n0": ["n1", "n3", "q", "n9", "n0", "n5", "n8", "n3"],
+                "n6": ["n0", "n7", "n9", "q", "n2"], "absent": ["n1"]}
+    values = realization_values(
+        lambda: benchmark_topic_relevance(rankings, oracle, 3, seed, swaps_per_edge))
+    expected = []
+    for s in range(seed, seed + 3):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            rewired = rewire_graph(oracle, s, swaps_per_edge)
+        lengths = {topic: bfs(rewired, topic) for topic in ("n0", "n6")}
+        expected.append([float(lengths[t][x]) for t in ("n0", "n6") for x in rankings[t]
+                         if x != t and x in lengths[t]])
+    assert values == expected
 
 
 # ---------------------------------------------------------------------------
@@ -544,14 +627,9 @@ def test_cli_warnings_from_workers_match_the_one_process_run(tmp_path):
 @pytest.mark.parametrize("function", ["configuration_rewire", "rewire_graph"])
 def test_worker_error_reaches_the_caller_and_no_child_is_left(tmp_path, monkeypatch, workers,
                                                             bad_seed, function):
-    original = getattr(stats, function)
-
-    def failing(graph, seed, swaps_per_edge):
-        if seed == bad_seed:
-            raise ValueError(f"bad seed {seed}")
-        return original(graph, seed, swaps_per_edge)
-
-    monkeypatch.setattr(stats, function, failing)
+    """function names the public rewire whose realizations the ensemble runs
+    on ids; the kernel fails in the realization of bad_seed."""
+    monkeypatch.setattr(stats, "_rewire_ids", failing_kernel(bad_seed))
     workers(2)
     with pytest.raises(ValueError, match=f"^bad seed {bad_seed}$"):
         if function == "configuration_rewire":

@@ -16,8 +16,10 @@ runs there as `python -m tfmn.cli` with SRC_DIR on PYTHONPATH, relative
 paths and an explicit --lexicon-dir, --paragraph-dir and --oracle, so the
 paths stamped into outputs are the same for every checkout. The commands:
 build of each corpus; rank in each layer mode; aura; profile; communities
---seed 3 --target love; nulltest --realizations 5 --seed 7; export in each
-format; benchmark --realizations 5 --seed 0; --version, --help and each
+--seed 3 --target love; nulltest --realizations 5 --seed 7 and --realizations 7
+--seed 2 (chunks of unequal size on two CPUs); nulltest on SMALL_NETWORK, a
+hand-written network with a pair in both layers, an isolated node and a
+one-edge synonym layer; export in each format; benchmark --realizations 5 --seed 0; --version, --help and each
 subcommand's --help. In this order, the script prints each command's exit code and the
 sha256 of its stdout and stderr, then `sha256  path` of every file in the
 directory, inputs included, in sorted path order. Two checkouts write the
@@ -36,6 +38,7 @@ prints nothing, on a host with more than one CPU.
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import shutil
 import subprocess
@@ -58,6 +61,9 @@ COMMANDS = [
      "--out-dir", "profile"],
     ["communities", "--network", NETWORK, "--seed", "3", "--target", "love", "--out", "communities.json"],
     ["nulltest", "--network", NETWORK, "--realizations", "5", "--seed", "7", "--out", "nulltest.json"],
+    ["nulltest", "--network", NETWORK, "--realizations", "7", "--seed", "2", "--out", "nulltest-7.json"],
+    ["nulltest", "--network", "small.network.json", "--realizations", "6", "--seed", "1",
+     "--out", "nulltest-small.json"],
     *(["export", "--network", NETWORK, "--format", fmt, "--out", f"export.{fmt}"]
       for fmt in ("graphml", "json", "csv")),
     ["benchmark", "--paragraph-dir", "paragraphs", "--oracle", "oracle.tsv", "--lexicon-dir", "lexicons",
@@ -139,6 +145,22 @@ CONLLU = """\
 """
 
 
+# A hand-written network for nulltest: a ring with chords and a triangle, one
+# pair in both layers, a one-edge synonym layer and an isolated node, none of
+# which the bundled corpus yields.
+SMALL_SYNTACTIC = [("ant", "bee"), ("bee", "cat"), ("cat", "dog"), ("dog", "eel"), ("eel", "fox"),
+                   ("fox", "gnu"), ("gnu", "hen"), ("hen", "ant"), ("ant", "dog"), ("bee", "fox"),
+                   ("cat", "gnu"), ("ant", "cat"), ("elk", "ant"), ("elk", "eel")]
+SMALL_NETWORK = {
+    "nodes": [{"emotions": [], "is_negation_marker": False, "stem": stem, "valence_label": "unrated",
+               "valence_score": None}
+              for stem in ("ant", "bee", "cat", "dog", "eel", "elk", "fox", "gnu", "hen", "owl")],
+    "provenance": {"config": {}, "config_hash": "small", "corpus_id": "small"},
+    "synonym_edges": [["ant", "bee"]],
+    "syntactic_edges": [[min(a, b), max(a, b), 1] for a, b in SMALL_SYNTACTIC],
+}
+
+
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -150,6 +172,7 @@ def copy_inputs(data: Path, work: Path) -> None:
     for paragraph in sorted((data / "benchmark").glob("*.txt")):
         shutil.copy(paragraph, work / "paragraphs" / paragraph.name)
     shutil.copy(data / "benchmark" / "free_associations.tsv", work / "oracle.tsv")
+    (work / "small.network.json").write_text(json.dumps(SMALL_NETWORK, indent=1), encoding="utf-8")
     (work / "tweets.txt").write_text(TWEETS, encoding="utf-8")
     (work / "parsed.conllu").write_text(
         "".join(line if line.startswith("#") else line.replace(" ", "\t")

@@ -5,7 +5,7 @@ emotion enrichment from text corpora, and provides the analysis suite:
 closeness rankings, valence auras, emotional profiles, Louvain
 communities and configuration-model significance tests.
 
-`import tfmn` binds the seven submodules and the names in `__all__`, but
+`import tfmn` binds the eight submodules and the names in `__all__`, but
 executes none of them: each submodule is compiled and run on the first
 access to one of its attributes, so a command pays only for the modules it
 uses.
@@ -28,6 +28,7 @@ _EXPORTS = {
     "stats": ("benchmark_topic_relevance", "clustering_null_test", "configuration_rewire",
               "load_free_associations", "mann_whitney_u"),
     "stemmer": ("stem",),
+    "workers": (),  # the fork helper of build and stats; no public name
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = [*_HOME, "__version__"]

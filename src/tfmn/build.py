@@ -4,7 +4,9 @@ Dependency trees are reduced to content-word graphs by contracting
 function words (each removed node's tree neighbours are clique-connected),
 stems are merged across the corpus into a syntactic layer, a synonym layer
 is added from the lexicon, and every node is labelled with valence and
-emotions.
+emotions. Counting a corpus's edges (`count_edges`) is kept apart from
+assembling the network from the counts (`assemble_network`), so sentences
+can be streamed, and counts of chunks merged, before the network is built.
 """
 
 from __future__ import annotations
@@ -30,6 +32,9 @@ __all__ = [
     "indexed",
     "extract_syntactic_edges",
     "add_synonym_layer",
+    "EdgeCounts",
+    "count_edges",
+    "assemble_network",
     "build_network",
     "config_hash",
     "network_to_json",
@@ -218,31 +223,45 @@ def add_synonym_layer(
     }
 
 
-def build_network(
-    sentences: list[ingest.ParsedSentence],
+class EdgeCounts(NamedTuple):
+    """What a corpus contributes to a network: each syntactic stem pair with
+    the number of sentences it occurs in, in first-seen order, the number of
+    sentences and how many of them gave no edge."""
+
+    edges: dict[tuple[str, str], int]
+    sentences: int
+    edgeless: int
+
+
+def count_edges(sentences: Iterable[ingest.ParsedSentence]) -> EdgeCounts:
+    """`extract_syntactic_edges` over any iterable of sentences, each
+    sentence dropped once its edges are counted."""
+    edge_counts: dict[tuple[str, str], int] = {}
+    n_sentences = edgeless = 0
+    for sentence in sentences:
+        n_sentences += 1
+        edges = extract_syntactic_edges(sentence)
+        if not edges:
+            edgeless += 1
+        for pair in edges:
+            edge_counts[pair] = edge_counts.get(pair, 0) + 1
+    return EdgeCounts(edge_counts, n_sentences, edgeless)
+
+
+def assemble_network(
+    counts: EdgeCounts,
     valence: lexicons.ValenceLexicon,
     emotions: lexicons.EmotionLexicon,
     synonyms: lexicons.SynonymLexicon,
     corpus_id: str = "corpus",
     config: dict | None = None,
 ) -> MultiplexLexicalNetwork:
-    """Assemble the full multiplex network from parsed sentences."""
-    if not sentences:
+    """The validated multiplex network of a corpus's edge counts: labelled
+    nodes, the synonym layer and provenance."""
+    if not counts.sentences:
         raise ValueError("no sentences")
     negations = ingest.word_classes().negations
-
-    edge_counts: dict[tuple[str, str], int] = {}
-    skipped_sentences = 0
-    for sentence in sentences:
-        edges = extract_syntactic_edges(sentence)
-        if not edges:
-            skipped_sentences += 1
-        for pair in edges:
-            edge_counts[pair] = edge_counts.get(pair, 0) + 1
-
-    node_stems = {s for pair in edge_counts for s in pair}
-    synonym_edges = add_synonym_layer(node_stems, synonyms)
-
+    node_stems = {s for pair in counts.edges for s in pair}
     nodes = {}
     for s in sorted(node_stems):
         nodes[s] = Concept(
@@ -258,18 +277,31 @@ def build_network(
         "corpus_id": corpus_id,
         "config": config,
         "config_hash": config_hash(config),
-        "sentence_count": len(sentences),
-        "edgeless_sentences": skipped_sentences,
+        "sentence_count": counts.sentences,
+        "edgeless_sentences": counts.edgeless,
         "edge_direction": "discarded (undirected analyses)",
     }
     net = MultiplexLexicalNetwork(
         nodes=nodes,
-        syntactic_edges=edge_counts,
-        synonym_edges=synonym_edges,
+        syntactic_edges=counts.edges,
+        synonym_edges=add_synonym_layer(node_stems, synonyms),
         provenance=provenance,
     )
     net.validate()
     return net
+
+
+def build_network(
+    sentences: Iterable[ingest.ParsedSentence],
+    valence: lexicons.ValenceLexicon,
+    emotions: lexicons.EmotionLexicon,
+    synonyms: lexicons.SynonymLexicon,
+    corpus_id: str = "corpus",
+    config: dict | None = None,
+) -> MultiplexLexicalNetwork:
+    """Assemble the full multiplex network from parsed sentences, which may
+    come from a generator: `assemble_network(count_edges(sentences), ...)`."""
+    return assemble_network(count_edges(sentences), valence, emotions, synonyms, corpus_id, config)
 
 
 def config_hash(settings: dict) -> str:

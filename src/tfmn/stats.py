@@ -20,14 +20,13 @@ order, so the results equal `mean_clustering` or `bfs` applied to the public
 stems.
 
 The realizations of an ensemble are spread over forked worker processes, one
-per usable CPU, and gathered in seed order, so a report does not depend on
-the number of workers.
+per usable CPU (`tfmn.workers`), and gathered in seed order, so a report does
+not depend on the number of workers.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import random
 import statistics
 import warnings
@@ -35,7 +34,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Iterator
 
-from . import lexicons
+from . import lexicons, workers
 from .build import Adjacency, Indexed, MultiplexLexicalNetwork, adjacency, indexed
 from .metrics import _mean_clustering, bfs, mean_clustering
 
@@ -198,98 +197,15 @@ def null_ensemble(
 # ---------------------------------------------------------------------------
 # realizations in worker processes
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on; 1 where it cannot fork."""
-    if not hasattr(os, "fork"):
-        return 1
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _map_seeds(fn: Callable[[int], object], seeds: list[int]) -> list:
-    """[fn(s) for s in seeds], computed in contiguous chunks of seeds by up to
-    one forked process per usable CPU, the first chunk by this process.
+    """[fn(s) for s in seeds], computed by `workers.map_chunks` in contiguous
+    chunks of seeds, one per usable CPU. fn returns plain numbers; a
+    shortfall warning a worker records is issued again here, as if raised in
+    this process."""
+    def realizations(chunk: list[int]) -> list:
+        return [fn(s) for s in chunk]
 
-    fn returns plain numbers, which each worker pickles back through a pipe
-    together with the warnings it recorded. The chunks are read in seed
-    order: warnings are issued again here, as if raised in this process, and
-    a worker's exception is raised again with its type and message. Workers
-    leave through os._exit, so they flush no inherited buffer and run no
-    exit handler of this process. Every worker is killed and reaped before
-    this returns or raises. Workers are forked, not spawned, because fn is a
-    closure, which does not pickle; the commands start no thread, so the fork
-    copies no lock held by another thread.
-    """
-    workers = min(len(seeds), _usable_cpus())
-    if workers <= 1:
-        return [fn(s) for s in seeds]
-    import pickle
-    import signal
-
-    bounds = [len(seeds) * k // workers for k in range(workers + 1)]
-    chunks = [seeds[a:b] for a, b in zip(bounds, bounds[1:])]
-    children: list[tuple[int, int]] = []  # (pid, read end of its pipe)
-    try:
-        for chunk in chunks[1:]:
-            read_end, write_end = os.pipe()
-            try:
-                pid = os.fork()
-            except BaseException:
-                os.close(read_end)
-                os.close(write_end)
-                raise
-            if pid == 0:
-                _worker(fn, chunk, write_end)
-            os.close(write_end)
-            children.append((pid, read_end))
-        results = [fn(s) for s in chunks[0]]
-        registry = globals().setdefault("__warningregistry__", {})
-        for pid, read_end in children:
-            with open(read_end, "rb", closefd=False) as pipe:
-                data = pipe.read()
-            if not data:
-                raise RuntimeError(f"null-model worker {pid} exited without a result")
-            outcome = pickle.loads(data)  # written by the worker forked above
-            if outcome[0] == "error":
-                raise outcome[1]
-            _, values, caught = outcome
-            for message, category, filename, lineno in caught:
-                warnings.warn_explicit(message, category, filename, lineno,
-                                       module=__name__, registry=registry)
-            results.extend(values)
-        return results
-    finally:
-        for pid, read_end in children:
-            os.close(read_end)
-            try:
-                os.kill(pid, signal.SIGKILL)
-            except ProcessLookupError:
-                pass
-            os.waitpid(pid, 0)
-
-
-def _worker(fn, chunk: list[int], write_end: int) -> None:
-    """Body of a forked worker: write the pickled outcome of its chunk to the
-    pipe and exit, never returning into the caller's stack. A worker that
-    exits without writing is reported by the parent."""
-    import pickle
-
-    code = 1
-    try:
-        try:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                values = [fn(s) for s in chunk]
-            outcome = ("ok", values, [(w.message, w.category, w.filename, w.lineno)
-                                      for w in caught])
-        except Exception as exc:  # raised again by the parent
-            outcome = ("error", exc)
-        with open(write_end, "wb") as pipe:
-            pipe.write(pickle.dumps(outcome))
-        code = 0
-    finally:
-        os._exit(code)
+    return [value for values in workers.map_chunks(realizations, seeds) for value in values]
 
 
 # ---------------------------------------------------------------------------

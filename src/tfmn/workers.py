@@ -1,0 +1,114 @@
+"""Contiguous chunks of a list mapped over forked worker processes.
+
+`map_chunks(fn, items)` splits items into one contiguous chunk per usable
+CPU, runs fn on the first chunk in this process and on each other chunk in a
+forked child, and returns the chunks' results in chunk order. A caller whose
+results are merged in that order therefore gets what one process would give,
+whatever the number of workers. `build` counts the edges of document chunks
+this way, and `stats` the realizations of seed chunks.
+"""
+
+from __future__ import annotations
+
+import os
+import warnings
+from typing import Callable, TypeVar
+
+T = TypeVar("T")
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on; 1 where it cannot fork."""
+    if not hasattr(os, "fork"):
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def map_chunks(fn: Callable[[list], T], items: list) -> list[T]:
+    """[fn(chunk) for chunk in chunks], for contiguous chunks of items of
+    near-equal size, one per usable CPU and never more than there are items
+    (always at least one); the first chunk is run by this process, each
+    other one by a forked child.
+
+    A child pickles fn's result back through a pipe together with the
+    warnings it recorded. The chunks are read in order: warnings are issued
+    again here, in the warning registry and module of fn, so that a message
+    shows as often as in the one-process run, and a child's exception is
+    raised again with its type and message. Children leave through
+    os._exit, so they flush no inherited buffer and run no exit handler of
+    this process. Every child is killed and reaped before this returns or
+    raises. Children are forked, not spawned, because fn may be a closure,
+    which does not pickle; the commands start no thread, so the fork copies
+    no lock held by another thread.
+    """
+    workers = max(1, min(len(items), _usable_cpus()))
+    if workers == 1:
+        return [fn(items)]
+    import pickle
+    import signal
+
+    bounds = [len(items) * k // workers for k in range(workers + 1)]
+    chunks = [items[a:b] for a, b in zip(bounds, bounds[1:])]
+    children: list[tuple[int, int]] = []  # (pid, read end of its pipe)
+    try:
+        for chunk in chunks[1:]:
+            read_end, write_end = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(read_end)
+                os.close(write_end)
+                raise
+            if pid == 0:
+                _worker(fn, chunk, write_end)
+            os.close(write_end)
+            children.append((pid, read_end))
+        results = [fn(chunks[0])]
+        registry = fn.__globals__.setdefault("__warningregistry__", {})
+        for pid, read_end in children:
+            with open(read_end, "rb", closefd=False) as pipe:
+                data = pipe.read()
+            if not data:
+                raise RuntimeError(f"worker {pid} exited without a result")
+            outcome = pickle.loads(data)  # written by the child forked above
+            if outcome[0] == "error":
+                raise outcome[1]
+            _, result, caught = outcome
+            for message, category, filename, lineno in caught:
+                warnings.warn_explicit(message, category, filename, lineno,
+                                       module=fn.__module__, registry=registry)
+            results.append(result)
+        return results
+    finally:
+        for pid, read_end in children:
+            os.close(read_end)
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            os.waitpid(pid, 0)
+
+
+def _worker(fn, chunk: list, write_end: int) -> None:
+    """Body of a forked child: write the pickled outcome of its chunk to the
+    pipe and exit, never returning into the caller's stack. A child that
+    exits without writing is reported by the parent."""
+    import pickle
+
+    code = 1
+    try:
+        try:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                result = fn(chunk)
+            outcome = ("ok", result, [(w.message, w.category, w.filename, w.lineno)
+                                      for w in caught])
+        except Exception as exc:  # raised again by the parent
+            outcome = ("error", exc)
+        with open(write_end, "wb") as pipe:
+            pipe.write(pickle.dumps(outcome))
+        code = 0
+    finally:
+        os._exit(code)

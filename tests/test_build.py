@@ -224,6 +224,23 @@ def test_empty_corpus_rejected(valence, emotions, synonyms):
         build_network([], valence, emotions, synonyms)
 
 
+def test_empty_generator_rejected(valence, emotions, synonyms):
+    with pytest.raises(ValueError, match="^no sentences$"):
+        build_network(iter([]), valence, emotions, synonyms)
+
+
+def test_build_from_a_generator_equals_build_from_the_list(valence, emotions, synonyms):
+    texts = ["love is pain", "love is joy", "love loves love", "man is not god", "love is joy"]
+    sentences = [heuristic_parse(t) for t in texts]
+    from_list = build_network(sentences, valence, emotions, synonyms, corpus_id="g")
+    from_generator = build_network((heuristic_parse(t) for t in texts), valence, emotions, synonyms,
+                                   corpus_id="g")
+    assert from_generator == from_list
+    assert list(from_generator.syntactic_edges.items()) == list(from_list.syntactic_edges.items())
+    assert from_list.provenance["sentence_count"] == 5
+    assert from_list.provenance["edgeless_sentences"] == 1
+
+
 def test_provenance_recorded(valence, emotions, synonyms):
     net = build_network(
         [heuristic_parse("love is weakness")],

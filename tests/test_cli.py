@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import click
@@ -12,9 +13,9 @@ import pytest
 from click.testing import CliRunner
 
 import tfmn
-from tfmn import stats
+from tfmn import build as builder, ingest, stats, workers
 from tfmn.build import Concept, MultiplexLexicalNetwork, save_network
-from tfmn.cli import main
+from tfmn.cli import _parse_documents, main
 from tfmn.stats import SWAPS_PER_EDGE
 
 from conftest import failing_kernel, make_network
@@ -392,7 +393,7 @@ def test_nulltest_rejects_swaps_per_edge_below_one(built, runner, tmp_path, swap
 
 def test_nulltest_error_in_a_worker_fails_with_one_json_line(built, runner, tmp_path, monkeypatch):
     monkeypatch.setattr(stats, "_rewire_ids", failing_kernel(4))
-    monkeypatch.setattr(stats, "_usable_cpus", lambda: 2)  # seeds 2-4 go to the worker
+    monkeypatch.setattr(workers, "_usable_cpus", lambda: 2)  # seeds 2-4 go to the worker
     out = tmp_path / "null.json"
     result = runner.invoke(main, ["nulltest", "--network", str(built / "toy.network.json"),
                                   "--realizations", "5", "--out", str(out)])
@@ -401,6 +402,102 @@ def test_nulltest_error_in_a_worker_fails_with_one_json_line(built, runner, tmp_
     assert result.stdout == "" and not out.exists()
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+# Seven documents, which split 3 + 4 over two workers and 2 + 2 + 3 over
+# three: f2 is dropped as short, "Wow." is left unparsed, "Love loves love."
+# gives no edge (its one stem pair is a self-pair), and (joi, love) occurs in
+# f1 and again in f7, each time in another chunk.
+FORKED_CORPUS = (
+    "f1\tLove is joy. Success is victory.\n"
+    "f2\tno way\n"
+    "f3\tWow. Fear is pain. Loss is grief.\n"
+    "f4\tLove loves love. Science is hard.\n"
+    "f5\tHope is success. Mathematics is not impossible.\n"
+    "f6\tthe cat sat on the chair\n"
+    "f7\tLove is joy. Grief is pain.\n"
+)
+
+
+def _build_with_workers(runner, tmp_path, corpus, k, name):
+    """Runs build of corpus with k usable CPUs into tmp_path / name."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(workers, "_usable_cpus", lambda: k)
+        return runner.invoke(main, ["build", "--corpus", str(corpus), "--corpus-id", "f",
+                                    "--out-dir", str(tmp_path / name)])
+
+
+@pytest.mark.parametrize("n_docs", [7, 2], ids=["uneven chunks", "fewer documents than workers"])
+def test_build_does_not_depend_on_the_worker_count(runner, tmp_path, monkeypatch, n_docs, valence,
+                                                   emotions, synonyms):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("".join(FORKED_CORPUS.splitlines(keepends=True)[:n_docs]), encoding="utf-8")
+    built = []
+    assemble = builder.assemble_network
+    monkeypatch.setattr(builder, "assemble_network",
+                        lambda *args, **kwargs: built.append(assemble(*args, **kwargs)) or built[-1])
+    outputs = []
+    for k in (1, 2, 3):
+        result = _build_with_workers(runner, tmp_path, corpus, k, f"out{k}")
+        assert result.exit_code == 0, result.output
+        outputs.append({p.name: p.read_bytes() for p in sorted((tmp_path / f"out{k}").iterdir())})
+    assert len(outputs[0]) == 3
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+    # insertion order too, which the files do not show
+    edges = [list(net.syntactic_edges.items()) for net in built]
+    assert edges[1] == edges[0] and edges[2] == edges[0]
+    sentences = _parse_documents(ingest.read_text_corpus(corpus), 3, Counter())
+    one_process = builder.build_network(sentences, valence, emotions, synonyms)
+    assert list(one_process.syntactic_edges.items()) == edges[0]
+    if n_docs == 7:
+        summary = json.loads(outputs[0]["f.summary.json"])
+        assert summary["ingest"] == {"documents": 6, "dropped_short": 1, "unparsed_sentences": 1,
+                                     "rejected": 0}
+        assert summary["provenance"]["edgeless_sentences"] == 1
+        assert dict(edges[0])[("joi", "love")] == 2
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_build_error_in_a_worker_chunk_fails_with_one_json_line(runner, tmp_path, monkeypatch):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text(FORKED_CORPUS, encoding="utf-8")
+    parse = ingest.heuristic_parse
+
+    def failing(sentence, doc_id):
+        if doc_id.startswith("f7-"):  # in the second chunk of two
+            raise ValueError("bad document f7")
+        return parse(sentence, doc_id=doc_id)
+
+    monkeypatch.setattr(ingest, "heuristic_parse", failing)
+    result = _build_with_workers(runner, tmp_path, corpus, 2, "out")
+    _assert_one_json_error(result)
+    assert json.loads(result.stderr) == {"error": "bad document f7", "corpus": str(corpus)}
+    assert result.stdout == "" and not (tmp_path / "out").exists()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_build_of_only_dropped_documents_fails_with_no_sentences(runner, tmp_path):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("a\tno way\nb\ttoo short\nc\thi\n", encoding="utf-8")
+    result = _build_with_workers(runner, tmp_path, corpus, 2, "out")
+    _assert_one_json_error(result)
+    assert json.loads(result.stderr)["error"] == "no sentences"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("corpus_id", ["../escaped", "", ".", "..", "a/b", "/abs"])
+def test_build_refuses_a_corpus_id_that_is_not_a_file_name(runner, tmp_path, monkeypatch, corpus_id):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text(CORPUS, encoding="utf-8")
+    monkeypatch.setattr(ingest, "read_text_corpus", None)  # any work would fail otherwise
+    result = runner.invoke(main, ["build", "--corpus", str(corpus), "--corpus-id", corpus_id,
+                                  "--out-dir", str(tmp_path / "out")])
+    _assert_one_json_error(result)
+    assert repr(corpus_id) in json.loads(result.stderr)["error"]
+    assert result.stdout == ""
+    assert list(tmp_path.rglob("*")) == [corpus]
 
 
 def test_missing_network_path_fails_with_one_json_line(runner, tmp_path):
@@ -638,7 +735,7 @@ def test_cli_import_leaves_networkx_unloaded():
     assert proc.returncode == 0, proc.stderr
 
 
-LAYERS = ("analysis", "build", "ingest", "lexicons", "metrics", "stats", "stemmer")
+SUBMODULES = ("analysis", "build", "ingest", "lexicons", "metrics", "stats", "stemmer", "workers")
 
 
 def test_cli_import_binds_every_layer_and_executes_none():
@@ -647,10 +744,10 @@ def test_cli_import_binds_every_layer_and_executes_none():
     env = {**os.environ, "PYTHONPATH": str(Path(tfmn.__file__).resolve().parents[1])}
     code = ("import json, sys, types, tfmn.cli\n"
             "print(json.dumps({n: type(sys.modules.get(f'tfmn.{n}')).__name__ for n in sys.argv[1:]}))")
-    proc = subprocess.run([sys.executable, "-c", code, *LAYERS], env=env, capture_output=True,
+    proc = subprocess.run([sys.executable, "-c", code, *SUBMODULES], env=env, capture_output=True,
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == {n: "_LazyModule" for n in LAYERS}
+    assert json.loads(proc.stdout) == {n: "_LazyModule" for n in SUBMODULES}
 
 
 _REPORT_EXECUTED = """
@@ -666,12 +763,12 @@ finally:
 
 @pytest.mark.parametrize("args, executed", [
     (["build", "--corpus", "corpus.txt", "--corpus-id", "toy", "--out-dir", "out2"],
-     {"build", "ingest", "lexicons", "stemmer"}),
+     {"build", "ingest", "lexicons", "stemmer", "workers"}),
     (["rank", "--out", "rank.csv"], {"build", "metrics"}),
     (["aura", "--targets", "love"], {"build", "analysis"}),
     (["communities", "--target", "love", "--out", "comm.json"], {"build", "analysis"}),
     (["profile", "--targets", "love", "--out-dir", "prof"], {"build", "analysis", "lexicons", "stemmer"}),
-    (["nulltest", "--realizations", "2", "--out", "null.json"], {"build", "metrics", "stats"}),
+    (["nulltest", "--realizations", "2", "--out", "null.json"], {"build", "metrics", "stats", "workers"}),
 ], ids=["build", "rank", "aura", "communities", "profile", "nulltest"])
 def test_each_command_executes_only_the_layers_it_runs(built, tmp_path, args, executed):
     (tmp_path / "corpus.txt").write_text(CORPUS, encoding="utf-8")
@@ -683,7 +780,7 @@ def test_each_command_executes_only_the_layers_it_runs(built, tmp_path, args, ex
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stderr.splitlines()[-1])
-    assert set(report["executed"]) & set(LAYERS) == executed
+    assert set(report["executed"]) & set(SUBMODULES) == executed
     if args[0] == "aura":
         assert not report["hashlib"]
 

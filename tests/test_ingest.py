@@ -3,6 +3,7 @@ import random
 import re
 import tempfile
 import unicodedata
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -316,9 +317,11 @@ def test_heuristic_trees_are_pinned(data_dir):
     """Every tree the parser gives for the bundled synthetic corpus and the
     benchmark paragraphs, parsed as build and benchmark parse them, so that a
     changed tree fails here and not only in the network bytes."""
-    sentences, _ = _parse_documents(read_text_corpus(data_dir / "synthetic" / "corpus.txt"), 3)
+    sentences = list(_parse_documents(read_text_corpus(data_dir / "synthetic" / "corpus.txt"), 3,
+                                      Counter()))
     for path in sorted((data_dir / "benchmark").glob("*.txt")):
-        sentences += _parse_documents([RawDocument(path.stem, path.read_text(encoding="utf-8"))], 1)[0]
+        sentences += _parse_documents([RawDocument(path.stem, path.read_text(encoding="utf-8"))], 1,
+                                      Counter())
     digest = hashlib.sha256("".join(map(to_conllu, sentences)).encode("utf-8")).hexdigest()
     assert (len(sentences), digest) == (
         1190, "c57bcbd105a8d71a432c1c5cd12db94cc0307b95b51947253d6666d6e165947d")

@@ -343,14 +343,25 @@ def test_clustering_null_values_match_the_stem_reference(layers, seed, swaps_per
 @example(set(), 0, 1)
 @example({("n2", "n3"), ("n4", "n5")}, 1, 2)  # n0 and n1 stay a component of their own
 @example(complete_edges(9), 2, 1)
+@example({("n4", "n5"), ("n2", "n7")}, 0, 1)  # every rewire moves n0's edge off the ranked stems
 def test_benchmark_null_distances_match_the_stem_reference(edges, seed, swaps_per_edge):
     """n9 is isolated, so unreachable in every realization, and "q" is not in
-    the oracle; n0 keeps a neighbour, so each sample is nonempty."""
+    the oracle. n0 keeps its neighbour n1 in the oracle, so the empirical
+    sample is nonempty, but a rewire may leave no ranked stem reachable; when
+    no realization reaches one, the null sample is empty and the report
+    raises."""
     oracle = adjacency([f"n{k}" for k in range(10)], edges | {("n0", "n1")})
     rankings = {"n0": ["n1", "n3", "q", "n9", "n0", "n5", "n8", "n3"],
                 "n6": ["n0", "n7", "n9", "q", "n2"], "absent": ["n1"]}
-    values = realization_values(
-        lambda: benchmark_topic_relevance(rankings, oracle, 3, seed, swaps_per_edge))
+    errors = []
+
+    def report():
+        try:
+            benchmark_topic_relevance(rankings, oracle, 3, seed, swaps_per_edge)
+        except ValueError as exc:
+            errors.append(str(exc))
+
+    values = realization_values(report)
     expected = []
     for s in range(seed, seed + 3):
         with warnings.catch_warnings():
@@ -360,6 +371,7 @@ def test_benchmark_null_distances_match_the_stem_reference(edges, seed, swaps_pe
         expected.append([float(lengths[t][x]) for t in ("n0", "n6") for x in rankings[t]
                          if x != t and x in lengths[t]])
     assert values == expected
+    assert errors == ([] if any(expected) else ["both samples must be nonempty"])
 
 
 # ---------------------------------------------------------------------------
@@ -552,7 +564,7 @@ def test_clustering_null_test_needs_two(n_realizations):
 def workers(monkeypatch):
     """Sets the usable CPU count, and with it the worker count, to k."""
     def force(k):
-        monkeypatch.setattr(stats, "_usable_cpus", lambda: k)
+        monkeypatch.setattr("tfmn.workers._usable_cpus", lambda: k)
     return force
 
 
@@ -609,7 +621,7 @@ def test_cli_warnings_from_workers_match_the_one_process_run(tmp_path):
     the 8 realizations fall short by the same count, so their warning shows
     once."""
     save_network(make_network(STAR_PLUS_EDGE, synonym={("a", "b"), ("c", "d")}), tmp_path / "net.json")
-    entry = ("import sys, tfmn.stats; k = int(sys.argv.pop(1)); tfmn.stats._usable_cpus = lambda: k\n"
+    entry = ("import sys, tfmn.workers; k = int(sys.argv.pop(1)); tfmn.workers._usable_cpus = lambda: k\n"
              "from tfmn.cli import main; sys.argv[0] = 'tfmn'; main()")
     env = {**os.environ, "PYTHONPATH": str(Path(stats.__file__).resolve().parents[1])}
     stderr = []

@@ -36,6 +36,7 @@ from __future__ import annotations
 import math
 import statistics
 import sys
+from collections import Counter
 from collections.abc import Callable, Iterator
 from pathlib import Path
 
@@ -135,7 +136,7 @@ def bundled_graphs() -> dict[str, tuple[Adjacency, dict[str, Statistic]]]:
     corpus is parsed as `tfmn build` parses it (--min-words 3)."""
     oracle = load_free_associations(DATA / "benchmark" / "free_associations.tsv")
     lexicons = DATA / "lexicons"
-    sentences, _ = _parse_documents(read_text_corpus(DATA / "synthetic" / "corpus.txt"), 3)
+    sentences = _parse_documents(read_text_corpus(DATA / "synthetic" / "corpus.txt"), 3, Counter())
     net = build_network(sentences, load_valence_norms(lexicons / "valence.csv"),
                         load_emotion_lexicon(lexicons / "emotions.tsv"),
                         load_synonyms(lexicons / "synonyms.tsv"), corpus_id="synthetic")

@@ -9,13 +9,15 @@ SRC_DIR is a checkout's `src` directory. The bundled lexicons, synthetic
 corpus, benchmark paragraphs and free-association oracle are copied from
 SRC_DIR into a temporary directory, together with TWEETS, a small fixed tweet-like corpus (emoji,
 URLs, mentions, hashtags, contractions, negated copulas, non-ASCII letters)
-that the bundled ASCII corpus lacks, and CONLLU, a small fixed parsed corpus
+that the bundled ASCII corpus lacks, UNEVEN, seven short documents that split
+3 + 4 over two build workers and 2 + 2 + 3 over three, and CONLLU, a small fixed parsed corpus
 whose function words have dependants, so that `build --corpus-format conllu`
 exercises chained contraction, which no heuristic tree does. Each command
 runs there as `python -m tfmn.cli` with SRC_DIR on PYTHONPATH, relative
 paths and an explicit --lexicon-dir, --paragraph-dir and --oracle, so the
 paths stamped into outputs are the same for every checkout. The commands:
-build of each corpus; rank in each layer mode; aura; profile; communities
+build of each corpus (the text ones are counted in chunks of documents,
+one per usable CPU); rank in each layer mode; aura; profile; communities
 --seed 3 --target love; nulltest --realizations 5 --seed 7 and --realizations 7
 --seed 2 (chunks of unequal size on two CPUs); nulltest on SMALL_NETWORK, a
 hand-written network with a pair in both layers, an isolated node and a
@@ -27,8 +29,9 @@ same files and print the same text when
 
     diff <(python3 tools/output_digests.py a/src) <(python3 tools/output_digests.py b/src)
 
-prints nothing. nulltest and benchmark spread their realizations over one
-process per usable CPU; their outputs do not depend on that count when
+prints nothing. build spreads its documents, and nulltest and benchmark
+their realizations, over one process per usable CPU; their outputs do not
+depend on that count when
 
     diff <(taskset -c 0 python3 tools/output_digests.py src) <(python3 tools/output_digests.py src)
 
@@ -51,6 +54,8 @@ COMMANDS = [
     ["build", "--corpus", "corpus.txt", "--corpus-id", "synthetic", "--lexicon-dir", "lexicons",
      "--out-dir", "out"],
     ["build", "--corpus", "tweets.txt", "--corpus-id", "tweets", "--lexicon-dir", "lexicons",
+     "--out-dir", "out"],
+    ["build", "--corpus", "uneven.txt", "--corpus-id", "uneven", "--lexicon-dir", "lexicons",
      "--out-dir", "out"],
     ["build", "--corpus", "parsed.conllu", "--corpus-format", "conllu", "--corpus-id", "parsed",
      "--lexicon-dir", "lexicons", "--out-dir", "out"],
@@ -90,6 +95,20 @@ t11	STEM careers are rewarding. Stereotypes are harmful \U0001f52c\U0001f9ea\U00
 t12	\u6570\u5b66 is universal and \u00fcbung makes progress. Anxiety isn't destiny
 """
 
+
+# A document dropped as short (u2), an unparsed sentence ("Yes."), an
+# edgeless one ("Work works work.", a self-pair), and edges, (girl, love) and
+# (love, scienc), in the first and last documents, so in two chunks for any
+# worker count.
+UNEVEN = """\
+u1	Girls love science. Science is creative.
+u2	too short
+u3	Yes. Engineering is not boring.
+u4	Work works work. Teachers inspire students.
+u5	Mathematics is beautiful and the gap is real.
+u6	the gap is closing slowly
+u7	Girls love science. Students fear failure.
+"""
 
 # Heuristic trees keep every function word a leaf, so only parsed input reaches
 # chained contraction: here ADPs, DETs, an aux and a punct have dependants, and
@@ -174,6 +193,7 @@ def copy_inputs(data: Path, work: Path) -> None:
     shutil.copy(data / "benchmark" / "free_associations.tsv", work / "oracle.tsv")
     (work / "small.network.json").write_text(json.dumps(SMALL_NETWORK, indent=1), encoding="utf-8")
     (work / "tweets.txt").write_text(TWEETS, encoding="utf-8")
+    (work / "uneven.txt").write_text(UNEVEN, encoding="utf-8")
     (work / "parsed.conllu").write_text(
         "".join(line if line.startswith("#") else line.replace(" ", "\t")
                 for line in CONLLU.splitlines(keepends=True)), encoding="utf-8")

@@ -50,15 +50,14 @@ def valence_aura(net: MultiplexLexicalNetwork, target: str) -> AuraReport:
     """Mode of valence labels among the target's distinct aggregate
     neighbours; ties are reported as 'mixed', zero rated neighbours as
     'undetermined'. Unrated neighbours are excluded from fractions."""
-    adj = net.adjacency()
-    if target not in adj:
-        raise KeyError(f"unknown node {target!r}")
-    if not adj[target]:
+    stems, nbrs = graph = net.indexed()
+    neighbours = nbrs[graph.id_of(target)]
+    if not neighbours:
         raise ValueError(f"node {target!r} has no neighbors")
     counts = {"positive": 0, "neutral": 0, "negative": 0}
     unrated = 0
-    for nb in adj[target]:
-        label = net.nodes[nb].valence_label
+    for v in neighbours:
+        label = net.nodes[stems[v]].valence_label
         if label == "unrated":
             unrated += 1
         else:
@@ -102,22 +101,22 @@ def emotional_profile(
     An associate that is syntactically adjacent to a negation marker also
     contributes the emotions of its antonym, flagged as negated. Negation
     markers themselves contribute nothing directly."""
-    aggregate = net.adjacency()
-    if target not in aggregate:
-        raise KeyError(f"unknown node {target!r}")
-    syntactic = net.adjacency("syntactic")
-    negation_nodes = {s for s, c in net.nodes.items() if c.is_negation_marker}
+    stems, aggregate = graph = net.indexed()
+    associates = aggregate[graph.id_of(target)]  # ids in sorted-stem order
+    syntactic = net.indexed("syntactic").nbrs
+    negation = [net.nodes[s].is_negation_marker for s in stems]
 
     counts = {e: 0 for e in lexicons.EMOTIONS}
     contributors: list[tuple[str, str, bool]] = []
     missing_antonyms = 0
-    for associate in sorted(aggregate[target]):
-        if associate in negation_nodes:
+    for v in associates:
+        if negation[v]:
             continue
+        associate = stems[v]
         for emotion in sorted(emotions.emotions(associate)):
             counts[emotion] += 1
             contributors.append((associate, emotion, False))
-        if not negation_nodes.isdisjoint(syntactic[associate]):
+        if any(negation[w] for w in syntactic[v]):
             antonym = antonyms.antonym(associate)
             if antonym is None:
                 missing_antonyms += 1
@@ -135,12 +134,6 @@ class CommunityPartition:
     communities: dict[str, int]  # stem -> community id
     modularity_value: float
     seed: int
-
-    def members(self, community_id: int) -> set[str]:
-        return {s for s, cid in self.communities.items() if cid == community_id}
-
-    def community_of(self, target: str) -> int:
-        return self.communities[target]
 
 
 def louvain_partition(net: MultiplexLexicalNetwork, seed: int) -> CommunityPartition:
@@ -161,20 +154,21 @@ def louvain_partition(net: MultiplexLexicalNetwork, seed: int) -> CommunityParti
     m = sum(map(_degree, graph, range(len(graph)))) / 2
     rng = random.Random(seed)
 
+    # members[u]: the original nodes that node u of the current level stands for
     level, members = graph, [{u} for u in range(len(graph))]
     mod = _modularity(level, members)
-    partition, inner, _ = _one_level(level, m, [set(c) for c in members], members, rng)
+    inner, _ = _one_level(level, m, rng)
     while True:
         new_mod = _modularity(level, inner)
         if new_mod - mod <= 1e-7:
             break
         mod = new_mod
-        level, members = _gen_graph(level, inner, members)
-        partition, inner, moved = _one_level(level, m, partition, members, rng)
-        if not moved:  # then partition is the one the last level found
+        level, members = _gen_graph(level, inner), _merged(inner, members)
+        inner, moved = _one_level(level, m, rng)
+        if not moved:
             break
 
-    communities = sorted(sorted(c) for c in partition)
+    communities = sorted(sorted(c) for c in _merged(inner, members))
     assignment = {stems[u]: cid for cid, comm in enumerate(communities) for u in comm}
     q = _modularity(graph, [set(c) for c in communities])
     return CommunityPartition(communities=assignment, modularity_value=q, seed=seed)
@@ -212,10 +206,10 @@ def _modularity(adj: list[dict[int, int]], communities: list[set[int]]) -> float
     return sum(map(contribution, communities))
 
 
-def _one_level(adj, m, partition, members, rng):
+def _one_level(adj, m, rng):
     """Move each node, in one shuffled order, to the neighbour community of
     largest positive gain until no move helps; returns the non-empty
-    (partition of the original nodes, partition of this level, moved?)."""
+    communities of this level's nodes and whether any node moved."""
     node2com = list(range(len(adj)))
     inner = [{u} for u in range(len(adj))]
     degrees = list(map(_degree, adj, range(len(adj))))
@@ -244,43 +238,34 @@ def _one_level(adj, m, partition, members, rng):
                     best_com = com
             stot[best_com] += degree
             if best_com != node2com[u]:
-                partition[node2com[u]].difference_update(members[u])
                 inner[node2com[u]].remove(u)
-                partition[best_com].update(members[u])
                 inner[best_com].add(u)
                 improvement = True
                 moves += 1
                 node2com[u] = best_com
-    return [c for c in partition if c], [c for c in inner if c], improvement
+    return [c for c in inner if c], improvement
 
 
-def _gen_graph(adj, inner, members):
+def _gen_graph(adj, inner):
     """One node per community of this level, edge weights summed in edge order."""
     node2com = {u: i for i, comm in enumerate(inner) for u in comm}
-    merged = [set().union(*(members[u] for u in comm)) for comm in inner]
     edges = ((node2com[u], node2com[v], w) for u, v, w in _edges(adj))
-    return _level_graph(len(inner), edges), merged
+    return _level_graph(len(inner), edges)
+
+
+def _merged(inner, members):
+    """The original nodes of each community of this level."""
+    return [set().union(*(members[u] for u in comm)) for comm in inner]
 
 
 def neighborhood_subgraph(
-    net: MultiplexLexicalNetwork,
-    target: str,
-    mode: str = "neighbors",
-    partition: CommunityPartition | None = None,
+    net: MultiplexLexicalNetwork, target: str, partition: CommunityPartition
 ) -> MultiplexLexicalNetwork:
-    """Induced subnetwork over the target and either its aggregate
-    neighbours or its whole Louvain community."""
-    adj = net.adjacency()
-    if target not in adj:
+    """Induced subnetwork over the target's Louvain community."""
+    if target not in net.nodes:
         raise KeyError(f"unknown node {target!r}")
-    if mode == "neighbors":
-        keep = {target} | adj[target]
-    elif mode == "community":
-        if partition is None:
-            raise ValueError("community mode requires a partition")
-        keep = partition.members(partition.community_of(target)) | {target}
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    community = partition.communities[target]
+    keep = {s for s, cid in partition.communities.items() if cid == community}
     sub = MultiplexLexicalNetwork(
         nodes={s: net.nodes[s] for s in keep},
         syntactic_edges={
@@ -291,7 +276,7 @@ def neighborhood_subgraph(
         synonym_edges={
             pair for pair in net.synonym_edges if pair[0] in keep and pair[1] in keep
         },
-        provenance={**net.provenance, "subgraph_of": target, "subgraph_mode": mode},
+        provenance={**net.provenance, "subgraph_of": target},
     )
     sub.validate()
     return sub

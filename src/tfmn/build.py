@@ -15,11 +15,11 @@ import functools
 import json
 import math
 import re
-from collections.abc import Iterable, Mapping
+from bisect import bisect_left
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from types import MappingProxyType
 from typing import NamedTuple
 
 from . import ingest, lexicons, stemmer
@@ -27,7 +27,6 @@ from . import ingest, lexicons, stemmer
 __all__ = [
     "Concept",
     "MultiplexLexicalNetwork",
-    "adjacency",
     "Indexed",
     "indexed",
     "extract_syntactic_edges",
@@ -45,7 +44,6 @@ __all__ = [
 
 _CONTENT_UPOS = frozenset({"NOUN", "PROPN", "VERB", "ADJ", "ADV", "PRON"})
 _VALENCE_LABELS = frozenset({"positive", "neutral", "negative", "unrated"})
-Adjacency = Mapping[str, frozenset[str]]  # stem -> neighbour stems
 
 
 @dataclass(frozen=True)
@@ -57,33 +55,37 @@ class Concept:
     is_negation_marker: bool = False
 
 
-def adjacency(nodes: Iterable[str], *edge_collections: Iterable[tuple[str, str]]) -> Adjacency:
-    """Read-only neighbour map of the edge collections' union; every node a key, in sorted order."""
-    adj: dict[str, set[str]] = {s: set() for s in sorted(nodes)}
-    for edges in edge_collections:
-        for a, b in edges:
-            adj[a].add(b)
-            adj[b].add(a)
-    return MappingProxyType({s: frozenset(nbrs) for s, nbrs in adj.items()})
-
-
 class Indexed(NamedTuple):
-    """An adjacency map with ids: stems[u] is node u, nbrs[u] its sorted
-    neighbour ids. Ids number the stems in sorted order, so comparing two ids
-    compares the stems: an id pair (lo, hi) orients an edge as the stem pair
-    does, and sorted id pairs list the edges in sorted-stem order. Closeness,
-    Louvain and the swap kernel read these ids, so their floats and random
-    draws are the ones they would give on the stems."""
+    """A graph with ids: stems[u] is node u, nbrs[u] its sorted neighbour
+    ids. Ids number the stems in sorted order, so comparing two ids compares
+    the stems: an id pair (lo, hi) orients an edge as the stem pair does, and
+    sorted id pairs list the edges in sorted-stem order. Every graph query
+    reads these ids, so its floats and random draws are the ones it would
+    give on the stems."""
 
     stems: tuple[str, ...]
     nbrs: tuple[tuple[int, ...], ...]
 
+    def id_of(self, stem: str) -> int:
+        """The id of a node's stem; KeyError if no node has it."""
+        u = bisect_left(self.stems, stem)
+        if u == len(self.stems) or self.stems[u] != stem:
+            raise KeyError(f"unknown node {stem!r}")
+        return u
 
-def indexed(adj: Adjacency) -> Indexed:
-    """The sorted-stem numbering of an adjacency map."""
-    stems = tuple(sorted(adj))
+
+def indexed(nodes: Iterable[str], *edge_collections: Iterable[tuple[str, str]]) -> Indexed:
+    """The sorted-stem numbering of the nodes, with the neighbours of the
+    edge collections' union; an edge may name only given nodes."""
+    stems = tuple(sorted(set(nodes)))
     ids = {s: i for i, s in enumerate(stems)}
-    return Indexed(stems, tuple([tuple(sorted(map(ids.__getitem__, adj[s]))) for s in stems]))
+    nbrs: list[set[int]] = [set() for _ in stems]
+    for edges in edge_collections:
+        for a, b in edges:
+            u, v = ids[a], ids[b]
+            nbrs[u].add(v)
+            nbrs[v].add(u)
+    return Indexed(stems, tuple([tuple(sorted(nb)) for nb in nbrs]))
 
 
 @dataclass
@@ -92,20 +94,14 @@ class MultiplexLexicalNetwork:
     syntactic_edges: dict[tuple[str, str], int]  # ordered pair (min, max) -> count
     synonym_edges: set[tuple[str, str]]
     provenance: dict
-    # adjacency and index of each view, built on its first request; edit no field after
-    _adjacency: dict[str, Adjacency] = field(default_factory=dict, init=False, repr=False, compare=False)
+    # index of each view, built on its first request; edit no field after
     _indexed: dict[str, Indexed] = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def adjacency(self, view: str = "aggregate") -> Adjacency:
-        """Neighbour map of the aggregate (both layers), syntactic or synonym view."""
-        if view not in self._adjacency:
-            self._adjacency[view] = adjacency(self.nodes, *self._layers(view))
-        return self._adjacency[view]
-
     def indexed(self, view: str = "aggregate") -> Indexed:
-        """The view's adjacency with sorted-stem ids; every view numbers all nodes alike."""
+        """The aggregate (both layers), syntactic or synonym view with
+        sorted-stem ids; every view numbers all nodes alike."""
         if view not in self._indexed:
-            self._indexed[view] = indexed(self.adjacency(view))
+            self._indexed[view] = indexed(self.nodes, *self._layers(view))
         return self._indexed[view]
 
     def _layers(self, view: str) -> tuple:
@@ -519,7 +515,7 @@ def write_graphml(net: MultiplexLexicalNetwork, path: str | Path) -> None:
                 _graphml_data("      ", "d3", ",".join(sorted(c.emotions))),
                 _graphml_data("      ", "d4", c.is_negation_marker),
                 "    </node>\n"]
-    # grouped by the smaller stem, as networkx walks its adjacency
+    # grouped by the smaller stem, as networkx walks its neighbour dicts
     for (a, b), (layer, count) in sorted(edges.items(), key=lambda e: e[0][0]):
         out += [f'    <edge source="{_attr(a)}" target="{_attr(b)}">\n',
                 _graphml_data("      ", "d5", layer),

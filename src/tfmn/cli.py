@@ -372,7 +372,7 @@ def communities(network, seed, target, out):
         "seed": seed,
     }
     if node is not None:
-        sub = analysis.neighborhood_subgraph(net, node, mode="community", partition=partition)
+        sub = analysis.neighborhood_subgraph(net, node, partition)
         payload["target_community"] = sorted(sub.nodes)
         edge_classes = analysis.classify_edges(sub)
         payload["edge_classes"] = {f"{a}|{b}": cls for (a, b), cls in edge_classes.items()}

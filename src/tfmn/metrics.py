@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .build import Adjacency, MultiplexLexicalNetwork
+from .build import MultiplexLexicalNetwork
 
 __all__ = [
     "DistanceMatrix",
@@ -43,12 +43,13 @@ class DistanceMatrix:
         return self.distances.get(a, {}).get(b)
 
 
-def bfs(adj: Adjacency, source: str) -> dict[str, int]:
-    """Breadth-first distances from source to every node it reaches (stem or id keys)."""
+def bfs(nbrs, source: int) -> dict[int, int]:
+    """Breadth-first distances from the id source to the id of every node it
+    reaches, given id-indexed neighbour lists such as an `Indexed`'s nbrs."""
     dist = {source: 0}
     queue = [source]
     for u in queue:  # also reads the nodes appended while it runs
-        for v in adj[u]:
+        for v in nbrs[u]:
             if v not in dist:
                 dist[v] = dist[u] + 1
                 queue.append(v)
@@ -71,18 +72,16 @@ def shortest_paths(
     """Breadth-first distances within each connected component of the chosen
     layer view; cross-component pairs are simply absent."""
     stems, nbrs = net.indexed(_view(layer_mode))
-    adj = net.adjacency(_view(layer_mode))
     component_id = {stems[u]: cid for cid, comp in enumerate(_components(nbrs)) for u in comp}
-    return DistanceMatrix(component_id=component_id, distances={s: bfs(adj, s) for s in adj})
+    distances = {s: {stems[v]: d for v, d in bfs(nbrs, u).items()} for u, s in enumerate(stems)}
+    return DistanceMatrix(component_id=component_id, distances=distances)
 
 
 def closeness(net: MultiplexLexicalNetwork, node: str, layer_mode: str = "aggregate") -> float | None:
     """Closeness of one node: N / sum of distances over its component
     (N = component size). None for isolated nodes."""
-    adj = net.adjacency(_view(layer_mode))
-    if node not in adj:
-        raise KeyError(f"unknown node {node!r}")
-    lengths = bfs(adj, node)
+    graph = net.indexed(_view(layer_mode))
+    lengths = bfs(graph.nbrs, graph.id_of(node))
     return len(lengths) / sum(lengths.values()) if len(lengths) > 1 else None
 
 

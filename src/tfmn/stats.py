@@ -15,9 +15,9 @@ A given seed therefore always yields the same realization.
 The realizations of `clustering_null_test` and `benchmark_topic_relevance`
 stay on those ids from the swaps to the number they return: mean clustering
 and BFS distances are measured on id neighbour lists. Ids follow sorted-stem
-order, so the results equal `mean_clustering` or `bfs` applied to the public
-`configuration_rewire` or `rewire_graph`, which map the rewired ids back to
-stems.
+order, so the results equal `mean_clustering` of the public
+`configuration_rewire`, which maps the rewired ids back to stem pairs, or
+`bfs` on the `Indexed` graph that the public `rewire_graph` returns.
 
 The realizations of an ensemble are spread over forked worker processes, one
 per usable CPU (`tfmn.workers`), and gathered in seed order, so a report does
@@ -35,7 +35,7 @@ from pathlib import Path
 from typing import Callable, Iterator
 
 from . import lexicons, workers
-from .build import Adjacency, Indexed, MultiplexLexicalNetwork, adjacency, indexed
+from .build import Indexed, MultiplexLexicalNetwork, indexed
 from .metrics import _mean_clustering, bfs, mean_clustering
 
 __all__ = [
@@ -163,11 +163,12 @@ def configuration_rewire(
     )
 
 
-def rewire_graph(adj: Adjacency, seed: int, swaps_per_edge: int = SWAPS_PER_EDGE) -> Adjacency:
+def rewire_graph(graph: Indexed, seed: int, swaps_per_edge: int = SWAPS_PER_EDGE) -> Indexed:
     """Degree-preserving rewire of a plain simple graph, given and returned
-    as an adjacency map with the same nodes."""
-    rewired, _ = _rewire_edge_set(indexed(adj), random.Random(seed), swaps_per_edge)
-    return adjacency(adj, rewired)
+    as an `Indexed` graph on the same stems."""
+    n = len(graph.stems)
+    lo, hi, _ = _rewire_ids(*_edge_lists(graph), n, random.Random(seed), swaps_per_edge)
+    return Indexed(graph.stems, tuple([tuple(sorted(nb)) for nb in _neighbours(n, (lo, hi))]))
 
 
 def _neighbours(n: int, *edge_lists: tuple[list[int], list[int]]) -> list[list[int]]:
@@ -280,12 +281,12 @@ def _norm_cdf(x: float) -> float:
 # ---------------------------------------------------------------------------
 # free-association benchmark
 
-def load_free_associations(path: str | Path) -> Adjacency:
-    """The adjacency map of a word<TAB>word edge list, read like the synonym
-    and antonym tables: words stemmed with the stemmer used for network
-    construction, self-pairs dropped."""
+def load_free_associations(path: str | Path) -> Indexed:
+    """The `Indexed` graph of a word<TAB>word edge list, read like the
+    synonym and antonym tables: words stemmed with the stemmer used for
+    network construction, self-pairs dropped."""
     pairs, _ = lexicons._load_pairs(path)
-    return adjacency({s for e in pairs for s in e}, pairs)
+    return indexed({s for e in pairs for s in e}, pairs)
 
 
 def _topic_distances(nbrs, queries: list[tuple[int, list[int]]]) -> list[list[int]]:
@@ -300,7 +301,7 @@ def _topic_distances(nbrs, queries: list[tuple[int, list[int]]]) -> list[list[in
 
 def benchmark_topic_relevance(
     rankings: dict[str, list[str]],
-    oracle: Adjacency,
+    oracle: Indexed,
     n_realizations: int = 50,
     seed: int = 0,
     swaps_per_edge: int = SWAPS_PER_EDGE,
@@ -315,29 +316,28 @@ def benchmark_topic_relevance(
     """
     if n_realizations < 2:
         raise ValueError("need at least 2 realizations")
-    usable = {t: stems for t, stems in rankings.items() if t in oracle}
+    n = len(oracle.stems)
+    ids = {s: i for i, s in enumerate(oracle.stems)}
+    usable = {t: stems for t, stems in rankings.items() if t in ids}
     skipped_topics = sorted(set(rankings) - set(usable))
     if not usable:
         raise ValueError("no ranking topic is present in the oracle network")
     if skipped_topics:
         warnings.warn(f"topics absent from oracle skipped: {skipped_topics}")
 
-    graph = indexed(oracle)
-    n = len(graph.stems)
-    ids = {s: i for i, s in enumerate(graph.stems)}
     topics = sorted(usable)
     others = {t: [s for s in usable[t] if s != t] for t in topics}
     queries = [(ids[t], [ids[s] for s in others[t] if s in ids]) for t in topics]
     empirical: list[float] = []
     per_topic: dict[str, dict] = {}
     absent_stems = 0
-    for topic, distances in zip(topics, _topic_distances(graph.nbrs, queries)):
+    for topic, distances in zip(topics, _topic_distances(oracle.nbrs, queries)):
         skipped = len(others[topic]) - len(distances)
         absent_stems += skipped
         per_topic[topic] = {"empirical_distances": distances, "absent_stems": skipped}
         empirical.extend(float(d) for d in distances)
 
-    edges = _edge_lists(graph)  # forked workers inherit them
+    edges = _edge_lists(oracle)  # forked workers inherit them
 
     def null_distances(s: int) -> list[float]:
         lo, hi, _ = _rewire_ids(*edges, n, random.Random(s), swaps_per_edge)

@@ -168,9 +168,10 @@ def two_cliques():
 
 def test_louvain_finds_planted_cliques():
     part = louvain_partition(two_cliques(), seed=1)
-    assert part.community_of("a") == part.community_of("b") == part.community_of("c")
-    assert part.community_of("x") == part.community_of("y") == part.community_of("z")
-    assert part.community_of("a") != part.community_of("x")
+    ids = part.communities
+    assert ids["a"] == ids["b"] == ids["c"]
+    assert ids["x"] == ids["y"] == ids["z"]
+    assert ids["a"] != ids["x"]
     assert part.modularity_value > 0.3
 
 
@@ -183,8 +184,8 @@ def test_louvain_deterministic_for_seed():
 def test_community_ids_stable():
     part = louvain_partition(two_cliques(), seed=1)
     # ids assigned in lexicographic order of each community's first member
-    assert part.community_of("a") == 0
-    assert part.community_of("x") == 1
+    assert part.communities["a"] == 0
+    assert part.communities["x"] == 1
 
 
 def reference_louvain_partition(net: MultiplexLexicalNetwork, seed: int) -> CommunityPartition:
@@ -265,24 +266,21 @@ def test_louvain_without_edges_rejected():
 # subgraphs and edge classes
 
 
-def test_neighborhood_subgraph():
-    net = make_network({("t", "a"): 1, ("a", "b"): 1, ("t", "c"): 1, ("a", "c"): 1})
-    sub = neighborhood_subgraph(net, "t")
-    assert set(sub.nodes) == {"t", "a", "c"}
-    assert set(sub.syntactic_edges) == {("a", "t"), ("c", "t"), ("a", "c")}
-    assert sub.provenance["subgraph_of"] == "t"
-
-
 def test_community_subgraph():
     net = two_cliques()
+    net.synonym_edges.update({("a", "b"), ("b", "y")})
     part = louvain_partition(net, seed=1)
-    sub = neighborhood_subgraph(net, "a", mode="community", partition=part)
+    sub = neighborhood_subgraph(net, "a", part)
     assert set(sub.nodes) == {"a", "b", "c"}
+    assert set(sub.syntactic_edges) == {("a", "b"), ("a", "c"), ("b", "c")}
+    assert sub.synonym_edges == {("a", "b")}  # ("b", "y") leaves the community
+    assert sub.provenance["subgraph_of"] == "a"
 
 
-def test_community_mode_requires_partition():
-    with pytest.raises(ValueError):
-        neighborhood_subgraph(two_cliques(), "a", mode="community")
+def test_community_subgraph_of_unknown_target():
+    net = two_cliques()
+    with pytest.raises(KeyError, match="unknown node 'q'"):
+        neighborhood_subgraph(net, "q", louvain_partition(net, seed=1))
 
 
 def test_classify_edges():

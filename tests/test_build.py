@@ -292,54 +292,98 @@ def test_layer_graphs_keep_all_nodes():
     assert set(net.layer_graph("syntactic").edges()) == {("a", "b")}
 
 
+def stem_neighbours(graph) -> dict[str, set[str]]:
+    """An indexed graph's neighbour ids as stem sets, keyed in id order."""
+    stems, nbrs = graph
+    return {stems[u]: {stems[v] for v in ids} for u, ids in enumerate(nbrs)}
+
+
 def test_graph_views_built_once_and_frozen():
     net = make_network({("a", "b"): 1}, synonym={("b", "c")})
     for view in ("aggregate", "syntactic", "synonym"):
-        adj = net.adjacency(view)
-        assert net.adjacency(view) is adj
-        with pytest.raises(TypeError):
-            adj["a"] = frozenset({"c"})
         index = net.indexed(view)
         assert net.indexed(view) is index
-        assert index.stems == tuple(adj)
-    assert net.adjacency() is net.adjacency("aggregate")
-    assert net.adjacency() is not net.adjacency("syntactic")
+        with pytest.raises(AttributeError):
+            index.nbrs = ((2,), (), (0,))
+        with pytest.raises(TypeError):
+            index.nbrs[0] = (2,)
+        assert index.stems == ("a", "b", "c")
     assert net.indexed() is net.indexed("aggregate")
+    assert net.indexed() is not net.indexed("syntactic")
+    # one cache, keyed by view
+    assert [f.name for f in dataclasses.fields(net) if not f.init] == ["_indexed"]
+    assert list(net._indexed) == ["aggregate", "syntactic", "synonym"]
 
 
 def test_adjacency_views():
     net = make_network({("b", "c"): 1}, synonym={("a", "b"), ("b", "c")})
     net.nodes["d"] = Concept("d", "unrated", None, frozenset())  # isolated
-    assert dict(net.adjacency()) == {"a": {"b"}, "b": {"a", "c"}, "c": {"b"}, "d": set()}
-    assert dict(net.adjacency("syntactic")) == {"a": set(), "b": {"c"}, "c": {"b"}, "d": set()}
-    assert dict(net.adjacency("synonym")) == {"a": {"b"}, "b": {"a", "c"}, "c": {"b"}, "d": set()}
-    assert list(net.adjacency()) == ["a", "b", "c", "d"]
-    assert all(type(nbrs) is frozenset for nbrs in net.adjacency().values())
-    with pytest.raises(ValueError, match="unknown layer"):
-        net.adjacency("semantic")
+    assert stem_neighbours(net.indexed()) == {"a": {"b"}, "b": {"a", "c"}, "c": {"b"}, "d": set()}
+    assert stem_neighbours(net.indexed("syntactic")) == {"a": set(), "b": {"c"}, "c": {"b"}, "d": set()}
+    assert stem_neighbours(net.indexed("synonym")) == {"a": {"b"}, "b": {"a", "c"}, "c": {"b"}, "d": set()}
     with pytest.raises(ValueError, match="unknown layer"):
         net.indexed("semantic")
     assert net.indexed().nbrs == ((1,), (0, 2), (1,), ())
     assert net.indexed("syntactic").nbrs == ((), (2,), (1,), ())
     assert net.indexed("synonym").nbrs == ((1,), (0, 2), (1,), ())
     for view in ("aggregate", "syntactic", "synonym"):
-        adj, (stems, nbrs) = net.adjacency(view), net.indexed(view)
-        assert stems == tuple(adj) == ("a", "b", "c", "d")
-        for u, ids in enumerate(nbrs):
-            assert list(ids) == sorted(ids)
-            assert {stems[v] for v in ids} == adj[stems[u]]
-    # any neighbour map: ids in sorted-stem order, whatever the key order
-    assert indexed({"z": {"a"}, "m": set(), "a": {"z"}}) == (("a", "m", "z"), ((2,), (), (0,)))
+        stems, nbrs = net.indexed(view)
+        assert stems == ("a", "b", "c", "d")
+        assert all(type(ids) is tuple and list(ids) == sorted(ids) for ids in nbrs)
+    # any nodes and edges: ids in sorted-stem order, whatever the input order;
+    # a pair in two collections, or given twice, is one neighbour
+    assert indexed(["z", "m", "a", "m"], [("z", "a")], [("a", "z")]) == (("a", "m", "z"), ((2,), (), (0,)))
+    with pytest.raises(KeyError):
+        indexed(["a"], [("a", "b")])  # an edge names only given nodes
+
+
+node_pairs = st.sets(st.tuples(st.integers(0, 7), st.integers(0, 7)).filter(lambda p: p[0] < p[1]),
+                     max_size=20)
+
+
+@settings(max_examples=100, deadline=None)
+@given(node_pairs, node_pairs, st.integers(0, 3))
+def test_each_view_equals_brute_force_neighbour_sets(syntactic, synonym, isolated):
+    net = make_network({(f"n{a}", f"n{b}"): 1 for a, b in syntactic},
+                       synonym={(f"n{a}", f"n{b}") for a, b in synonym})
+    for k in range(isolated):
+        net.nodes[f"z{k}"] = Concept(f"z{k}", "unrated", None, frozenset())
+    layers = {"aggregate": [*net.syntactic_edges, *net.synonym_edges],
+              "syntactic": list(net.syntactic_edges), "synonym": list(net.synonym_edges)}
+    for view, pairs in layers.items():
+        expected = {s: {b for a, b in pairs if a == s} | {a for a, b in pairs if b == s}
+                    for s in sorted(net.nodes)}
+        graph = net.indexed(view)
+        assert graph.stems == tuple(expected)
+        assert stem_neighbours(graph) == expected
+        assert all(list(ids) == sorted(ids) for ids in graph.nbrs)
+
+
+@pytest.mark.parametrize("nodes, stem, expected", [
+    (["b", "d", "a"], "a", 0),
+    (["b", "d", "a"], "d", 2),
+    (["b", "d", "a"], "c", None),
+    (["b", "d", "a"], "e", None),
+    (["b", "d", "a"], "", None),
+    ([], "a", None),
+], ids=["first", "last", "miss between", "miss after", "miss before", "empty graph"])
+def test_id_of_looks_up_a_stem(nodes, stem, expected):
+    graph = indexed(nodes)
+    if expected is None:
+        with pytest.raises(KeyError, match=f"unknown node {stem!r}"):
+            graph.id_of(stem)
+    else:
+        assert graph.id_of(stem) == expected and graph.stems[expected] == stem
 
 
 def test_networkx_views_built_anew_from_the_adjacency():
     net = make_network({("b", "c"): 1}, synonym={("a", "b")})
     g = net.aggregate_graph()
     assert g is not net.aggregate_graph()
-    assert {s: set(g[s]) for s in g} == dict(net.adjacency())
+    assert {s: set(g[s]) for s in g} == stem_neighbours(net.indexed())
     for layer in ("syntactic", "synonym"):
         h = net.layer_graph(layer)
-        assert {s: set(h[s]) for s in h} == dict(net.adjacency(layer))
+        assert {s: set(h[s]) for s in h} == stem_neighbours(net.indexed(layer))
 
 
 def test_unknown_layer_rejected():

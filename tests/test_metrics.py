@@ -226,7 +226,8 @@ def test_bfs_queries_equal_networkx(syntactic, synonym, isolated, layer_mode):
     component_id = {s: cid for cid, comp in enumerate(components) for s in comp}
     expected = {s: len(d) / sum(d.values()) if len(d) > 1 else None for s, d in lengths.items()}
 
-    assert {s: bfs(net.adjacency(view), s) for s in net.nodes} == lengths
+    stems, nbrs = net.indexed(view)
+    assert {stems[u]: {stems[v]: d for v, d in bfs(nbrs, u).items()} for u in range(len(stems))} == lengths
     dm = shortest_paths(net, layer_mode)
     assert dm.distances == lengths and dm.component_id == component_id
     assert {s: closeness(net, s, layer_mode) for s in net.nodes} == expected
@@ -242,12 +243,12 @@ def test_bfs_queries_equal_networkx(syntactic, synonym, isolated, layer_mode):
 def per_node_rows(net, layer_mode):
     """(stem, closeness, degree, component size) of every non-isolated node,
     from one bfs per node."""
-    adj = net.adjacency(layer_mode.removesuffix("_only"))
+    stems, nbrs = net.indexed(layer_mode.removesuffix("_only"))
     rows = {}
-    for s in adj:
-        dist = bfs(adj, s)
+    for u, s in enumerate(stems):
+        dist = bfs(nbrs, u)
         if len(dist) > 1:
-            rows[s] = (s, len(dist) / sum(dist.values()), len(adj[s]), len(dist))
+            rows[s] = (s, len(dist) / sum(dist.values()), len(nbrs[u]), len(dist))
     return rows
 
 
@@ -304,10 +305,11 @@ def test_closeness_table_on_5k_nodes_matches_sampled_bfs():
     elapsed = perf_counter() - start
     assert table[0][0][3] > metrics._BLOCK_BITS  # the largest component takes two blocks
     rows = {row[0]: row for comp in table for row in comp}
-    adj = net.adjacency()
+    graph = net.indexed()
     for s in random.Random(5).sample(sorted(rows), 50):
-        dist = bfs(adj, s)
-        assert rows[s] == (s, len(dist) / sum(dist.values()), len(adj[s]), len(dist))
+        u = graph.id_of(s)
+        dist = bfs(graph.nbrs, u)
+        assert rows[s] == (s, len(dist) / sum(dist.values()), len(graph.nbrs[u]), len(dist))
     assert elapsed < 2.0, f"closeness_rows took {elapsed:.2f} s on 5,000 nodes"
 
 

@@ -1,5 +1,9 @@
 """The package's public API: the names `import tfmn` exports, each the
-object of its home submodule."""
+object of its home submodule, and the names perfbench's tracer wraps."""
+
+import importlib
+import importlib.util
+from pathlib import Path
 
 import pytest
 
@@ -47,3 +51,20 @@ def test_unknown_name_raises_attribute_error_naming_it():
         tfmn.no_such_name  # noqa: B018
     assert not hasattr(tfmn, "read_graphml")  # defined in tfmn.build, not exported
 
+
+def _tracer():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_name_the_tracer_wraps_resolves():
+    """`perfbench/run.py --trace` wraps these names; one that is gone breaks the trace."""
+    tracer = _tracer()
+    missing = [f"tfmn.{layer}.{name}" for layer, names in tracer.TRACED.items() for name in names
+               if not callable(getattr(importlib.import_module(f"tfmn.{layer}"), name, None))]
+    missing += [f"tfmn.build.MultiplexLexicalNetwork.{name}" for name in tracer.TRACED_METHODS
+                if not callable(getattr(tfmn.build.MultiplexLexicalNetwork, name, None))]
+    assert missing == []

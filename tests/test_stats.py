@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from tfmn import stats
-from tfmn.build import Concept, MultiplexLexicalNetwork, _ordered, adjacency, indexed, save_network
+from tfmn.build import Concept, MultiplexLexicalNetwork, _ordered, indexed, save_network
 from tfmn.lexicons import LexiconError
 from tfmn.metrics import bfs, mean_clustering
 from tfmn.stats import (
@@ -48,8 +48,8 @@ def cycle_edges(n: int) -> list[tuple[str, str]]:
 
 
 def cycle(n: int):
-    """The n-cycle over the nodes "0" .. "n-1", as an adjacency map."""
-    return adjacency(map(str, range(n)), cycle_edges(n))
+    """The n-cycle over the nodes "0" .. "n-1", as an indexed graph."""
+    return indexed(map(str, range(n)), cycle_edges(n))
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +112,7 @@ STAR_PLUS_EDGE = {("hub", f"l{i:03d}") for i in range(300)} | {("x", "y")}
 def test_rewire_shortfall_warns_with_the_swaps_made():
     """A star with one disjoint edge admits some swaps, but not one per edge."""
     with pytest.warns(UserWarning, match=r"fell short: [1-9]\d* swaps of 301 in 30100 attempts"):
-        rewire_graph(adjacency({s for e in STAR_PLUS_EDGE for s in e}, STAR_PLUS_EDGE), seed=0,
+        rewire_graph(indexed({s for e in STAR_PLUS_EDGE for s in e}, STAR_PLUS_EDGE), seed=0,
                      swaps_per_edge=1)
     net = make_network(STAR_PLUS_EDGE, synonym={("a", "b"), ("c", "d")})
     with pytest.warns(UserWarning) as record:
@@ -131,10 +131,11 @@ def test_rewire_reaching_its_target_does_not_warn():
 def test_rewire_graph_plain():
     g = cycle(12)
     h = rewire_graph(g, seed=2)
-    assert list(h) == list(g)
-    assert {s: len(nbrs) for s, nbrs in h.items()} == {s: 2 for s in g}
-    assert all(s in h[t] for s in h for t in h[s])
-    assert dict(h) != dict(g)
+    assert h.stems == g.stems
+    assert [len(nbrs) for nbrs in h.nbrs] == [2] * 12
+    assert all(u in h.nbrs[v] for u in range(12) for v in h.nbrs[u])
+    assert all(list(nbrs) == sorted(nbrs) for nbrs in h.nbrs)
+    assert h.nbrs != g.nbrs
 
 
 def test_null_ensemble_seeds_fan_out():
@@ -205,7 +206,7 @@ def test_swaps_per_edge_below_one_rejected(swaps_per_edge):
 
 
 def test_rewire_graph_rejects_self_loop():
-    g = adjacency(cycle(6), cycle_edges(6), [("0", "0")])
+    g = indexed(cycle(6).stems, cycle_edges(6), [("0", "0")])
     with pytest.raises(ValueError, match="not simple"):
         rewire_graph(g, seed=1)
 
@@ -267,7 +268,7 @@ def complete_edges(k):
 @example({("n0", f"n{k}") for k in range(1, 9)}, 5, 1)  # star
 def test_integer_kernel_matches_reference(edges, seed, swaps_per_edge):
     expected = reference_rewire(set(edges), random.Random(seed), swaps_per_edge)
-    graph = indexed(adjacency({s for pair in edges for s in pair}, edges))
+    graph = indexed({s for pair in edges for s in pair}, edges)
     assert _rewire_edge_set(graph, random.Random(seed), swaps_per_edge) == expected
 
 
@@ -275,10 +276,10 @@ def test_integer_kernel_matches_reference(edges, seed, swaps_per_edge):
 @given(simple_edge_sets, st.integers(0, 10), st.integers(0, 2**32))
 def test_rewire_graph_matches_reference(edges, isolated, seed):
     nodes = {s for pair in edges for s in pair} | {f"z{k}" for k in range(isolated)}
-    h = rewire_graph(adjacency(nodes, edges), seed=seed, swaps_per_edge=2)
+    h = rewire_graph(indexed(nodes, edges), seed=seed, swaps_per_edge=2)
     expected, _ = reference_rewire(set(edges), random.Random(seed), 2)
-    assert list(h) == sorted(nodes)
-    assert {_ordered(a, b) for a in h for b in h[a]} == expected
+    assert h.stems == tuple(sorted(nodes))
+    assert {(h.stems[u], h.stems[v]) for u, nbrs in enumerate(h.nbrs) for v in nbrs if u < v} == expected
 
 
 def realization_values(call):
@@ -350,7 +351,7 @@ def test_benchmark_null_distances_match_the_stem_reference(edges, seed, swaps_pe
     sample is nonempty, but a rewire may leave no ranked stem reachable; when
     no realization reaches one, the null sample is empty and the report
     raises."""
-    oracle = adjacency([f"n{k}" for k in range(10)], edges | {("n0", "n1")})
+    oracle = indexed([f"n{k}" for k in range(10)], edges | {("n0", "n1")})
     rankings = {"n0": ["n1", "n3", "q", "n9", "n0", "n5", "n8", "n3"],
                 "n6": ["n0", "n7", "n9", "q", "n2"], "absent": ["n1"]}
     errors = []
@@ -367,7 +368,8 @@ def test_benchmark_null_distances_match_the_stem_reference(edges, seed, swaps_pe
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             rewired = rewire_graph(oracle, s, swaps_per_edge)
-        lengths = {topic: bfs(rewired, topic) for topic in ("n0", "n6")}
+        lengths = {topic: {rewired.stems[v]: d for v, d in bfs(rewired.nbrs, rewired.id_of(topic)).items()}
+                   for topic in ("n0", "n6")}
         expected.append([float(lengths[t][x]) for t in ("n0", "n6") for x in rankings[t]
                          if x != t and x in lengths[t]])
     assert values == expected
@@ -443,7 +445,7 @@ def test_load_free_associations(tmp_path):
     path = tmp_path / "fa.tsv"
     path.write_text("cats\tdogs\nrunning\trun\n", encoding="utf-8")
     # running and run share a stem: self-loop dropped
-    assert dict(load_free_associations(path)) == {"cat": {"dog"}, "dog": {"cat"}}
+    assert load_free_associations(path) == (("cat", "dog"), ((1,), (0,)))
 
 
 def test_free_association_bad_row(tmp_path):
@@ -468,9 +470,11 @@ def test_bundled_oracle_graph_is_its_stem_pairs_without_self_pairs():
             a, b = (stem(w.strip().lower()) for w in line.split("\t"))
             if a != b:
                 edges.append((a, b))
-    expected = adjacency({s for e in edges for s in e}, edges)
+    stems = sorted({s for e in edges for s in e})
+    expected = {s: {b for a, b in edges if a == s} | {a for a, b in edges if b == s} for s in stems}
     graph = load_free_associations(path)
-    assert list(graph) == list(expected) and dict(graph) == dict(expected)
+    assert graph.stems == tuple(stems)
+    assert {graph.stems[u]: {graph.stems[v] for v in nbrs} for u, nbrs in enumerate(graph.nbrs)} == expected
 
 
 def make_oracle(tmp_path):

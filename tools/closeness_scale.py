@@ -11,7 +11,7 @@ synonym layer of nodes/2.5 random pairs (2,000 at 5k nodes), so
 `synonym_only` has thousands of tiny components. For each layer mode
 the script prints the component count, the `closeness_rows` time (best
 of three, each on a freshly built network, so that the time includes
-building the view's adjacency and index, as in one `tfmn rank`), the time
+building the view's index, as in one `tfmn rank`), the time
 of the per-node reference and the number of rows that differ from it
 (`==` on stem, float, degree and component size, in order).
 """
@@ -67,19 +67,19 @@ def scale_network(nodes: int, seed: int) -> MultiplexLexicalNetwork:
 
 def per_node_rows(net: MultiplexLexicalNetwork, layer_mode: str):
     """closeness_rows computed with one BFS per node."""
-    adj = net.adjacency(layer_mode.removesuffix("_only"))
+    stems, nbrs = net.indexed(layer_mode.removesuffix("_only"))
     comps, seen = [], set()
-    for s in adj:
-        if s not in seen:
-            comps.append(set(bfs(adj, s)))
+    for u in range(len(stems)):
+        if u not in seen:
+            comps.append(set(bfs(nbrs, u)))
             seen |= comps[-1]
     out = []
-    for comp in sorted(comps, key=lambda c: (-len(c), min(c))):
+    for comp in sorted(comps, key=lambda c: (-len(c), min(c))):  # the smallest id has the smallest stem
         rows = []
-        for s in comp:
-            dist = bfs(adj, s)
+        for u in comp:
+            dist = bfs(nbrs, u)
             if len(dist) > 1:
-                rows.append((s, len(dist) / sum(dist.values()), len(adj[s]), len(comp)))
+                rows.append((stems[u], len(dist) / sum(dist.values()), len(nbrs[u]), len(comp)))
         out.append(sorted(rows, key=lambda r: (-r[1], r[0])))
     return out
 

@@ -43,11 +43,11 @@ from pathlib import Path
 DATA = Path(__file__).resolve().parents[1] / "src" / "tfmn" / "data"
 sys.path.insert(0, str(DATA.parents[1]))
 
-from tfmn.build import Adjacency, Concept, MultiplexLexicalNetwork, build_network  # noqa: E402
+from tfmn.build import Indexed, build_network  # noqa: E402
 from tfmn.cli import BENCHMARK_TOPICS, _parse_documents  # noqa: E402
 from tfmn.ingest import read_text_corpus  # noqa: E402
 from tfmn.lexicons import load_emotion_lexicon, load_synonyms, load_valence_norms  # noqa: E402
-from tfmn.metrics import bfs, mean_clustering  # noqa: E402
+from tfmn.metrics import _mean_clustering, bfs  # noqa: E402
 from tfmn.stats import load_free_associations, rewire_graph  # noqa: E402
 from tfmn.stemmer import stem  # noqa: E402
 
@@ -55,7 +55,7 @@ SEEDS = 10
 STEPS = 10
 REFERENCE = range(6, 11)  # steps whose seed means set the plateau level
 TESTS = STEPS * 5  # every step of the five statistics in the table
-Statistic = Callable[[Adjacency], float]
+Statistic = Callable[[Indexed], float]
 
 
 def t_quantile(p: float, df: int) -> float:
@@ -76,39 +76,40 @@ BAND = (t_quantile(1 - 0.01 / (2 * TESTS), len(REFERENCE) * (SEEDS - 1))
         * math.sqrt(1 + 1 / len(REFERENCE)))
 
 
-def edges_of(adj: Adjacency) -> set[tuple[str, str]]:
-    return {(a, b) for a, nbrs in adj.items() for b in nbrs if a < b}
+def edges_of(graph: Indexed) -> set[tuple[int, int]]:
+    """The id pairs (lo, hi) of the graph's edges; a rewire keeps the ids."""
+    return {(u, v) for u, nbrs in enumerate(graph.nbrs) for v in nbrs if u < v}
 
 
-def chain(adj: Adjacency, seed: int) -> Iterator[Adjacency]:
+def chain(graph: Indexed, seed: int) -> Iterator[Indexed]:
     """The graphs after 1, 2, ..., STEPS swaps per edge."""
     for step in range(STEPS):
-        adj = rewire_graph(adj, seed * STEPS + step, 1)
-        yield adj
+        graph = rewire_graph(graph, seed * STEPS + step, 1)
+        yield graph
 
 
-def clustering(adj: Adjacency) -> float:
-    nodes = {s: Concept(s, "unrated", None, frozenset()) for s in adj}
-    return mean_clustering(MultiplexLexicalNetwork(nodes, dict.fromkeys(edges_of(adj), 1), set(), {}))
+def clustering(graph: Indexed) -> float:
+    """The mean clustering, as `mean_clustering` computes it on a network's ids."""
+    return _mean_clustering(graph.nbrs)
 
 
-def overlap_with(start: Adjacency) -> Statistic:
+def overlap_with(start: Indexed) -> Statistic:
     start_edges = edges_of(start)
-    return lambda adj: len(edges_of(adj) & start_edges) / len(start_edges)
+    return lambda graph: len(edges_of(graph) & start_edges) / len(start_edges)
 
 
 def topic_distance(topics: list[str]) -> Statistic:
-    def mean_distance(adj: Adjacency) -> float:
-        distances = [d for t in topics for d in bfs(adj, t).values() if d > 0]
+    def mean_distance(graph: Indexed) -> float:
+        distances = [d for t in topics for d in bfs(graph.nbrs, graph.id_of(t)).values() if d > 0]
         return statistics.fmean(distances)
     return mean_distance
 
 
-def trajectories(adj: Adjacency, stats: dict[str, Statistic]) -> dict[str, list[list[float]]]:
+def trajectories(start: Indexed, stats: dict[str, Statistic]) -> dict[str, list[list[float]]]:
     """For each statistic, its values at steps 1..STEPS, one list of per-seed values per step."""
     series = {name: [[] for _ in range(STEPS)] for name in stats}
     for seed in range(SEEDS):
-        for step, graph in enumerate(chain(adj, seed)):
+        for step, graph in enumerate(chain(start, seed)):
             for name, stat in stats.items():
                 series[name][step].append(stat(graph))
     return series
@@ -131,7 +132,7 @@ def plateau(per_step: list[list[float]]) -> int:
     return 1
 
 
-def bundled_graphs() -> dict[str, tuple[Adjacency, dict[str, Statistic]]]:
+def bundled_graphs() -> dict[str, tuple[Indexed, dict[str, Statistic]]]:
     """Each bundled graph with the statistics tracked on it. The synthetic
     corpus is parsed as `tfmn build` parses it (--min-words 3)."""
     oracle = load_free_associations(DATA / "benchmark" / "free_associations.tsv")
@@ -140,7 +141,7 @@ def bundled_graphs() -> dict[str, tuple[Adjacency, dict[str, Statistic]]]:
     net = build_network(sentences, load_valence_norms(lexicons / "valence.csv"),
                         load_emotion_lexicon(lexicons / "emotions.tsv"),
                         load_synonyms(lexicons / "synonyms.tsv"), corpus_id="synthetic")
-    syntactic = net.adjacency("syntactic")
+    syntactic = net.indexed("syntactic")
     topics = sorted(stem(w) for w in BENCHMARK_TOPICS.values())
     return {
         "oracle": (oracle, {"overlap": overlap_with(oracle), "clustering": clustering,
@@ -153,11 +154,11 @@ def main() -> None:
     print("| graph | edges | statistic | start | "
           + " | ".join(map(str, range(1, STEPS + 1))) + " | plateau |")
     print("|---|---:|---|---:|" + "---:|" * STEPS + "---:|")
-    for name, (adj, stats) in bundled_graphs().items():
-        series = trajectories(adj, stats)
+    for name, (graph, stats) in bundled_graphs().items():
+        series = trajectories(graph, stats)
         for stat, per_step in series.items():
             means = [statistics.fmean(values) for values in per_step]
-            print(f"| {name} | {len(edges_of(adj))} | {stat} | {stats[stat](adj):.3f} | "
+            print(f"| {name} | {len(edges_of(graph))} | {stat} | {stats[stat](graph):.3f} | "
                   + " | ".join(f"{m:.3f}" for m in means) + f" | {plateau(per_step)} |")
 
 

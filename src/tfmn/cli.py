@@ -168,10 +168,8 @@ def _write_rows(path: str, rows: list) -> None:
         csv.writer(fh).writerows([("stem", "closeness", "degree", "component_size"), *rows])
 
 
-def _stamp(payload: dict, digest: str, seed: int | None) -> dict:
+def _stamp(payload: dict, digest: str) -> dict:
     payload["config_hash"] = digest
-    if seed is not None:
-        payload["seed"] = seed
     return payload
 
 
@@ -272,7 +270,7 @@ def build(corpus, corpus_format, lexicon_dir, min_words, corpus_id, out_dir):
     builder.write_graphml(net, out_dir / f"{corpus_id}.network.graphml")
     _write_json(
         out_dir / f"{corpus_id}.summary.json",
-        _stamp({**builder.summary(net), "ingest": ingest_stats}, digest, None),
+        _stamp({**builder.summary(net), "ingest": ingest_stats}, digest),
     )
     click.echo(f"built {corpus_id}: {len(net.nodes)} nodes, "
                f"{len(net.syntactic_edges)} syntactic / {len(net.synonym_edges)} synonym edges")
@@ -296,7 +294,7 @@ def rank(network, top_k, layer_mode, out):
         _write_rows(out, rows)
         _write_json(
             Path(out).with_suffix(".json"),
-            _stamp({"ranking": [[s, c] for s, c, _, _ in rows]}, builder.config_hash(settings), None),
+            _stamp({"ranking": [[s, c] for s, c, _, _ in rows]}, builder.config_hash(settings)),
         )
     for s, c, _, _ in rows:
         click.echo(f"{s}\t{c:.6f}")
@@ -398,7 +396,7 @@ def nulltest(network, realizations, seed, swaps_per_edge, out):
                 "realizations": realizations, "seed": seed, "swaps_per_edge": swaps_per_edge}
     report = stats.clustering_null_test(net, realizations, seed, swaps_per_edge)
     if out:
-        _write_json(Path(out), _stamp(report, builder.config_hash(settings), seed))
+        _write_json(Path(out), _stamp(report, builder.config_hash(settings)))
     click.echo(
         f"clustering {report['empirical_clustering']:.3f} "
         f"({report['ensemble_mean']:.3f} +/- {report['ensemble_std']:.3f} for configuration models)"
@@ -462,7 +460,7 @@ def benchmark(paragraph_dir, oracle, lexicon_dir, top_k, realizations, seed, out
         sizes[path.stem] = len(net.nodes)
     report = stats.benchmark_topic_relevance(rankings, associations, realizations, seed)
     report["paragraph_sizes"] = sizes
-    _write_json(out_dir / "benchmark.json", _stamp(report, digest, seed))
+    _write_json(out_dir / "benchmark.json", _stamp(report, digest))
     click.echo(
         f"empirical median {report['empirical_median']:.1f} vs null {report['null_median']:.1f}, "
         f"U={report['mann_whitney']['U']:.0f}, p={report['mann_whitney']['p_value']:.4g}"

@@ -10,7 +10,9 @@ The swap kernel works on the sorted-stem ids of `build.Indexed`. Each attempt
 draws from the seeded ``random.Random`` in a fixed sequence: edge index i,
 then edge index j, each exactly as ``rng.randrange(m)`` would draw it, then
 one ``rng.random()`` coin for the swap orientation, drawn only when i != j.
-A given seed therefore always yields the same realization.
+Every realization is one `_rewire_layers` call, which rewires the layers in
+turn from one ``random.Random(seed)``: a given seed always yields the same
+realization.
 
 The realizations of `clustering_null_test` and `benchmark_topic_relevance`
 stay on those ids from the swaps to the number they return: mean clustering
@@ -21,7 +23,9 @@ order, so the results equal `mean_clustering` of the public
 
 The realizations of an ensemble are spread over forked worker processes, one
 per usable CPU (`tfmn.workers`), and gathered in seed order, so a report does
-not depend on the number of workers.
+not depend on the number of workers. A worker returns each realization's
+value with its swap counts, and this process warns of the shortfalls, as
+`configuration_rewire` and `rewire_graph` do.
 """
 
 from __future__ import annotations
@@ -57,6 +61,8 @@ __all__ = [
 # tools/mixing.py measures on the bundled graphs (2 swaps per edge, the edge
 # overlap of the oracle and of the synthetic syntactic layer), capped at 5.
 SWAPS_PER_EDGE = 4
+# Attempts a rewiring may make per swap it aims at before it gives up.
+_ATTEMPTS_PER_SWAP = 100
 
 
 def _edge_lists(graph: Indexed) -> tuple[list[int], list[int]]:
@@ -74,8 +80,8 @@ def _rewire_ids(
     """Double edge swaps on an undirected simple graph of n nodes, given as
     the (lo, hi) id lists of `_edge_lists`, which are left as they are.
     Returns the rewired lists, each edge still in (lo, hi) order, and the
-    number of swaps performed; warns when the attempt budget runs out before
-    swaps_per_edge swaps per edge are made."""
+    number of swaps performed, which falls short of swaps_per_edge per edge
+    when the budget of `_ATTEMPTS_PER_SWAP` attempts per swap runs out first."""
     if swaps_per_edge < 1:
         raise ValueError(f"swaps_per_edge must be at least 1, got {swaps_per_edge}")
     lo, hi = list(lo), list(hi)
@@ -87,10 +93,9 @@ def _rewire_ids(
     remove, add = keys.remove, keys.add
     target = swaps_per_edge * m
     performed = 0
-    attempts = 100 * target
     getrandbits, coin = rng.getrandbits, rng.random
     bits = m.bit_length()
-    for _ in range(attempts):
+    for _ in range(_ATTEMPTS_PER_SWAP * target):
         # two rng.randrange(m) draws, inlined as its rejection loop
         i = getrandbits(bits)
         while i >= m:
@@ -128,20 +133,25 @@ def _rewire_ids(
         performed += 1
         if performed == target:
             break
-    else:
-        warnings.warn(f"rewiring fell short: {performed or 'no'} swaps of {target} "
-                      f"in {attempts} attempts on {m} edges")
     return lo, hi, performed
 
 
-def _rewire_edge_set(
-    graph: Indexed, rng: random.Random, swaps_per_edge: int
-) -> tuple[set[tuple[str, str]], int]:
-    """`_rewire_ids` on an indexed graph, its rewired edges given back as
-    stem pairs."""
-    lo, hi, performed = _rewire_ids(*_edge_lists(graph), len(graph.stems), rng, swaps_per_edge)
-    stems = graph.stems
-    return {(stems[u], stems[v]) for u, v in zip(lo, hi)}, performed
+def _rewire_layers(layers: list, n: int, seed: int, swaps_per_edge: int) -> list:
+    """One realization: `_rewire_ids` on each (lo, hi) edge list of layers in
+    turn, all drawing from one random.Random(seed); (lo, hi, swaps) per layer."""
+    rng = random.Random(seed)
+    return [_rewire_ids(lo, hi, n, rng, swaps_per_edge) for lo, hi in layers]
+
+
+def _warn_shortfalls(layers: list, swaps: list[int], swaps_per_edge: int) -> None:
+    """Warn of each layer whose swaps fell short of swaps_per_edge per edge;
+    a layer of fewer than 2 edges has no swap to make."""
+    for (lo, _), performed in zip(layers, swaps):
+        m = len(lo)
+        target = swaps_per_edge * m
+        if m > 1 and performed < target:
+            warnings.warn(f"rewiring fell short: {performed or 'no'} swaps of {target} "
+                          f"in {_ATTEMPTS_PER_SWAP * target} attempts on {m} edges")
 
 
 def configuration_rewire(
@@ -149,17 +159,17 @@ def configuration_rewire(
 ) -> MultiplexLexicalNetwork:
     """One configuration-model realization: each layer rewired
     independently, per-layer degree sequences preserved exactly."""
-    rng = random.Random(seed)
-    syn_edges, syn_swaps = _rewire_edge_set(net.indexed("syntactic"), rng, swaps_per_edge)
-    sem_edges, sem_swaps = _rewire_edge_set(net.indexed("synonym"), rng, swaps_per_edge)
+    stems = net.indexed("syntactic").stems
+    layers = [_edge_lists(net.indexed("syntactic")), _edge_lists(net.indexed("synonym"))]
+    rewired = _rewire_layers(layers, len(stems), seed, swaps_per_edge)
+    swaps = [performed for _, _, performed in rewired]
+    _warn_shortfalls(layers, swaps, swaps_per_edge)
+    (syn_lo, syn_hi, _), (sem_lo, sem_hi, _) = rewired
     return MultiplexLexicalNetwork(
         nodes=dict(net.nodes),
-        syntactic_edges={pair: 1 for pair in syn_edges},
-        synonym_edges=sem_edges,
-        provenance={
-            **net.provenance,
-            "null_model": {"seed": seed, "swaps": [syn_swaps, sem_swaps]},
-        },
+        syntactic_edges={(stems[u], stems[v]): 1 for u, v in zip(syn_lo, syn_hi)},
+        synonym_edges={(stems[u], stems[v]) for u, v in zip(sem_lo, sem_hi)},
+        provenance={**net.provenance, "null_model": {"seed": seed, "swaps": swaps}},
     )
 
 
@@ -167,7 +177,9 @@ def rewire_graph(graph: Indexed, seed: int, swaps_per_edge: int = SWAPS_PER_EDGE
     """Degree-preserving rewire of a plain simple graph, given and returned
     as an `Indexed` graph on the same stems."""
     n = len(graph.stems)
-    lo, hi, _ = _rewire_ids(*_edge_lists(graph), n, random.Random(seed), swaps_per_edge)
+    layers = [_edge_lists(graph)]
+    [(lo, hi, swaps)] = _rewire_layers(layers, n, seed, swaps_per_edge)
+    _warn_shortfalls(layers, [swaps], swaps_per_edge)
     return Indexed(graph.stems, tuple([tuple(sorted(nb)) for nb in _neighbours(n, (lo, hi))]))
 
 
@@ -198,15 +210,26 @@ def null_ensemble(
 # ---------------------------------------------------------------------------
 # realizations in worker processes
 
-def _map_seeds(fn: Callable[[int], object], seeds: list[int]) -> list:
-    """[fn(s) for s in seeds], computed by `workers.map_chunks` in contiguous
-    chunks of seeds, one per usable CPU. fn returns plain numbers; a
-    shortfall warning a worker records is issued again here, as if raised in
-    this process."""
+def _realizations(measure: Callable[[list[list[int]]], object], layers: list, n: int,
+                  seeds: list[int], swaps_per_edge: int) -> list:
+    """[measure(`_neighbours` of `_rewire_layers`(layers, n, s, ...)) for s in
+    seeds], computed by `workers.map_chunks` in contiguous chunks of seeds, one
+    per usable CPU. A worker returns each value with its swap counts, and the
+    shortfalls are warned here in seed order, as one process warns them."""
     def realizations(chunk: list[int]) -> list:
-        return [fn(s) for s in chunk]
+        out = []
+        for s in chunk:
+            rewired = _rewire_layers(layers, n, s, swaps_per_edge)
+            nbrs = _neighbours(n, *[(lo, hi) for lo, hi, _ in rewired])
+            out.append((measure(nbrs), [swaps for _, _, swaps in rewired]))
+        return out
 
-    return [value for values in workers.map_chunks(realizations, seeds) for value in values]
+    values = []
+    for chunk in workers.map_chunks(realizations, seeds):
+        for value, swaps in chunk:
+            _warn_shortfalls(layers, swaps, swaps_per_edge)
+            values.append(value)
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -222,9 +245,12 @@ class MannWhitneyResult:
     median2: float
 
 
-def _midranks(values: list[float]) -> list[float]:
+def _midranks(values: list[float]) -> tuple[list[float], int]:
+    """The 1-based ranks of values, tied values sharing their mean rank, and
+    the tie term: the sum of t**3 - t over the groups of t equal values."""
     order = sorted(range(len(values)), key=lambda i: values[i])
     ranks = [0.0] * len(values)
+    tie_term = 0
     i = 0
     while i < len(order):
         j = i
@@ -233,8 +259,10 @@ def _midranks(values: list[float]) -> list[float]:
         mid = (i + j) / 2 + 1
         for k in range(i, j + 1):
             ranks[order[k]] = mid
+        t = j - i + 1
+        tie_term += t**3 - t
         i = j + 1
-    return ranks
+    return ranks, tie_term
 
 
 def mann_whitney_u(sample_a: list[float], sample_b: list[float]) -> MannWhitneyResult:
@@ -243,17 +271,10 @@ def mann_whitney_u(sample_a: list[float], sample_b: list[float]) -> MannWhitneyR
     if not sample_a or not sample_b:
         raise ValueError("both samples must be nonempty")
     n1, n2 = len(sample_a), len(sample_b)
-    pooled = list(sample_a) + list(sample_b)
-    ranks = _midranks(pooled)
+    ranks, tie_term = _midranks(list(sample_a) + list(sample_b))
     r1 = sum(ranks[:n1])
     u1 = n1 * n2 + n1 * (n1 + 1) / 2 - r1
     n = n1 + n2
-    tie_term = 0.0
-    seen: dict[float, int] = {}
-    for v in pooled:
-        seen[v] = seen.get(v, 0) + 1
-    for t in seen.values():
-        tie_term += t**3 - t
     sigma_sq = n1 * n2 / 12 * ((n + 1) - tie_term / (n * (n - 1)))
     mu = n1 * n2 / 2
     if sigma_sq <= 0:
@@ -337,17 +358,13 @@ def benchmark_topic_relevance(
         per_topic[topic] = {"empirical_distances": distances, "absent_stems": skipped}
         empirical.extend(float(d) for d in distances)
 
-    edges = _edge_lists(oracle)  # forked workers inherit them
-
-    def null_distances(s: int) -> list[float]:
-        lo, hi, _ = _rewire_ids(*edges, n, random.Random(s), swaps_per_edge)
-        return [float(d) for distances in _topic_distances(_neighbours(n, (lo, hi)), queries)
-                for d in distances]
+    def null_distances(nbrs: list[list[int]]) -> list[float]:
+        return [float(d) for distances in _topic_distances(nbrs, queries) for d in distances]
 
     seeds = [seed + k for k in range(n_realizations)]
-    null = [d for distances in _map_seeds(null_distances, seeds) for d in distances]
-    empirical.sort()
-    null.sort()
+    null = [d for distances in _realizations(null_distances, [_edge_lists(oracle)], n, seeds,
+                                             swaps_per_edge)
+            for d in distances]
     result = mann_whitney_u(empirical, null)
     return {
         "randomization_target": "free-association oracle network",
@@ -379,17 +396,9 @@ def clustering_null_test(
         raise ValueError("need at least 2 realizations")
     seeds = [seed + k for k in range(n_realizations)]
     empirical = mean_clustering(net)
-    n = len(net.nodes)
-    # forked workers inherit each layer's edge lists
-    syntactic, synonym = _edge_lists(net.indexed("syntactic")), _edge_lists(net.indexed("synonym"))
-
-    def null_clustering(s: int) -> float:
-        rng = random.Random(s)  # draws for the syntactic layer, then the synonym layer
-        syn_lo, syn_hi, _ = _rewire_ids(*syntactic, n, rng, swaps_per_edge)
-        sem_lo, sem_hi, _ = _rewire_ids(*synonym, n, rng, swaps_per_edge)
-        return _mean_clustering(_neighbours(n, (syn_lo, syn_hi), (sem_lo, sem_hi)))
-
-    values = _map_seeds(null_clustering, seeds)
+    # the layers in the order configuration_rewire draws them
+    layers = [_edge_lists(net.indexed("syntactic")), _edge_lists(net.indexed("synonym"))]
+    values = _realizations(_mean_clustering, layers, len(net.nodes), seeds, swaps_per_edge)
     mean = statistics.fmean(values)
     std = statistics.pstdev(values)
     z = (empirical - mean) / std if std > 0 else None

@@ -5,13 +5,14 @@ CPU, runs fn on the first chunk in this process and on each other chunk in a
 forked child, and returns the chunks' results in chunk order. A caller whose
 results are merged in that order therefore gets what one process would give,
 whatever the number of workers. `build` counts the edges of document chunks
-this way, and `stats` the realizations of seed chunks.
+this way, and `stats` the realizations of seed chunks. Only return values
+cross from a child: what a chunk has to report, such as the swap counts from
+which `stats` warns of a rewiring that fell short, is part of fn's result.
 """
 
 from __future__ import annotations
 
 import os
-import warnings
 from typing import Callable, TypeVar
 
 T = TypeVar("T")
@@ -32,16 +33,15 @@ def map_chunks(fn: Callable[[list], T], items: list) -> list[T]:
     (always at least one); the first chunk is run by this process, each
     other one by a forked child.
 
-    A child pickles fn's result back through a pipe together with the
-    warnings it recorded. The chunks are read in order: warnings are issued
-    again here, in the warning registry and module of fn, so that a message
-    shows as often as in the one-process run, and a child's exception is
-    raised again with its type and message. Children leave through
-    os._exit, so they flush no inherited buffer and run no exit handler of
-    this process. Every child is killed and reaped before this returns or
-    raises. Children are forked, not spawned, because fn may be a closure,
-    which does not pickle; the commands start no thread, so the fork copies
-    no lock held by another thread.
+    fn reports through its result alone: a child pickles fn's result, or
+    the exception fn raised, back through a pipe, and nothing else the child
+    does is gathered or issued again here. The chunks are read in order, and
+    a child's exception is raised again with its type and message. Children
+    leave through os._exit, so they flush no inherited buffer and run no
+    exit handler of this process. Every child is killed and reaped before
+    this returns or raises. Children are forked, not spawned, because fn may
+    be a closure, which does not pickle; the commands start no thread, so
+    the fork copies no lock held by another thread.
     """
     workers = max(1, min(len(items), _usable_cpus()))
     if workers == 1:
@@ -66,20 +66,15 @@ def map_chunks(fn: Callable[[list], T], items: list) -> list[T]:
             os.close(write_end)
             children.append((pid, read_end))
         results = [fn(chunks[0])]
-        registry = fn.__globals__.setdefault("__warningregistry__", {})
         for pid, read_end in children:
             with open(read_end, "rb", closefd=False) as pipe:
                 data = pipe.read()
             if not data:
                 raise RuntimeError(f"worker {pid} exited without a result")
-            outcome = pickle.loads(data)  # written by the child forked above
-            if outcome[0] == "error":
-                raise outcome[1]
-            _, result, caught = outcome
-            for message, category, filename, lineno in caught:
-                warnings.warn_explicit(message, category, filename, lineno,
-                                       module=fn.__module__, registry=registry)
-            results.append(result)
+            status, value = pickle.loads(data)  # written by the child forked above
+            if status == "error":
+                raise value
+            results.append(value)
         return results
     finally:
         for pid, read_end in children:
@@ -100,11 +95,7 @@ def _worker(fn, chunk: list, write_end: int) -> None:
     code = 1
     try:
         try:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                result = fn(chunk)
-            outcome = ("ok", result, [(w.message, w.category, w.filename, w.lineno)
-                                      for w in caught])
+            outcome = ("ok", fn(chunk))
         except Exception as exc:  # raised again by the parent
             outcome = ("error", exc)
         with open(write_end, "wb") as pipe:

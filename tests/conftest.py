@@ -1,3 +1,4 @@
+import os
 import random
 from pathlib import Path
 
@@ -91,3 +92,16 @@ def failing_kernel(bad_seed: int):
         return original(lo, hi, n, rng, swaps_per_edge)
 
     return failing
+
+
+@pytest.fixture()
+def workers(monkeypatch):
+    """Sets the usable CPU count, and with it the worker count, to k."""
+    def force(k):
+        monkeypatch.setattr("tfmn.workers._usable_cpus", lambda: k)
+    return force
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

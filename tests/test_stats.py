@@ -3,7 +3,6 @@ import os
 import random
 import subprocess
 import sys
-import time
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -18,7 +17,8 @@ from tfmn.lexicons import LexiconError
 from tfmn.metrics import bfs, mean_clustering
 from tfmn.stats import (
     SWAPS_PER_EDGE,
-    _rewire_edge_set,
+    _edge_lists,
+    _rewire_layers,
     benchmark_topic_relevance,
     clustering_null_test,
     configuration_rewire,
@@ -29,7 +29,7 @@ from tfmn.stats import (
 )
 from tfmn.stemmer import stem
 
-from conftest import DATA, failing_kernel, make_network
+from conftest import DATA, assert_no_child_left, failing_kernel, make_network
 
 
 def ring_net(n=20, extra=5):
@@ -269,7 +269,8 @@ def complete_edges(k):
 def test_integer_kernel_matches_reference(edges, seed, swaps_per_edge):
     expected = reference_rewire(set(edges), random.Random(seed), swaps_per_edge)
     graph = indexed({s for pair in edges for s in pair}, edges)
-    assert _rewire_edge_set(graph, random.Random(seed), swaps_per_edge) == expected
+    [(lo, hi, performed)] = _rewire_layers([_edge_lists(graph)], len(graph.stems), seed, swaps_per_edge)
+    assert ({(graph.stems[u], graph.stems[v]) for u, v in zip(lo, hi)}, performed) == expected
 
 
 @settings(max_examples=30, deadline=None)
@@ -283,15 +284,17 @@ def test_rewire_graph_matches_reference(edges, isolated, seed):
 
 
 def realization_values(call):
-    """The per-seed values that `call` gathers through stats._map_seeds, in
+    """The per-seed values that `call` gathers through stats._realizations, in
     seed order, computed in this process."""
     captured = []
+    gather = stats._realizations
 
-    def recording(fn, seeds):
-        captured.extend(fn(s) for s in seeds)
+    def recording(*args):
+        captured.extend(gather(*args))
         return list(captured)
 
-    with mock.patch.object(stats, "_map_seeds", recording), warnings.catch_warnings():
+    with mock.patch.object(stats, "_realizations", recording), \
+            mock.patch("tfmn.workers._usable_cpus", lambda: 1), warnings.catch_warnings():
         warnings.simplefilter("ignore")  # shortfalls on small graphs
         call()
     return captured
@@ -564,30 +567,6 @@ def test_clustering_null_test_needs_two(n_realizations):
 # realizations in worker processes
 
 
-@pytest.fixture()
-def workers(monkeypatch):
-    """Sets the usable CPU count, and with it the worker count, to k."""
-    def force(k):
-        monkeypatch.setattr("tfmn.workers._usable_cpus", lambda: k)
-    return force
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-@pytest.mark.parametrize("n_seeds, k, sizes", [(5, 3, [1, 2, 2]), (2, 3, [1, 1]), (4, 2, [2, 2]),
-                                               (3, 1, [3])])
-def test_seeds_go_in_contiguous_chunks_one_per_worker(workers, n_seeds, k, sizes):
-    workers(k)
-    pids = stats._map_seeds(lambda s: os.getpid(), list(range(n_seeds)))
-    assert pids[0] == os.getpid()
-    assert [pids.count(pid) for pid in dict.fromkeys(pids)] == sizes
-    assert stats._map_seeds(lambda s: s * s, list(range(n_seeds))) == [s * s for s in range(n_seeds)]
-    assert_no_child_left()
-
-
 @pytest.mark.parametrize("n_realizations", [2, 3, 5])
 def test_reports_do_not_depend_on_the_worker_count(tmp_path, workers, n_realizations):
     oracle = make_oracle(tmp_path)
@@ -616,6 +595,24 @@ def test_worker_warnings_reach_the_caller_once_per_realization_in_seed_order(wor
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             clustering_null_test(net, n_realizations=5, seed=3, swaps_per_edge=1)
+        assert [(str(w.message), w.category, w.filename, w.lineno) for w in caught] == expected
+
+
+def test_benchmark_worker_warnings_match_rewire_graph_seed_by_seed(workers):
+    oracle = indexed({s for e in STAR_PLUS_EDGE for s in e}, STAR_PLUS_EDGE)
+    expected = []
+    for s in range(3, 8):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rewire_graph(oracle, s, swaps_per_edge=1)
+        expected += [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
+    assert len(expected) == 5 and expected[0][2] == stats.__file__
+    for k in (1, 2):
+        workers(k)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            benchmark_topic_relevance({"hub": ["l000", "x"]}, oracle, n_realizations=5, seed=3,
+                                      swaps_per_edge=1)
         assert [(str(w.message), w.category, w.filename, w.lineno) for w in caught] == expected
 
 
@@ -652,19 +649,4 @@ def test_worker_error_reaches_the_caller_and_no_child_is_left(tmp_path, monkeypa
             clustering_null_test(ring_net(), n_realizations=5, seed=0)
         else:
             benchmark_topic_relevance({"wbb": ["wbc"]}, make_oracle(tmp_path), 5, seed=0)
-    assert_no_child_left()
-
-
-def test_interrupt_in_the_parent_kills_every_worker(workers):
-    def interrupted(s):
-        if s == 0:
-            raise KeyboardInterrupt
-        time.sleep(60)  # the workers' seeds
-        return s
-
-    workers(3)
-    start = time.perf_counter()
-    with pytest.raises(KeyboardInterrupt):
-        stats._map_seeds(interrupted, list(range(6)))
-    assert time.perf_counter() - start < 30
     assert_no_child_left()

@@ -21,10 +21,17 @@ one per usable CPU); rank in each layer mode; aura; profile; communities
 --seed 3 --target love; nulltest --realizations 5 --seed 7 and --realizations 7
 --seed 2 (chunks of unequal size on two CPUs); nulltest on SMALL_NETWORK, a
 hand-written network with a pair in both layers, an isolated node and a
-one-edge synonym layer; export in each format; benchmark --realizations 5 --seed 0; --version, --help and each
-subcommand's --help. In this order, the script prints each command's exit code and the
-sha256 of its stdout and stderr, then `sha256  path` of every file in the
-directory, inputs included, in sorted path order. Two checkouts write the
+one-edge synonym layer; nulltest --swaps-per-edge 1 --realizations 8 on
+STAR_NETWORK, a star with one disjoint edge whose rewirings fall short, so
+that its stderr holds shortfall warnings; export in each format; benchmark
+--realizations 5 --seed 0; --version, --help and each subcommand's --help.
+In this order, the script prints each command's exit code and the sha256 of
+its stdout and of its stderr, then `sha256  path` of every file in the
+directory, inputs included, in sorted path order. Before stderr is hashed,
+each warning's `path:line: Category: message` is cut to `Category: message`
+and the source line printed under it dropped: the path differs per checkout
+and the line moves with the code, while the text, count and order of the
+warnings are still compared. Two checkouts write the
 same files and print the same text when
 
     diff <(python3 tools/output_digests.py a/src) <(python3 tools/output_digests.py b/src)
@@ -43,6 +50,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -69,6 +77,8 @@ COMMANDS = [
     ["nulltest", "--network", NETWORK, "--realizations", "7", "--seed", "2", "--out", "nulltest-7.json"],
     ["nulltest", "--network", "small.network.json", "--realizations", "6", "--seed", "1",
      "--out", "nulltest-small.json"],
+    ["nulltest", "--network", "star.network.json", "--realizations", "8", "--seed", "0",
+     "--swaps-per-edge", "1", "--out", "nulltest-star.json"],
     *(["export", "--network", NETWORK, "--format", fmt, "--out", f"export.{fmt}"]
       for fmt in ("graphml", "json", "csv")),
     ["benchmark", "--paragraph-dir", "paragraphs", "--oracle", "oracle.tsv", "--lexicon-dir", "lexicons",
@@ -180,6 +190,21 @@ SMALL_NETWORK = {
 }
 
 
+# A star of 300 leaves plus one disjoint edge, with two synonym edges: one swap
+# per edge is out of reach, so each nulltest realization warns of a shortfall.
+STAR_NETWORK = {
+    "nodes": [{"emotions": [], "is_negation_marker": False, "stem": stem, "valence_label": "unrated",
+               "valence_score": None}
+              for stem in sorted(["a", "b", "c", "d", "hub", "x", "y", *(f"l{i:03d}" for i in range(300))])],
+    "provenance": {"config": {}, "config_hash": "star", "corpus_id": "star"},
+    "synonym_edges": [["a", "b"], ["c", "d"]],
+    "syntactic_edges": sorted([["hub", f"l{i:03d}", 1] for i in range(300)] + [["x", "y", 1]]),
+}
+
+# A warning as `warnings.showwarning` prints it: where, what, and the source line.
+WARNING = re.compile(rb"^.+?:\d+: (\w*Warning: .*\n)(?:  .*\n)?", re.MULTILINE)
+
+
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -192,6 +217,7 @@ def copy_inputs(data: Path, work: Path) -> None:
         shutil.copy(paragraph, work / "paragraphs" / paragraph.name)
     shutil.copy(data / "benchmark" / "free_associations.tsv", work / "oracle.tsv")
     (work / "small.network.json").write_text(json.dumps(SMALL_NETWORK, indent=1), encoding="utf-8")
+    (work / "star.network.json").write_text(json.dumps(STAR_NETWORK, indent=1), encoding="utf-8")
     (work / "tweets.txt").write_text(TWEETS, encoding="utf-8")
     (work / "uneven.txt").write_text(UNEVEN, encoding="utf-8")
     (work / "parsed.conllu").write_text(
@@ -212,7 +238,8 @@ def main(argv: list[str]) -> int:
         for args in COMMANDS:
             run = subprocess.run([sys.executable, "-m", "tfmn.cli", *args], cwd=work, env=env,
                                  capture_output=True)
-            print(f"exit {run.returncode}  stdout {sha256(run.stdout)}  stderr {sha256(run.stderr)}  "
+            stderr = WARNING.sub(rb"\1", run.stderr)
+            print(f"exit {run.returncode}  stdout {sha256(run.stdout)}  stderr {sha256(stderr)}  "
                   f"{' '.join(args)}")
         for path in sorted(p for p in work.rglob("*") if p.is_file()):
             print(f"{sha256(path.read_bytes())}  {path.relative_to(work).as_posix()}")

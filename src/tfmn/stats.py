@@ -10,9 +10,15 @@ The swap kernel works on the sorted-stem ids of `build.Indexed`. Each attempt
 draws from the seeded ``random.Random`` in a fixed sequence: edge index i,
 then edge index j, each exactly as ``rng.randrange(m)`` would draw it, then
 one ``rng.random()`` coin for the swap orientation, drawn only when i != j.
-Every realization is one `_rewire_layers` call, which rewires the layers in
-turn from one ``random.Random(seed)``: a given seed always yields the same
-realization.
+An attempt that would swap edges i = (a, b) and j into (a, c) and (b, d) is
+rejected if a == c or b == d, a self-loop, or if a new edge is already
+present, which the kernel looks up in per-node sets of higher-id neighbours.
+The other shared ends, a == d and b == c, make a new edge equal to edge i,
+which is still present, so the lookup rejects them: no draw depends on which
+test rejects an attempt, and the sequence is the one the kernel drew when it
+ran on stem pairs. Every realization is one `_rewire_layers` call, which
+rewires the layers in turn from one ``random.Random(seed)``: a given seed
+always yields the same realization.
 
 The realizations of `clustering_null_test` and `benchmark_topic_relevance`
 stay on those ids from the swaps to the number they return: mean clustering
@@ -81,16 +87,22 @@ def _rewire_ids(
     the (lo, hi) id lists of `_edge_lists`, which are left as they are.
     Returns the rewired lists, each edge still in (lo, hi) order, and the
     number of swaps performed, which falls short of swaps_per_edge per edge
-    when the budget of `_ATTEMPTS_PER_SWAP` attempts per swap runs out first."""
+    when the budget of `_ATTEMPTS_PER_SWAP` attempts per swap runs out first.
+
+    Edge membership is kept per node: later[u] holds the ids v > u joined to
+    u. An attempt swapping edges i = (a, b) and j into (a, c) + (b, d) tests
+    only a == c and b == d, the self-loops, before the lookups: if a == d
+    or b == c, a new edge is edge i, which is still in later, so the lookup
+    rejects the attempt after the same draws and before any change."""
     if swaps_per_edge < 1:
         raise ValueError(f"swaps_per_edge must be at least 1, got {swaps_per_edge}")
     lo, hi = list(lo), list(hi)
     m = len(lo)
     if m < 2:
         return lo, hi, 0
-    key = [u * n + v for u, v in zip(lo, hi)]  # key[i] packs edge i
-    keys = set(key)
-    remove, add = keys.remove, keys.add
+    later: list[set[int]] = [set() for _ in range(n)]
+    for u, v in zip(lo, hi):
+        later[u].add(v)
     target = swaps_per_edge * m
     performed = 0
     getrandbits, coin = rng.getrandbits, rng.random
@@ -105,31 +117,34 @@ def _rewire_ids(
             j = getrandbits(bits)
         if i == j:
             continue
-        a, b = lo[i], hi[i]
-        c, d = lo[j], hi[j]
-        # choose swap orientation: (a,c)+(b,d) or (a,d)+(b,c)
+        a = lo[i]
+        b = hi[i]
+        # choose swap orientation: (a,c)+(b,d) or (a,d)+(b,c) of edge j
         if coin() < 0.5:
-            c, d = d, c
-        if a == c or a == d or b == c or b == d:
+            c = hi[j]
+            d = lo[j]
+        else:
+            c = lo[j]
+            d = hi[j]
+        if a == c or b == d:
             continue
         # new edges (a, c) and (b, d), each put in (lo, hi) order
         if c < a:
             a, c = c, a
-        new1 = a * n + c
-        if new1 in keys:
+        if c in later[a]:
             continue
         if d < b:
             b, d = d, b
-        new2 = b * n + d
-        if new2 in keys:
+        if d in later[b]:
             continue
-        remove(key[i])
-        remove(key[j])
-        add(new1)
-        add(new2)
-        key[i], key[j] = new1, new2
-        lo[i], hi[i] = a, c
-        lo[j], hi[j] = b, d
+        later[lo[i]].remove(hi[i])
+        later[lo[j]].remove(hi[j])
+        later[a].add(c)
+        later[b].add(d)
+        lo[i] = a
+        hi[i] = c
+        lo[j] = b
+        hi[j] = d
         performed += 1
         if performed == target:
             break

@@ -212,12 +212,14 @@ def test_rewire_graph_rejects_self_loop():
 
 
 def reference_rewire(edges, rng, swaps_per_edge):
-    """The string-tuple kernel with rng.randrange draws that the integer
-    kernel replaced; the integer kernel must reproduce it exactly."""
+    """The string-tuple kernel with rng.randrange draws and a four-way
+    shared-end test that the integer kernel replaced; the integer kernel must
+    reproduce it exactly. Returns the edge set, the swap count and the edge
+    list, position by position."""
     edge_list = sorted(edges)
     m = len(edge_list)
     if m < 2:
-        return set(edge_list), 0
+        return set(edge_list), 0, edge_list
     edge_set = set(edge_list)
     target = swaps_per_edge * m
     performed = 0
@@ -245,7 +247,7 @@ def reference_rewire(edges, rng, swaps_per_edge):
         edge_list[i] = new1
         edge_list[j] = new2
         performed += 1
-    return edge_set, performed
+    return edge_set, performed, edge_list
 
 
 # simple graphs on up to 9 nodes, from empty and single-edge up to complete
@@ -259,6 +261,16 @@ def complete_edges(k):
     return {(f"n{a}", f"n{b}") for a in range(k) for b in range(a + 1, k)}
 
 
+# edges that meet end to end, so that an attempt draws a == d or b == c, which
+# only the membership test rejects
+PATH = {("n0", "n1"), ("n1", "n2"), ("n2", "n3")}
+TRIANGLE_WITH_PENDANT = {("n0", "n1"), ("n0", "n2"), ("n1", "n2"), ("n2", "n3")}
+
+
+def stem_pairs(graph, lo, hi):
+    return [(graph.stems[u], graph.stems[v]) for u, v in zip(lo, hi)]
+
+
 @settings(max_examples=150, deadline=None)
 @given(simple_edge_sets, st.integers(0, 2**32), st.integers(1, 3))
 @example(set(), 1, 1)
@@ -266,11 +278,37 @@ def complete_edges(k):
 @example(complete_edges(5), 3, 2)  # no legal swap: runs until max_attempts
 @example(complete_edges(9) - {("n0", "n1"), ("n2", "n3")}, 4, 3)
 @example({("n0", f"n{k}") for k in range(1, 9)}, 5, 1)  # star
+@example(PATH, 6, 3)
+@example(TRIANGLE_WITH_PENDANT, 7, 2)
 def test_integer_kernel_matches_reference(edges, seed, swaps_per_edge):
-    expected = reference_rewire(set(edges), random.Random(seed), swaps_per_edge)
+    """The same edge list position by position, the same swap count and the
+    same generator state afterwards: the state decides the next layer."""
+    rng = random.Random(seed)
+    _, expected_swaps, expected_list = reference_rewire(set(edges), rng, swaps_per_edge)
     graph = indexed({s for pair in edges for s in pair}, edges)
-    [(lo, hi, performed)] = _rewire_layers([_edge_lists(graph)], len(graph.stems), seed, swaps_per_edge)
-    assert ({(graph.stems[u], graph.stems[v]) for u, v in zip(lo, hi)}, performed) == expected
+    kernel_rng = random.Random(seed)
+    lo, hi, performed = stats._rewire_ids(*_edge_lists(graph), len(graph.stems), kernel_rng,
+                                          swaps_per_edge)
+    assert stem_pairs(graph, lo, hi) == expected_list
+    assert performed == expected_swaps
+    assert kernel_rng.getstate() == rng.getstate()
+
+
+@settings(max_examples=100, deadline=None)
+@given(simple_edge_sets, simple_edge_sets, st.integers(0, 2**32), st.integers(1, 3))
+@example(PATH, TRIANGLE_WITH_PENDANT, 8, 2)
+@example(TRIANGLE_WITH_PENDANT, {("n0", "n1")}, 9, 1)
+@example(set(), PATH, 10, 3)
+def test_two_layers_match_the_reference_on_one_generator(first, second, seed, swaps_per_edge):
+    """A realization rewires its layers in turn from one random.Random(seed),
+    as the reference does when run twice in sequence on one generator."""
+    stems = [f"n{k}" for k in range(9)]
+    graphs = [indexed(stems, first), indexed(stems, second)]
+    rewired = _rewire_layers([_edge_lists(g) for g in graphs], len(stems), seed, swaps_per_edge)
+    rng = random.Random(seed)
+    for graph, edges, (lo, hi, performed) in zip(graphs, (first, second), rewired):
+        _, expected_swaps, expected_list = reference_rewire(set(edges), rng, swaps_per_edge)
+        assert (stem_pairs(graph, lo, hi), performed) == (expected_list, expected_swaps)
 
 
 @settings(max_examples=30, deadline=None)
@@ -278,7 +316,7 @@ def test_integer_kernel_matches_reference(edges, seed, swaps_per_edge):
 def test_rewire_graph_matches_reference(edges, isolated, seed):
     nodes = {s for pair in edges for s in pair} | {f"z{k}" for k in range(isolated)}
     h = rewire_graph(indexed(nodes, edges), seed=seed, swaps_per_edge=2)
-    expected, _ = reference_rewire(set(edges), random.Random(seed), 2)
+    expected, _, _ = reference_rewire(set(edges), random.Random(seed), 2)
     assert h.stems == tuple(sorted(nodes))
     assert {(h.stems[u], h.stems[v]) for u, nbrs in enumerate(h.nbrs) for v in nbrs if u < v} == expected
 

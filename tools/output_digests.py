@@ -31,7 +31,9 @@ directory, inputs included, in sorted path order. Before stderr is hashed,
 each warning's `path:line: Category: message` is cut to `Category: message`
 and the source line printed under it dropped: the path differs per checkout
 and the line moves with the code, while the text, count and order of the
-warnings are still compared. Two checkouts write the
+warnings are still compared. The commands run without TFMN_LEXICON_DIR and
+COLUMNS in their environment, so that neither a default lexicon directory nor
+the terminal width reaches them. Two checkouts write the
 same files and print the same text when
 
     diff <(python3 tools/output_digests.py a/src) <(python3 tools/output_digests.py b/src)
@@ -230,7 +232,8 @@ def main(argv: list[str]) -> int:
         print(__doc__, file=sys.stderr)
         return 2
     src = Path(argv[0]).resolve()
-    env = {k: v for k, v in os.environ.items() if k != "TFMN_LEXICON_DIR"}
+    # COLUMNS would set the width of click's --help text
+    env = {k: v for k, v in os.environ.items() if k not in ("TFMN_LEXICON_DIR", "COLUMNS")}
     env.update(PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)

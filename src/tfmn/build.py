@@ -151,9 +151,10 @@ def _ordered(a: str, b: str) -> tuple[str, str]:
 
 
 def _is_content(token, negations: frozenset[str]) -> bool:
-    if token.surface.lower() in negations or token.lemma.lower() in negations:
+    # the cheap test first: most content tokens need no lower-casing
+    if token.upos in _CONTENT_UPOS and token.deprel != "cop":
         return True
-    return token.upos in _CONTENT_UPOS and token.deprel != "cop"
+    return token.surface.lower() in negations or token.lemma.lower() in negations
 
 
 def _token_stem(token, negations: frozenset[str]) -> str | None:
@@ -475,8 +476,7 @@ def _attr(text: str) -> str:
     return text.translate(_ATTR_ESCAPES) if _ATTR_SPECIAL(text) else text
 
 
-def _graphml_data(indent: str, key: str, value) -> str:
-    text = str(value)
+def _graphml_data(indent: str, key: str, text: str) -> str:
     if _TEXT_SPECIAL(text):
         text = text.translate(_TEXT_ESCAPES)
     if not text:
@@ -489,7 +489,14 @@ def write_graphml(net: MultiplexLexicalNetwork, path: str | Path) -> None:
     with the stdlib only; valence_score is always a double (-999.0 when
     missing), and a NaN or infinite one is refused before the file is
     opened, as network_to_json refuses it. An edge in both layers has layer
-    "syntactic+synonym", a synonym-only edge count 0."""
+    "syntactic+synonym", a synonym-only edge count 0.
+
+    Each <node> and each <edge> is one f-string template. Each stem is
+    escaped for an attribute once, into a dict that both templates read.
+    Only the emotions and the provenance can hold a character to escape
+    (or be empty, as `<data key="d3" />`), so only they go through
+    _graphml_data; labels, scores, booleans, layers and counts are written
+    as they are. The network must be valid."""
     edges: dict[tuple[str, str], list] = {}  # pair -> [layer, count], first seen first
     for pair, count in sorted(net.syntactic_edges.items()):
         edges[_ordered(*pair)] = ["syntactic", count]
@@ -506,21 +513,23 @@ def write_graphml(net: MultiplexLexicalNetwork, path: str | Path) -> None:
         scope, name, kind = _GRAPHML_KEYS[i]
         out.append(f'  <key id="d{i}" for="{scope}" attr.name="{name}" attr.type="{kind}" />\n')
     out.append('  <graph edgedefault="undirected">\n')
-    for s in sorted(net.nodes):
+    ids = {s: _attr(s) for s in sorted(net.nodes)}
+    for s, node_id in ids.items():
         c = net.nodes[s]
         score = -999.0 if c.valence_score is None else _finite(float(c.valence_score))
-        out += [f'    <node id="{_attr(s)}">\n',
-                _graphml_data("      ", "d1", c.valence_label),
-                _graphml_data("      ", "d2", score),
-                _graphml_data("      ", "d3", ",".join(sorted(c.emotions))),
-                _graphml_data("      ", "d4", c.is_negation_marker),
-                "    </node>\n"]
+        emotions = _graphml_data("      ", "d3", ",".join(sorted(c.emotions)))
+        out.append(f'    <node id="{node_id}">\n'
+                   f'      <data key="d1">{c.valence_label}</data>\n'
+                   f'      <data key="d2">{score}</data>\n'
+                   f'{emotions}'
+                   f'      <data key="d4">{c.is_negation_marker}</data>\n'
+                   f'    </node>\n')
     # grouped by the smaller stem, as networkx walks its neighbour dicts
     for (a, b), (layer, count) in sorted(edges.items(), key=lambda e: e[0][0]):
-        out += [f'    <edge source="{_attr(a)}" target="{_attr(b)}">\n',
-                _graphml_data("      ", "d5", layer),
-                _graphml_data("      ", "d6", count),
-                "    </edge>\n"]
+        out.append(f'    <edge source="{ids[a]}" target="{ids[b]}">\n'
+                   f'      <data key="d5">{layer}</data>\n'
+                   f'      <data key="d6">{count}</data>\n'
+                   f'    </edge>\n')
     out += [_graphml_data("    ", "d0", json.dumps(net.provenance, sort_keys=True, allow_nan=False)),
             "  </graph>\n</graphml>\n"]
     Path(path).write_bytes("".join(out).encode("utf-8", "xmlcharrefreplace"))

@@ -14,7 +14,9 @@ chunks, one per usable CPU, and forks a worker for each chunk but the first
 (`tfmn.workers`). Each chunk streams its documents through cleaning,
 filtering, splitting and parsing into edge counts, keeping no sentence; the
 chunks' counts are merged in document order and the network is assembled
-once, so the files do not depend on the number of workers.
+once, so the files do not depend on the number of workers. With two or
+more usable CPUs, a forked child then writes the GraphML while build writes
+the network JSON; the summary is written after both.
 """
 
 from __future__ import annotations
@@ -266,8 +268,10 @@ def build(corpus, corpus_format, lexicon_dir, min_words, corpus_id, out_dir):
     )
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    builder.save_network(net, out_dir / f"{corpus_id}.network.json")
-    builder.write_graphml(net, out_dir / f"{corpus_id}.network.graphml")
+    writes = [lambda: builder.save_network(net, out_dir / f"{corpus_id}.network.json"),
+              lambda: builder.write_graphml(net, out_dir / f"{corpus_id}.network.graphml")]
+    # with two CPUs a forked child writes the GraphML while this process writes the JSON
+    workers.map_chunks(lambda chunk: [write() for write in chunk], writes)
     _write_json(
         out_dir / f"{corpus_id}.summary.json",
         _stamp({**builder.summary(net), "ingest": ingest_stats}, digest),

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tfmn.build import (
     _VALENCE_LABELS,
@@ -494,8 +494,15 @@ def graphml_networks(draw) -> MultiplexLexicalNetwork:
     return net
 
 
+# a star whose centre stem needs escaping, as an edge's source and as its target
+STAR_CENTRE = 'a&"<b'
+
+
 @settings(max_examples=300, deadline=None)
 @given(graphml_networks())
+@example(make_network({(STAR_CENTRE, "x"): 2, ("&<", STAR_CENTRE): 1, (STAR_CENTRE, "z\n"): 3},
+                      {(STAR_CENTRE, "x"), (STAR_CENTRE, "é")},
+                      emotions_by_stem={STAR_CENTRE: {"joy", "<fear>"}}))
 def test_graphml_bytes_match_networkx_reference(net):
     assert _graphml_bytes(write_graphml, net) == _graphml_bytes(reference_write_graphml, net)
 

@@ -18,7 +18,7 @@ from tfmn.build import Concept, MultiplexLexicalNetwork, save_network
 from tfmn.cli import _parse_documents, main
 from tfmn.stats import SWAPS_PER_EDGE
 
-from conftest import failing_kernel, make_network
+from conftest import assert_no_child_left, failing_kernel, make_network
 
 
 CORPUS = (
@@ -476,6 +476,28 @@ def test_build_error_in_a_worker_chunk_fails_with_one_json_line(runner, tmp_path
     assert result.stdout == "" and not (tmp_path / "out").exists()
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def test_build_error_in_the_graphml_writer_fails_with_one_json_line(runner, tmp_path, monkeypatch):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text(FORKED_CORPUS, encoding="utf-8")
+    parent = os.getpid()
+
+    def failing(net, path):
+        where = "parent" if os.getpid() == parent else "child"
+        raise OSError(f"disk full in the {where}: {Path(path).name}")
+
+    monkeypatch.setattr(builder, "write_graphml", failing)
+    left = []
+    for k, where in ((1, "parent"), (2, "child")):  # two CPUs fork the GraphML writer
+        result = _build_with_workers(runner, tmp_path, corpus, k, f"out{k}")
+        _assert_one_json_error(result)
+        assert json.loads(result.stderr) == {"error": f"disk full in the {where}: f.network.graphml",
+                                             "corpus": str(corpus)}
+        assert result.stdout == ""
+        left.append({p.name: p.read_bytes() for p in sorted((tmp_path / f"out{k}").iterdir())})
+        assert_no_child_left()
+    assert list(left[0]) == ["f.network.json"] and left[1] == left[0]
 
 
 def test_build_of_only_dropped_documents_fails_with_no_sentences(runner, tmp_path):

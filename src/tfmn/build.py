@@ -16,13 +16,14 @@ import json
 import math
 import re
 from bisect import bisect_left
+from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import NamedTuple
 
-from . import ingest, lexicons, stemmer
+from . import ingest, lexicons, stemmer, workers
 
 __all__ = [
     "Concept",
@@ -33,6 +34,7 @@ __all__ = [
     "add_synonym_layer",
     "EdgeCounts",
     "count_edges",
+    "count_corpus",
     "assemble_network",
     "build_network",
     "config_hash",
@@ -243,6 +245,37 @@ def count_edges(sentences: Iterable[ingest.ParsedSentence]) -> EdgeCounts:
         for pair in edges:
             edge_counts[pair] = edge_counts.get(pair, 0) + 1
     return EdgeCounts(edge_counts, n_sentences, edgeless)
+
+
+def count_corpus(corpus: Path, corpus_format: str, min_words: int):
+    """(edge counts, ingest stats) of a corpus file, as `tfmn build` counts it.
+    A text corpus is read whole, since the duplicate-id check needs every
+    document, and split into contiguous chunks, one per usable CPU, by
+    `workers.map_chunks`, which forks a worker for each chunk but the first.
+    Each chunk streams its documents through `ingest.parse_documents` into
+    edge counts, keeping no sentence, and the chunks' counts are merged in
+    document order: edges keep the first-seen order of one process, whatever
+    the number of workers."""
+    if corpus_format == "conllu":
+        sentences, rejections = ingest.parse_conllu(corpus)
+        documents = len({s.doc_id for s in sentences})
+        return count_edges(sentences), {"documents": documents, "dropped_short": 0,
+                                        "unparsed_sentences": 0, "rejected": len(rejections)}
+    docs = ingest.read_text_corpus(corpus)
+    ingest.word_classes()  # loaded once, before the fork, so that workers inherit it
+
+    def count_chunk(chunk: list[ingest.RawDocument]):
+        ingest_stats = Counter()
+        return count_edges(ingest.parse_documents(chunk, min_words, ingest_stats)), ingest_stats
+
+    edges, sentences, edgeless = Counter(), 0, 0  # a Counter keeps first-seen order
+    ingest_stats = Counter(documents=0, dropped_short=0, unparsed_sentences=0, rejected=0)
+    for chunk_counts, chunk_stats in workers.map_chunks(count_chunk, docs):
+        edges.update(chunk_counts.edges)
+        sentences += chunk_counts.sentences
+        edgeless += chunk_counts.edgeless
+        ingest_stats.update(chunk_stats)
+    return EdgeCounts(dict(edges), sentences, edgeless), dict(ingest_stats)
 
 
 def assemble_network(

@@ -8,15 +8,6 @@ byte-identical files. The config hash is stamped on the build summary and
 network provenance, the rank JSON, and the nulltest and benchmark reports,
 which also carry the seed and the swaps per edge; communities output carries
 the seed only, and aura, profile and the export CSV carry neither.
-
-build reads a text corpus whole, then splits its documents into contiguous
-chunks, one per usable CPU, and forks a worker for each chunk but the first
-(`tfmn.workers`). Each chunk streams its documents through cleaning,
-filtering, splitting and parsing into edge counts, keeping no sentence; the
-chunks' counts are merged in document order and the network is assembled
-once, so the files do not depend on the number of workers. With two or
-more usable CPUs, a forked child then writes the GraphML while build writes
-the network JSON; the summary is written after both.
 """
 
 from __future__ import annotations
@@ -104,49 +95,6 @@ def _lexicon_dir(value: str | None) -> Path:
 
         return Path(str(resources.files("tfmn.data").joinpath("lexicons")))
     return Path(value)
-
-
-def _count_corpus(corpus: Path, corpus_format: str, min_words: int):
-    """Returns (edge counts, ingest stats). A text corpus is read whole here,
-    since the duplicate-id check needs every document; its documents are
-    then parsed and counted in contiguous chunks by `workers.map_chunks`, one
-    per usable CPU, and the chunks' counts merged in order, so that edges
-    keep the first-seen order of one process."""
-    if corpus_format == "conllu":
-        sentences, rejections = ingest.parse_conllu(corpus)
-        documents = len({s.doc_id for s in sentences})
-        return builder.count_edges(sentences), {"documents": documents, "dropped_short": 0,
-                                                "unparsed_sentences": 0, "rejected": len(rejections)}
-    docs = ingest.read_text_corpus(corpus)
-    ingest.word_classes()  # loaded once, before the fork, so that workers inherit it
-
-    def count_chunk(chunk: list[ingest.RawDocument]):
-        ingest_stats = Counter()
-        return builder.count_edges(_parse_documents(chunk, min_words, ingest_stats)), ingest_stats
-
-    edges, sentences, edgeless = Counter(), 0, 0  # a Counter keeps first-seen order
-    ingest_stats = Counter(documents=0, dropped_short=0, unparsed_sentences=0, rejected=0)
-    for chunk_counts, chunk_stats in workers.map_chunks(count_chunk, docs):
-        edges.update(chunk_counts.edges)
-        sentences += chunk_counts.sentences
-        edgeless += chunk_counts.edgeless
-        ingest_stats.update(chunk_stats)
-    return builder.EdgeCounts(dict(edges), sentences, edgeless), dict(ingest_stats)
-
-
-def _parse_documents(docs: list[ingest.RawDocument], min_words: int, counts: Counter):
-    """Clean, filter, split and heuristically parse plain-text documents,
-    yielding each sentence as soon as it is parsed; adds the documents kept
-    and dropped as short, and the sentences left unparsed, to counts."""
-    docs, dropped = ingest.filter_short([ingest.clean_document(d) for d in docs], min_words)
-    counts["documents"] += len(docs)
-    counts["dropped_short"] += dropped
-    for doc in docs:
-        for i, sent in enumerate(ingest.split_sentences(doc.text)):
-            try:
-                yield ingest.heuristic_parse(sent, doc_id=f"{doc.id}-{i}")
-            except ingest.UnparsedSentence:
-                counts["unparsed_sentences"] += 1
 
 
 def _check_corpus_id(corpus_id: str) -> None:
@@ -260,7 +208,7 @@ def build(corpus, corpus_format, lexicon_dir, min_words, corpus_id, out_dir):
     valence = lexicons.load_valence_norms(lexicon_dir / "valence.csv")
     emotions = lexicons.load_emotion_lexicon(lexicon_dir / "emotions.tsv")
     synonyms = lexicons.load_synonyms(lexicon_dir / "synonyms.tsv")
-    edge_counts, ingest_stats = _count_corpus(Path(corpus), corpus_format, min_words)
+    edge_counts, ingest_stats = builder.count_corpus(Path(corpus), corpus_format, min_words)
     net = builder.assemble_network(
         edge_counts, valence, emotions, synonyms,
         corpus_id=corpus_id,
@@ -453,7 +401,7 @@ def benchmark(paragraph_dir, oracle, lexicon_dir, top_k, realizations, seed, out
     for path in paragraphs:
         topic_word = BENCHMARK_TOPICS.get(path.stem, path.stem)
         doc = ingest.RawDocument(id=path.stem, text=path.read_text(encoding="utf-8"))
-        sentences = _parse_documents([doc], 1, Counter())
+        sentences = ingest.parse_documents([doc], 1, Counter())
         net = builder.build_network(
             sentences, valence, emotions, synonyms,
             corpus_id=path.stem, config={**settings, "config_hash": digest},
@@ -481,7 +429,7 @@ def export(network, fmt, out):
     if fmt == "graphml":
         builder.write_graphml(net, out)
     elif fmt == "json":
-        Path(out).write_text(builder.network_to_json(net), encoding="utf-8")
+        builder.save_network(net, out)
     else:
         _write_rows(out, metrics.centrality_report(net))
     click.echo(f"wrote {out}")

@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import re
 import unicodedata
+from collections import Counter
 from dataclasses import dataclass, field
 from importlib import resources
 from itertools import chain
@@ -32,6 +33,7 @@ __all__ = [
     "to_conllu",
     "heuristic_parse",
     "read_text_corpus",
+    "parse_documents",
 ]
 
 
@@ -394,3 +396,18 @@ def heuristic_parse(sentence: str, doc_id: str = "heuristic") -> ParsedSentence:
     parsed = ParsedSentence(doc_id=doc_id, tokens=tokens)
     parsed.validate()
     return parsed
+
+
+def parse_documents(docs: list[RawDocument], min_words: int, counts: Counter):
+    """Clean, filter, split and heuristically parse plain-text documents,
+    yielding each sentence as soon as it is parsed; adds the documents kept
+    and dropped as short, and the sentences left unparsed, to counts."""
+    docs, dropped = filter_short([clean_document(d) for d in docs], min_words)
+    counts["documents"] += len(docs)
+    counts["dropped_short"] += dropped
+    for doc in docs:
+        for i, sent in enumerate(split_sentences(doc.text)):
+            try:
+                yield heuristic_parse(sent, doc_id=f"{doc.id}-{i}")
+            except UnparsedSentence:
+                counts["unparsed_sentences"] += 1

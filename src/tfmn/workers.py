@@ -4,11 +4,12 @@
 CPU, runs fn on the first chunk in this process and on each other chunk in a
 forked child, and returns the chunks' results in chunk order. A caller whose
 results are merged in that order therefore gets what one process would give,
-whatever the number of workers. `build` counts the edges of document chunks
-this way and then writes its network JSON and GraphML as two items, and
-`stats` runs the realizations of seed chunks. Only return values
-cross from a child: what a chunk has to report, such as the swap counts from
-which `stats` warns of a rewiring that fell short, is part of fn's result.
+whatever the number of workers. `build.count_corpus` counts the edges of
+document chunks this way, `tfmn build` writes its network JSON and GraphML
+as two items, and `stats` runs the realizations of seed chunks. Only return
+values cross from a child: what a chunk has to report, such as the swap
+counts from which `stats` warns of a rewiring that fell short, is part of
+fn's result.
 """
 
 from __future__ import annotations

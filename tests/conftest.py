@@ -16,6 +16,20 @@ from tfmn.lexicons import (
 
 DATA = Path(tfmn.__file__).parent / "data"
 
+# Seven documents, which split 3 + 4 over two workers and 2 + 2 + 3 over
+# three: f2 is dropped as short, "Wow." is left unparsed, "Love loves love."
+# gives no edge (its one stem pair is a self-pair), and (joi, love) occurs in
+# f1 and again in f7, each time in another chunk.
+FORKED_CORPUS = (
+    "f1\tLove is joy. Success is victory.\n"
+    "f2\tno way\n"
+    "f3\tWow. Fear is pain. Loss is grief.\n"
+    "f4\tLove loves love. Science is hard.\n"
+    "f5\tHope is success. Mathematics is not impossible.\n"
+    "f6\tthe cat sat on the chair\n"
+    "f7\tLove is joy. Grief is pain.\n"
+)
+
 
 @pytest.fixture(scope="session")
 def data_dir() -> Path:

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import networkx as nx
@@ -16,6 +17,8 @@ from tfmn.build import (
     _token_stem,
     add_synonym_layer,
     build_network,
+    count_corpus,
+    count_edges,
     extract_syntactic_edges,
     indexed,
     network_from_json,
@@ -24,10 +27,17 @@ from tfmn.build import (
     summary,
     write_graphml,
 )
-from tfmn.ingest import ParsedSentence, Token, heuristic_parse, word_classes
+from tfmn.ingest import (
+    ParsedSentence,
+    Token,
+    heuristic_parse,
+    parse_documents,
+    read_text_corpus,
+    word_classes,
+)
 from tfmn.lexicons import SynonymLexicon
 
-from conftest import make_network
+from conftest import FORKED_CORPUS, assert_no_child_left, make_network
 
 
 def edges_of(sentence: str) -> set[tuple[str, str]]:
@@ -239,6 +249,30 @@ def test_build_from_a_generator_equals_build_from_the_list(valence, emotions, sy
     assert list(from_generator.syntactic_edges.items()) == list(from_list.syntactic_edges.items())
     assert from_list.provenance["sentence_count"] == 5
     assert from_list.provenance["edgeless_sentences"] == 1
+
+
+@pytest.mark.parametrize("n_docs", [7, 2], ids=["uneven chunks", "fewer documents than workers"])
+def test_count_corpus_does_not_depend_on_the_worker_count(tmp_path, workers, n_docs):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("".join(FORKED_CORPUS.splitlines(keepends=True)[:n_docs]), encoding="utf-8")
+    results = []
+    for k in (1, 2, 3):
+        workers(k)
+        counts, ingest_stats = count_corpus(corpus, "text", 3)
+        results.append((list(counts.edges.items()), counts.sentences, counts.edgeless, ingest_stats))
+    assert results[1] == results[0] and results[2] == results[0]
+    one_process_stats = Counter()
+    one_process = count_edges(parse_documents(read_text_corpus(corpus), 3, one_process_stats))
+    assert results[0][:3] == (list(one_process.edges.items()), one_process.sentences,
+                              one_process.edgeless)
+    assert results[0][3] == {"documents": 0, "dropped_short": 0, "unparsed_sentences": 0,
+                             "rejected": 0, **one_process_stats}
+    if n_docs == 7:
+        assert results[0][3] == {"documents": 6, "dropped_short": 1, "unparsed_sentences": 1,
+                                 "rejected": 0}
+        assert (results[0][1], results[0][2]) == (11, 1)
+        assert dict(results[0][0])[("joi", "love")] == 2  # once in each of two chunks
+    assert_no_child_left()
 
 
 def test_provenance_recorded(valence, emotions, synonyms):

@@ -1,5 +1,4 @@
 import csv
-import importlib.util
 import json
 import math
 import os
@@ -14,11 +13,11 @@ from click.testing import CliRunner
 
 import tfmn
 from tfmn import build as builder, ingest, stats, workers
-from tfmn.build import Concept, MultiplexLexicalNetwork, save_network
-from tfmn.cli import _parse_documents, main
+from tfmn.build import Concept, save_network
+from tfmn.cli import main
 from tfmn.stats import SWAPS_PER_EDGE
 
-from conftest import assert_no_child_left, failing_kernel, make_network
+from conftest import FORKED_CORPUS, assert_no_child_left, failing_kernel, make_network
 
 
 CORPUS = (
@@ -404,21 +403,6 @@ def test_nulltest_error_in_a_worker_fails_with_one_json_line(built, runner, tmp_
         os.waitpid(-1, os.WNOHANG)
 
 
-# Seven documents, which split 3 + 4 over two workers and 2 + 2 + 3 over
-# three: f2 is dropped as short, "Wow." is left unparsed, "Love loves love."
-# gives no edge (its one stem pair is a self-pair), and (joi, love) occurs in
-# f1 and again in f7, each time in another chunk.
-FORKED_CORPUS = (
-    "f1\tLove is joy. Success is victory.\n"
-    "f2\tno way\n"
-    "f3\tWow. Fear is pain. Loss is grief.\n"
-    "f4\tLove loves love. Science is hard.\n"
-    "f5\tHope is success. Mathematics is not impossible.\n"
-    "f6\tthe cat sat on the chair\n"
-    "f7\tLove is joy. Grief is pain.\n"
-)
-
-
 def _build_with_workers(runner, tmp_path, corpus, k, name):
     """Runs build of corpus with k usable CPUs into tmp_path / name."""
     with pytest.MonkeyPatch.context() as patch:
@@ -446,7 +430,7 @@ def test_build_does_not_depend_on_the_worker_count(runner, tmp_path, monkeypatch
     # insertion order too, which the files do not show
     edges = [list(net.syntactic_edges.items()) for net in built]
     assert edges[1] == edges[0] and edges[2] == edges[0]
-    sentences = _parse_documents(ingest.read_text_corpus(corpus), 3, Counter())
+    sentences = ingest.parse_documents(ingest.read_text_corpus(corpus), 3, Counter())
     one_process = builder.build_network(sentences, valence, emotions, synonyms)
     assert list(one_process.syntactic_edges.items()) == edges[0]
     if n_docs == 7:
@@ -839,51 +823,6 @@ def test_communities_and_read_graphml_leave_networkx_unloaded(tmp_path):
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert "love" in json.loads((tmp_path / "out" / "comm.json").read_text())["target_community"]
-
-
-def test_every_traced_name_resolves():
-    """perfbench/tracer.py wraps these names; deleting one breaks only traced
-    benchmark runs, so check them here."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
-    for layer, names in tracer.TRACED.items():
-        module = importlib.import_module(f"tfmn.{layer}")
-        for name in names:
-            assert callable(getattr(module, name, None)), f"tfmn.{layer}.{name}"
-    for name in tracer.TRACED_METHODS:
-        assert callable(getattr(MultiplexLexicalNetwork, name, None)), name
-
-
-def test_outputs_identical_across_hash_seeds(tmp_path):
-    """Each command runs in a fresh interpreter per hash seed, with the same
-    relative paths, so every output file must match byte for byte."""
-    entry = "import sys; from tfmn.cli import main; sys.argv[0] = 'tfmn'; main()"
-    env = {k: v for k, v in os.environ.items() if k != "TFMN_LEXICON_DIR"}
-    env["PYTHONPATH"] = str(Path(tfmn.__file__).resolve().parents[1])
-    commands = [
-        ["build", "--corpus", "corpus.txt", "--corpus-id", "toy", "--out-dir", "out"],
-        ["rank", "--network", "out/toy.network.json", "--top-k", "5", "--out", "out/rank.csv"],
-        ["nulltest", "--network", "out/toy.network.json", "--realizations", "5", "--seed", "2",
-         "--out", "out/null.json"],
-        ["communities", "--network", "out/toy.network.json", "--seed", "3", "--target", "love",
-         "--out", "out/comm.json"],
-        ["benchmark", "--realizations", "5", "--seed", "1", "--out-dir", "bench"],
-    ]
-    outputs = []
-    for hash_seed in ("1", "2"):
-        cwd = tmp_path / f"seed{hash_seed}"
-        cwd.mkdir()
-        (cwd / "corpus.txt").write_text(CORPUS, encoding="utf-8")
-        for args in commands:
-            subprocess.run([sys.executable, "-c", entry, *args], cwd=cwd, check=True,
-                           env={**env, "PYTHONHASHSEED": hash_seed}, capture_output=True, timeout=120)
-        outputs.append({str(p.relative_to(cwd)): p.read_bytes()
-                        for p in sorted(cwd.rglob("*")) if p.is_file()})
-    # corpus, 3 build and 2 rank files, null, communities, 7 networks and benchmark.json
-    assert len(outputs[0]) == 16
-    assert outputs[0] == outputs[1]
 
 
 def _lexicons_without(tmp_path, lexicon_dir, *missing):

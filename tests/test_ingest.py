@@ -20,13 +20,13 @@ from tfmn.ingest import (
     heuristic_parse,
     iter_conllu,
     parse_conllu,
+    parse_documents,
     read_text_corpus,
     split_sentences,
     to_conllu,
     word_classes,
 )
 from tfmn.build import _is_content
-from tfmn.cli import _parse_documents
 
 from conllu_reference import reference_iter_conllu
 
@@ -317,11 +317,11 @@ def test_heuristic_trees_are_pinned(data_dir):
     """Every tree the parser gives for the bundled synthetic corpus and the
     benchmark paragraphs, parsed as build and benchmark parse them, so that a
     changed tree fails here and not only in the network bytes."""
-    sentences = list(_parse_documents(read_text_corpus(data_dir / "synthetic" / "corpus.txt"), 3,
-                                      Counter()))
+    sentences = list(parse_documents(read_text_corpus(data_dir / "synthetic" / "corpus.txt"), 3,
+                                     Counter()))
     for path in sorted((data_dir / "benchmark").glob("*.txt")):
-        sentences += _parse_documents([RawDocument(path.stem, path.read_text(encoding="utf-8"))], 1,
-                                      Counter())
+        sentences += parse_documents([RawDocument(path.stem, path.read_text(encoding="utf-8"))], 1,
+                                     Counter())
     digest = hashlib.sha256("".join(map(to_conllu, sentences)).encode("utf-8")).hexdigest()
     assert (len(sentences), digest) == (
         1190, "c57bcbd105a8d71a432c1c5cd12db94cc0307b95b51947253d6666d6e165947d")

@@ -5,11 +5,12 @@ from unittest import mock
 
 import networkx as nx
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 from tfmn import metrics
-from tfmn.build import Concept, MultiplexLexicalNetwork
-from tfmn.cli import _write_rows
+from tfmn.build import Concept, MultiplexLexicalNetwork, save_network
+from tfmn.cli import main
 from tfmn.metrics import (
     LAYER_MODES,
     bfs,
@@ -144,8 +145,12 @@ def test_centrality_report_rows():
 
 
 def test_centrality_report_csv(tmp_path):
+    """`export --format csv` writes the report under its header row."""
     path = tmp_path / "r.csv"
-    _write_rows(path, centrality_report(star_net()))
+    save_network(star_net(), tmp_path / "star.json")
+    result = CliRunner().invoke(main, ["export", "--network", str(tmp_path / "star.json"),
+                                       "--format", "csv", "--out", str(path)])
+    assert result.exit_code == 0, result.output
     lines = path.read_text().splitlines()
     assert lines[0] == "stem,closeness,degree,component_size"
     assert lines[1].startswith("hub,")

@@ -36,16 +36,14 @@ from __future__ import annotations
 import math
 import statistics
 import sys
-from collections import Counter
 from collections.abc import Callable, Iterator
 from pathlib import Path
 
 DATA = Path(__file__).resolve().parents[1] / "src" / "tfmn" / "data"
 sys.path.insert(0, str(DATA.parents[1]))
 
-from tfmn.build import Indexed, build_network  # noqa: E402
-from tfmn.cli import BENCHMARK_TOPICS, _parse_documents  # noqa: E402
-from tfmn.ingest import read_text_corpus  # noqa: E402
+from tfmn.build import Indexed, assemble_network, count_corpus  # noqa: E402
+from tfmn.cli import BENCHMARK_TOPICS  # noqa: E402
 from tfmn.lexicons import load_emotion_lexicon, load_synonyms, load_valence_norms  # noqa: E402
 from tfmn.metrics import _mean_clustering, bfs  # noqa: E402
 from tfmn.stats import load_free_associations, rewire_graph  # noqa: E402
@@ -134,13 +132,13 @@ def plateau(per_step: list[list[float]]) -> int:
 
 def bundled_graphs() -> dict[str, tuple[Indexed, dict[str, Statistic]]]:
     """Each bundled graph with the statistics tracked on it. The synthetic
-    corpus is parsed as `tfmn build` parses it (--min-words 3)."""
+    network is counted and assembled as `tfmn build` does it (--min-words 3)."""
     oracle = load_free_associations(DATA / "benchmark" / "free_associations.tsv")
     lexicons = DATA / "lexicons"
-    sentences = _parse_documents(read_text_corpus(DATA / "synthetic" / "corpus.txt"), 3, Counter())
-    net = build_network(sentences, load_valence_norms(lexicons / "valence.csv"),
-                        load_emotion_lexicon(lexicons / "emotions.tsv"),
-                        load_synonyms(lexicons / "synonyms.tsv"), corpus_id="synthetic")
+    counts, _ = count_corpus(DATA / "synthetic" / "corpus.txt", "text", 3)
+    net = assemble_network(counts, load_valence_norms(lexicons / "valence.csv"),
+                           load_emotion_lexicon(lexicons / "emotions.tsv"),
+                           load_synonyms(lexicons / "synonyms.tsv"), corpus_id="synthetic")
     syntactic = net.indexed("syntactic")
     topics = sorted(stem(w) for w in BENCHMARK_TOPICS.values())
     return {

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import random
 from collections import defaultdict
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .build import MultiplexLexicalNetwork
+from .build import MultiplexLexicalNetwork, _ordered
 from . import lexicons
 
 __all__ = [
@@ -28,22 +28,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class AuraReport:
+class AuraReport(NamedTuple):
     target: str
     counts: dict[str, int]  # positive / neutral / negative
     fractions: dict[str, float]  # over rated neighbours
-    unrated: int
+    unrated_neighbors: int
     aura: str  # positive | neutral | negative | mixed | undetermined
-
-    def to_dict(self) -> dict:
-        return {
-            "target": self.target,
-            "counts": self.counts,
-            "fractions": self.fractions,
-            "unrated_neighbors": self.unrated,
-            "aura": self.aura,
-        }
 
 
 def valence_aura(net: MultiplexLexicalNetwork, target: str) -> AuraReport:
@@ -72,22 +62,12 @@ def valence_aura(net: MultiplexLexicalNetwork, target: str) -> AuraReport:
     return AuraReport(target, counts, fractions, unrated, aura)
 
 
-@dataclass(frozen=True)
-class EmotionalProfile:
+class EmotionalProfile(NamedTuple):
     target: str
     counts: dict[str, int]  # per emotion
     fractions: dict[str, float]  # of emotion occurrences; empty if none
     contributors: list[tuple[str, str, bool]]  # (associate, emotion, negated antonym?)
     missing_antonyms: int
-
-    def to_dict(self) -> dict:
-        return {
-            "target": self.target,
-            "counts": self.counts,
-            "fractions": self.fractions,
-            "contributors": [list(c) for c in self.contributors],
-            "missing_antonyms": self.missing_antonyms,
-        }
 
 
 def emotional_profile(
@@ -129,10 +109,9 @@ def emotional_profile(
     return EmotionalProfile(target, counts, fractions, contributors, missing_antonyms)
 
 
-@dataclass(frozen=True)
-class CommunityPartition:
+class CommunityPartition(NamedTuple):
     communities: dict[str, int]  # stem -> community id
-    modularity_value: float
+    modularity: float
     seed: int
 
 
@@ -171,7 +150,7 @@ def louvain_partition(net: MultiplexLexicalNetwork, seed: int) -> CommunityParti
     communities = sorted(sorted(c) for c in _merged(inner, members))
     assignment = {stems[u]: cid for cid, comm in enumerate(communities) for u in comm}
     q = _modularity(graph, [set(c) for c in communities])
-    return CommunityPartition(communities=assignment, modularity_value=q, seed=seed)
+    return CommunityPartition(communities=assignment, modularity=q, seed=seed)
 
 
 def _edges(adj: list[dict[int, int]]):
@@ -284,9 +263,11 @@ def neighborhood_subgraph(
 
 def classify_edges(net: MultiplexLexicalNetwork) -> dict[tuple[str, str], str]:
     """Edge classes matching the figure legend: positive-positive,
-    negative-negative, mixed (one of each), synonym, other."""
+    negative-negative, mixed (one of each), synonym, other. Each pair is
+    keyed (min, max) and classed once, whichever way each layer stores it."""
     classes: dict[tuple[str, str], str] = {}
-    for a, b in net.syntactic_edges:
+    for pair in net.syntactic_edges:
+        a, b = _ordered(*pair)
         la = net.nodes[a].valence_label
         lb = net.nodes[b].valence_label
         if la == "positive" and lb == "positive":
@@ -298,6 +279,5 @@ def classify_edges(net: MultiplexLexicalNetwork) -> dict[tuple[str, str], str]:
         else:
             classes[(a, b)] = "other"
     for pair in net.synonym_edges:
-        if pair not in classes:
-            classes[pair] = "synonym"
+        classes.setdefault(_ordered(*pair), "synonym")
     return classes

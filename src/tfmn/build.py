@@ -159,10 +159,6 @@ def _is_content(token, negations: frozenset[str]) -> bool:
     return token.surface.lower() in negations or token.lemma.lower() in negations
 
 
-def _token_stem(token, negations: frozenset[str]) -> str | None:
-    return _word_stem(token.lemma or token.surface, negations)
-
-
 @functools.cache  # a corpus repeats its words
 def _word_stem(word: str, negations: frozenset[str]) -> str | None:
     word = word.lower()
@@ -193,7 +189,7 @@ def extract_syntactic_edges(sentence: ingest.ParsedSentence) -> set[tuple[str, s
     stems: dict[int, str | None] = {}
     for tok in sentence.tokens:
         if _is_content(tok, negations):
-            stems[tok.index] = _token_stem(tok, negations)
+            stems[tok.index] = _word_stem(tok.lemma or tok.surface, negations)
         else:
             neighbors = adj.pop(tok.index)
             for u in neighbors:

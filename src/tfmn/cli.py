@@ -118,11 +118,6 @@ def _write_rows(path: str, rows: list) -> None:
         csv.writer(fh).writerows([("stem", "closeness", "degree", "component_size"), *rows])
 
 
-def _stamp(payload: dict, digest: str) -> dict:
-    payload["config_hash"] = digest
-    return payload
-
-
 def _resolve_target(net, raw: str) -> str | None:
     """The node `raw` names: itself lower-cased, else its stem, else None."""
     candidate = raw.lower()
@@ -222,7 +217,7 @@ def build(corpus, corpus_format, lexicon_dir, min_words, corpus_id, out_dir):
     workers.map_chunks(lambda chunk: [write() for write in chunk], writes)
     _write_json(
         out_dir / f"{corpus_id}.summary.json",
-        _stamp({**builder.summary(net), "ingest": ingest_stats}, digest),
+        {**builder.summary(net), "ingest": ingest_stats, "config_hash": digest},
     )
     click.echo(f"built {corpus_id}: {len(net.nodes)} nodes, "
                f"{len(net.syntactic_edges)} syntactic / {len(net.synonym_edges)} synonym edges")
@@ -246,7 +241,7 @@ def rank(network, top_k, layer_mode, out):
         _write_rows(out, rows)
         _write_json(
             Path(out).with_suffix(".json"),
-            _stamp({"ranking": [[s, c] for s, c, _, _ in rows]}, builder.config_hash(settings)),
+            {"ranking": [[s, c] for s, c, _, _ in rows], "config_hash": builder.config_hash(settings)},
         )
     for s, c, _, _ in rows:
         click.echo(f"{s}\t{c:.6f}")
@@ -261,7 +256,7 @@ def aura(network, targets, out):
     _check_out(out)
     net = builder.load_network(network)
     known, unknown = _resolve_targets(net, targets)
-    reports = [analysis.valence_aura(net, t).to_dict() for t in known]
+    reports = [analysis.valence_aura(net, t)._asdict() for t in known]
     if out:
         _write_json(Path(out), {"auras": reports, "unknown_targets": unknown})
     for r in reports:
@@ -289,7 +284,7 @@ def profile(network, targets, lexicon_dir, out_dir):
     lines = []
     for target in known:
         prof = analysis.emotional_profile(net, target, emotions, antonyms)
-        _write_json(out / f"{target}.profile.json", prof.to_dict())
+        _write_json(out / f"{target}.profile.json", prof._asdict())
         _write_json(out / f"{target}.chart.json", {"emotion_fractions": prof.fractions})
         top = sorted(prof.counts.items(), key=lambda kv: (-kv[1], kv[0]))[:3]
         lines.append(f"{target}\t" + ", ".join(f"{e}={n}" for e, n in top))
@@ -316,11 +311,7 @@ def communities(network, seed, target, out):
     if target and node is None:
         _fail("unknown target", target=target)
     partition = analysis.louvain_partition(net, seed=seed)
-    payload = {
-        "communities": partition.communities,
-        "modularity": partition.modularity_value,
-        "seed": seed,
-    }
+    payload = partition._asdict()
     if node is not None:
         sub = analysis.neighborhood_subgraph(net, node, partition)
         payload["target_community"] = sorted(sub.nodes)
@@ -329,7 +320,7 @@ def communities(network, seed, target, out):
     if out:
         _write_json(Path(out), payload)
     n_comm = len(set(partition.communities.values()))
-    click.echo(f"{n_comm} communities, modularity {partition.modularity_value:.4f}")
+    click.echo(f"{n_comm} communities, modularity {partition.modularity:.4f}")
 
 
 @main.command()
@@ -348,7 +339,7 @@ def nulltest(network, realizations, seed, swaps_per_edge, out):
                 "realizations": realizations, "seed": seed, "swaps_per_edge": swaps_per_edge}
     report = stats.clustering_null_test(net, realizations, seed, swaps_per_edge)
     if out:
-        _write_json(Path(out), _stamp(report, builder.config_hash(settings)))
+        _write_json(Path(out), {**report, "config_hash": builder.config_hash(settings)})
     click.echo(
         f"clustering {report['empirical_clustering']:.3f} "
         f"({report['ensemble_mean']:.3f} +/- {report['ensemble_std']:.3f} for configuration models)"
@@ -411,8 +402,8 @@ def benchmark(paragraph_dir, oracle, lexicon_dir, top_k, realizations, seed, out
         rankings[topic_stem] = [s for s, _ in metrics.rank_concepts(net, top_k)]
         sizes[path.stem] = len(net.nodes)
     report = stats.benchmark_topic_relevance(rankings, associations, realizations, seed)
-    report["paragraph_sizes"] = sizes
-    _write_json(out_dir / "benchmark.json", _stamp(report, digest))
+    _write_json(out_dir / "benchmark.json",
+                {**report, "paragraph_sizes": sizes, "config_hash": digest})
     click.echo(
         f"empirical median {report['empirical_median']:.1f} vs null {report['null_median']:.1f}, "
         f"U={report['mann_whitney']['U']:.0f}, p={report['mann_whitney']['p_value']:.4g}"

@@ -40,9 +40,8 @@ import math
 import random
 import statistics
 import warnings
-from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from . import lexicons, workers
 from .build import Indexed, MultiplexLexicalNetwork, indexed
@@ -250,8 +249,7 @@ def _realizations(measure: Callable[[list[list[int]]], object], layers: list, n:
 # ---------------------------------------------------------------------------
 # Mann-Whitney U
 
-@dataclass(frozen=True)
-class MannWhitneyResult:
+class MannWhitneyResult(NamedTuple):
     U: float
     p_value: float
     n1: int
@@ -298,7 +296,7 @@ def mann_whitney_u(sample_a: list[float], sample_b: list[float]) -> MannWhitneyR
         diff = u1 - mu
         correction = 0.5 if diff > 0 else (-0.5 if diff < 0 else 0.0)
         z = (diff - correction) / math.sqrt(sigma_sq)
-        p = 2 * (1 - _norm_cdf(abs(z)))
+        p = 2 * (1 - statistics.NormalDist().cdf(abs(z)))
         p = min(max(p, 1e-300), 1.0)
     return MannWhitneyResult(
         U=u1,
@@ -308,10 +306,6 @@ def mann_whitney_u(sample_a: list[float], sample_b: list[float]) -> MannWhitneyR
         median1=float(statistics.median(sample_a)),
         median2=float(statistics.median(sample_b)),
     )
-
-
-def _norm_cdf(x: float) -> float:
-    return 0.5 * (1 + math.erf(x / math.sqrt(2)))
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +387,7 @@ def benchmark_topic_relevance(
         "per_topic": per_topic,
         "empirical_median": result.median1,
         "null_median": result.median2,
-        "mann_whitney": asdict(result),
+        "mann_whitney": result._asdict(),
     }
 
 

@@ -45,8 +45,11 @@ def test_aura_all_unrated_is_undetermined():
     net = make_network({("t", "u1"): 1, ("t", "u2"): 1})
     report = valence_aura(net, "t")
     assert report.aura == "undetermined"
-    assert report.unrated == 2
+    assert report.unrated_neighbors == 2
     assert report.fractions == {}
+    # a NamedTuple whose fields are the keys `aura` writes
+    assert report._asdict() == {"target": "t", "counts": {"positive": 0, "neutral": 0, "negative": 0},
+                                "fractions": {}, "unrated_neighbors": 2, "aura": "undetermined"}
 
 
 def test_aura_counts_distinct_neighbors_once():
@@ -172,7 +175,7 @@ def test_louvain_finds_planted_cliques():
     assert ids["a"] == ids["b"] == ids["c"]
     assert ids["x"] == ids["y"] == ids["z"]
     assert ids["a"] != ids["x"]
-    assert part.modularity_value > 0.3
+    assert part.modularity > 0.3
 
 
 def test_louvain_deterministic_for_seed():
@@ -195,7 +198,7 @@ def reference_louvain_partition(net: MultiplexLexicalNetwork, seed: int) -> Comm
     communities = sorted((sorted(c) for c in communities), key=lambda c: c[0])
     assignment = {s: cid for cid, comm in enumerate(communities) for s in comm}
     q = modularity(g, [set(c) for c in communities])
-    return CommunityPartition(communities=assignment, modularity_value=q, seed=seed)
+    return CommunityPartition(communities=assignment, modularity=q, seed=seed)
 
 
 def _assert_same_as_networkx(net, seed):
@@ -295,3 +298,12 @@ def test_classify_edges():
     assert classes[("n1", "p1")] == "mixed"
     assert classes[("p2", "u")] == "other"
     assert classes[("n2", "p2")] == "synonym"
+
+
+def test_classify_edges_keys_a_pair_stored_both_ways_once():
+    # validate accepts one orientation per layer, so a hand-built network may
+    # hold (b, a) in one layer and (a, b) in the other: one edge, one class
+    nodes = {s: Concept(s, "positive", None, frozenset()) for s in "abc"}
+    net = MultiplexLexicalNetwork(nodes, {("b", "a"): 1, ("b", "c"): 1}, {("a", "b")}, {})
+    net.validate()
+    assert classify_edges(net) == {("a", "b"): "positive-positive", ("b", "c"): "positive-positive"}

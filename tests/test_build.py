@@ -14,7 +14,7 @@ from tfmn.build import (
     MultiplexLexicalNetwork,
     _is_content,
     _ordered,
-    _token_stem,
+    _word_stem,
     add_synonym_layer,
     build_network,
     count_corpus,
@@ -129,8 +129,8 @@ def reference_contraction(sentence: ParsedSentence) -> set[tuple[str, str]]:
     by_index = {tok.index: tok for tok in sentence.tokens}
     edges = set()
     for u, v in g.edges():
-        su = _token_stem(by_index[u], negations)
-        sv = _token_stem(by_index[v], negations)
+        su = _word_stem(by_index[u].lemma or by_index[u].surface, negations)
+        sv = _word_stem(by_index[v].lemma or by_index[v].surface, negations)
         if su is None or sv is None or su == sv:
             continue
         edges.add(_ordered(su, sv))

@@ -1,9 +1,11 @@
 import importlib.util
+import math
 import os
 import random
 import subprocess
 import sys
 import warnings
+from collections import Counter
 from pathlib import Path
 from unittest import mock
 
@@ -476,6 +478,32 @@ def test_u_matches_pair_counting(a, b):
     # U1 + U2 = n1*n2 with U computed for the first sample as n1*n2 - #(a beats b)
     assert r.U == pytest.approx(len(a) * len(b) - brute_force_u(a, b))
     assert 0.0 < r.p_value <= 1.0
+
+
+def reference_p_value(a, b):
+    """The two-sided tie-corrected p-value, step for step as mann_whitney_u
+    computes it, with the standard normal CDF written as an erf."""
+    n1, n2 = len(a), len(b)
+    n = n1 + n2
+    tie_term = sum(t**3 - t for t in Counter(a + b).values())
+    sigma_sq = n1 * n2 / 12 * ((n + 1) - tie_term / (n * (n - 1)))
+    if sigma_sq <= 0:
+        return 1.0
+    diff = (n1 * n2 - brute_force_u(a, b)) - n1 * n2 / 2
+    correction = 0.5 if diff > 0 else (-0.5 if diff < 0 else 0.0)
+    z = (diff - correction) / math.sqrt(sigma_sq)
+    p = 2 * (1 - 0.5 * (1 + math.erf(abs(z) / math.sqrt(2))))
+    return min(max(p, 1e-300), 1.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(0, 40).map(float), min_size=1, max_size=40),
+    st.lists(st.integers(0, 40).map(float), min_size=1, max_size=40),
+)
+@example([float(i) for i in range(30)], [float(i + 100) for i in range(30)])
+def test_p_value_matches_the_erf_reference(a, b):
+    assert mann_whitney_u(a, b).p_value == reference_p_value(a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -18,10 +18,13 @@ paths and an explicit --lexicon-dir, --paragraph-dir and --oracle, so the
 paths stamped into outputs are the same for every checkout. The commands:
 build of each corpus (the text ones are counted in chunks of documents,
 one per usable CPU); rank in each layer mode; aura; profile; communities
---seed 3 --target love; nulltest --realizations 5 --seed 7 and --realizations 7
---seed 2 (chunks of unequal size on two CPUs); nulltest on SMALL_NETWORK, a
-hand-written network with a pair in both layers, an isolated node and a
-one-edge synonym layer; nulltest --swaps-per-edge 1 --realizations 8 on
+--seed 3 --target love; aura --targets ant,hen, profile --targets ant and
+communities --seed 0 --target ant on SMALL_NETWORK, a hand-written network
+with a pair in both layers, an isolated node, a one-edge synonym layer and
+no rated node, so that the listing holds undetermined auras, an empty profile
+and a pair in both layers among the edge classes; nulltest --realizations 5
+--seed 7 and --realizations 7 --seed 2 (chunks of unequal size on two CPUs);
+nulltest on SMALL_NETWORK; nulltest --swaps-per-edge 1 --realizations 8 on
 STAR_NETWORK, a star with one disjoint edge whose rewirings fall short, so
 that its stderr holds shortfall warnings; export in each format; benchmark
 --realizations 5 --seed 0; --version, --help and each subcommand's --help.
@@ -75,6 +78,11 @@ COMMANDS = [
     ["profile", "--network", NETWORK, "--targets", "love,trust,zzz", "--lexicon-dir", "lexicons",
      "--out-dir", "profile"],
     ["communities", "--network", NETWORK, "--seed", "3", "--target", "love", "--out", "communities.json"],
+    ["aura", "--network", "small.network.json", "--targets", "ant,hen", "--out", "aura-small.json"],
+    ["profile", "--network", "small.network.json", "--targets", "ant", "--lexicon-dir", "lexicons",
+     "--out-dir", "profile-small"],
+    ["communities", "--network", "small.network.json", "--seed", "0", "--target", "ant",
+     "--out", "communities-small.json"],
     ["nulltest", "--network", NETWORK, "--realizations", "5", "--seed", "7", "--out", "nulltest.json"],
     ["nulltest", "--network", NETWORK, "--realizations", "7", "--seed", "2", "--out", "nulltest-7.json"],
     ["nulltest", "--network", "small.network.json", "--realizations", "6", "--seed", "1",
@@ -176,9 +184,10 @@ CONLLU = """\
 """
 
 
-# A hand-written network for nulltest: a ring with chords and a triangle, one
-# pair in both layers, a one-edge synonym layer and an isolated node, none of
-# which the bundled corpus yields.
+# A hand-written network for aura, profile, communities and nulltest: a ring
+# with chords and a triangle, one pair in both layers, a one-edge synonym
+# layer, an isolated node and no rated node, none of which the bundled corpus
+# yields.
 SMALL_SYNTACTIC = [("ant", "bee"), ("bee", "cat"), ("cat", "dog"), ("dog", "eel"), ("eel", "fox"),
                    ("fox", "gnu"), ("gnu", "hen"), ("hen", "ant"), ("ant", "dog"), ("bee", "fox"),
                    ("cat", "gnu"), ("ant", "cat"), ("elk", "ant"), ("elk", "eel")]

@@ -164,7 +164,8 @@ def _word_stem(word: str, negations: frozenset[str]) -> str | None:
     word = word.lower()
     if word in negations:
         return word
-    word = "".join(ch for ch in word if ch.isalpha())
+    if not word.isalpha():
+        word = "".join(ch for ch in word if ch.isalpha())
     if not word:
         return None
     return stemmer.stem(word)
@@ -178,30 +179,42 @@ def extract_syntactic_edges(sentence: ingest.ParsedSentence) -> set[tuple[str, s
     conjunction, punctuation, non-negation particle) is removed and its
     tree neighbours clique-connected, iterated to a fixed point, so content
     words connected through function words stay connected.
+
+    Expects a validated sentence (`ParsedSentence.validate`): its tokens are
+    numbered 1..n in order and every head is in 0..n, so the adjacency and
+    the stems are lists indexed by token id.
     """
     negations = ingest.word_classes().negations
-    adj: dict[int, set[int]] = {tok.index: set() for tok in sentence.tokens}
-    for tok in sentence.tokens:
-        if tok.head != 0:
-            adj[tok.index].add(tok.head)
-            adj[tok.head].add(tok.index)
+    tokens = sentence.tokens
+    adj: list[set[int] | None] = [set() for _ in range(len(tokens) + 1)]
+    for index, _, _, _, head, _ in tokens:
+        if head:
+            adj[index].add(head)
+            adj[head].add(index)
 
-    stems: dict[int, str | None] = {}
-    for tok in sentence.tokens:
+    stems: list[str | None] = [None] * len(adj)
+    for tok in tokens:
+        index, surface, lemma, _, _, _ = tok
         if _is_content(tok, negations):
-            stems[tok.index] = _word_stem(tok.lemma or tok.surface, negations)
+            stems[index] = _word_stem(lemma or surface, negations)
         else:
-            neighbors = adj.pop(tok.index)
+            neighbors = adj[index]
+            adj[index] = None  # removed: every remaining neighbour set drops it
             for u in neighbors:
-                adj[u] |= neighbors
-                adj[u] -= {u, tok.index}
+                nbrs = adj[u]
+                nbrs |= neighbors
+                nbrs.discard(u)
+                nbrs.discard(index)
 
     # adj is symmetric, so each edge is met from both ends and kept from the one with the smaller stem
     edges: set[tuple[str, str]] = set()
-    for u, nbrs in adj.items():
+    for u, nbrs in enumerate(adj):
+        su = stems[u]
+        if su is None:  # a removed function word, or a word without letters
+            continue
         for v in nbrs:
-            su, sv = stems[u], stems[v]
-            if su is not None and sv is not None and su < sv:
+            sv = stems[v]
+            if sv is not None and su < sv:
                 edges.add((su, sv))
     return edges
 

@@ -93,7 +93,6 @@ class ConlluError(ValueError):
 
 _URL_RE = re.compile(r"(?:https?://|www\.)\S+")
 _MENTION_RE = re.compile(r"@\w+")
-_WS_RE = re.compile(r"\s+")
 # every removed code point is at or above U+2190; the negated class compiles
 # in about a fifth of the time of the range [\u2190-\U0010ffff]
 _HIGH_RE = re.compile(r"[^\x00-\u218f]")
@@ -115,7 +114,7 @@ def clean_document(doc: RawDocument) -> RawDocument:
     text = _HIGH_RE.sub(_pictograph, doc.text).replace("#", "")
     text = _URL_RE.sub(" ", text)
     text = _MENTION_RE.sub(" ", text)
-    text = _WS_RE.sub(" ", text).strip()
+    text = " ".join(text.split())  # str.split's whitespace is re's \s
     return RawDocument(id=doc.id, text=text)
 
 

@@ -1,8 +1,18 @@
 """Porter suffix-stripping stemmer.
 
 Classic Porter (1980) algorithm, implemented directly so that stemming is
-deterministic and dependency-free. Only lowercase alphabetic input is
-accepted; callers lowercase and strip tokens before stemming.
+deterministic and dependency-free. Input must be alphabetic; `stem`
+lowercases it itself.
+
+Every rule reads the word's consonant-vowel pattern, computed once per
+word: one character for each character of the lowercased word, "v" for a,
+e, i, o and u, "c" for any other, and for y the opposite of the character
+before it ("c" at the start of the word or after a vowel, "v" after a
+consonant). A character's class depends only on the ones before it, so a
+prefix of the word has the prefix of the pattern, and the pattern follows
+the word through each step. The measure m of a prefix, its number of VC
+sequences in [C](VC)^m[V], is the number of "vc" in its pattern, and the
+prefix holds a vowel if its pattern holds a "v".
 """
 
 from __future__ import annotations
@@ -16,100 +26,62 @@ class StemError(ValueError):
     """Raised for input the stemmer cannot handle (empty or non-alphabetic)."""
 
 
-def _is_consonant(word: str, i: int) -> bool:
-    ch = word[i]
-    if ch in "aeiou":
-        return False
-    if ch == "y":
-        return i == 0 or not _is_consonant(word, i - 1)
-    return True
+class _Classes(dict):
+    """A `str.translate` table: "v" for a vowel, "y" for a y (decided by
+    `_pattern`), "c" for any other code point. The first 256 are held, so a
+    Latin-1 word is translated without a call of `__missing__`."""
+
+    def __missing__(self, code: int) -> str:
+        return "c"
 
 
-def _measure(stem: str) -> int:
-    # number of VC sequences in the [C](VC)^m[V] decomposition
-    n = 0
-    i = 0
-    length = len(stem)
-    while i < length and _is_consonant(stem, i):
-        i += 1
-    while True:
-        while i < length and not _is_consonant(stem, i):
-            i += 1
-        if i >= length:
-            return n
-        n += 1
-        while i < length and _is_consonant(stem, i):
-            i += 1
-        if i >= length:
-            return n
+_CLASSES = _Classes(dict.fromkeys(range(256), "c"))
+_CLASSES.update(str.maketrans("aeiouy", "vvvvvy"))
 
 
-def _contains_vowel(stem: str) -> bool:
-    return any(not _is_consonant(stem, i) for i in range(len(stem)))
+def _pattern(word: str) -> str:
+    pattern = word.translate(_CLASSES)
+    if "y" not in pattern:
+        return pattern
+    classes = []
+    prev = "v"  # a y that opens the word is a consonant, as one after a vowel
+    for cls in pattern:
+        if cls == "y":
+            cls = "c" if prev == "v" else "v"
+        classes.append(cls)
+        prev = cls
+    return "".join(classes)
 
 
-def _ends_double_consonant(word: str) -> bool:
-    return (
-        len(word) >= 2
-        and word[-1] == word[-2]
-        and _is_consonant(word, len(word) - 1)
-    )
-
-
-def _ends_cvc(word: str) -> bool:
+def _ends_cvc(word: str, pattern: str) -> bool:
     # consonant-vowel-consonant, where the final consonant is not w, x or y
-    if len(word) < 3:
-        return False
-    return (
-        _is_consonant(word, len(word) - 3)
-        and not _is_consonant(word, len(word) - 2)
-        and _is_consonant(word, len(word) - 1)
-        and word[-1] not in "wxy"
-    )
+    return pattern.endswith("cvc") and word[-1] not in "wxy"
 
 
-def _step1a(word: str) -> str:
-    if word.endswith("sses"):
-        return word[:-2]
-    if word.endswith("ies"):
-        return word[:-2]
-    if word.endswith("ss"):
-        return word
-    if word.endswith("s"):
-        return word[:-1]
-    return word
-
-
-def _step1b(word: str) -> str:
+def _step1b(word: str, pattern: str) -> tuple[str, str]:
     if word.endswith("eed"):
-        if _measure(word[:-3]) > 0:
-            return word[:-1]
-        return word
-    flag = False
-    if word.endswith("ed") and _contains_vowel(word[:-2]):
-        word = word[:-2]
-        flag = True
-    elif word.endswith("ing") and _contains_vowel(word[:-3]):
-        word = word[:-3]
-        flag = True
-    if flag:
-        if word.endswith(("at", "bl", "iz")):
-            return word + "e"
-        if _ends_double_consonant(word) and word[-1] not in "lsz":
-            return word[:-1]
-        if _measure(word) == 1 and _ends_cvc(word):
-            return word + "e"
-    return word
-
-
-def _step1c(word: str) -> str:
-    if word.endswith("y") and _contains_vowel(word[:-1]):
-        return word[:-1] + "i"
-    return word
+        if pattern.count("vc", 0, len(word) - 3):
+            return word[:-1], pattern[:-1]
+        return word, pattern
+    if word.endswith("ed") and "v" in pattern[:-2]:
+        word, pattern = word[:-2], pattern[:-2]
+    elif word.endswith("ing") and "v" in pattern[:-3]:
+        word, pattern = word[:-3], pattern[:-3]
+    else:
+        return word, pattern
+    if word.endswith(("at", "bl", "iz")):
+        return word + "e", pattern + "v"
+    # a double consonant other than l, s or z
+    if len(word) >= 2 and word[-1] == word[-2] and pattern[-1] == "c" and word[-1] not in "lsz":
+        return word[:-1], pattern[:-1]
+    if pattern.count("vc") == 1 and _ends_cvc(word, pattern):
+        return word + "e", pattern + "v"
+    return word, pattern
 
 
 # rule tables, each sorted longest suffix first once: the first suffix that
-# matches a word is its longest matching suffix
+# matches a word is its longest matching suffix; no replacement holds a y, so
+# a replacement's pattern does not depend on the letters before it
 _STEP2 = [
     ("ational", "ate"), ("tional", "tion"), ("enci", "ence"), ("anci", "ance"),
     ("izer", "ize"), ("abli", "able"), ("alli", "al"), ("entli", "ent"),
@@ -131,43 +103,49 @@ _STEP4 = [
 ]
 _STEP4.sort(key=len, reverse=True)
 
-
-def _replace_longest(word: str, rules, min_measure: int) -> str:
-    for suffix, repl in rules:
-        if word.endswith(suffix):
-            stem_part = word[: -len(suffix)]
-            if _measure(stem_part) > min_measure - 1:
-                return stem_part + repl
-            return word
-    return word
+# each step's suffixes, so that one endswith call passes over a word that ends in none
+_STEP2_ENDINGS = tuple(suffix for suffix, _ in _STEP2)
+_STEP3_ENDINGS = tuple(suffix for suffix, _ in _STEP3)
+_STEP4_ENDINGS = tuple(_STEP4)
 
 
-def _step4(word: str) -> str:
-    for suffix in _STEP4:
-        if word.endswith(suffix):
-            stem_part = word[: -len(suffix)]
-            if suffix == "ion" and not stem_part.endswith(("s", "t")):
-                return word
-            if _measure(stem_part) > 1:
-                return stem_part
-            return word
-    return word
+def _replace_longest(word: str, pattern: str, rules, endings) -> tuple[str, str]:
+    if word.endswith(endings):
+        for suffix, repl in rules:
+            if word.endswith(suffix):
+                k = len(word) - len(suffix)
+                if pattern.count("vc", 0, k):
+                    return word[:k] + repl, pattern[:k] + repl.translate(_CLASSES)
+                break
+    return word, pattern
 
 
-def _step5(word: str) -> str:
+def _step4(word: str, pattern: str) -> tuple[str, str]:
+    if word.endswith(_STEP4_ENDINGS):
+        for suffix in _STEP4:
+            if word.endswith(suffix):
+                k = len(word) - len(suffix)
+                if suffix == "ion" and not word.endswith(("sion", "tion")):
+                    break
+                if pattern.count("vc", 0, k) > 1:
+                    return word[:k], pattern[:k]
+                break
+    return word, pattern
+
+
+def _step5(word: str, pattern: str) -> str:
     if word.endswith("e"):
-        stem_part = word[:-1]
-        m = _measure(stem_part)
-        if m > 1 or (m == 1 and not _ends_cvc(stem_part)):
-            word = stem_part
-    if _measure(word) > 1 and _ends_double_consonant(word) and word.endswith("l"):
+        m = pattern.count("vc", 0, len(word) - 1)
+        if m > 1 or (m == 1 and not _ends_cvc(word[:-1], pattern[:-1])):
+            word, pattern = word[:-1], pattern[:-1]
+    if word.endswith("ll") and pattern.count("vc") > 1:
         word = word[:-1]
     return word
 
 
 @functools.cache
 def stem(word: str) -> str:
-    """Stem a single lowercase alphabetic token.
+    """Stem a single alphabetic token, lowercased first.
 
     Raises StemError on empty or non-alphabetic input. Results are memoized
     (text repeats its words); an error is raised anew on every call.
@@ -179,11 +157,17 @@ def stem(word: str) -> str:
     word = word.lower()
     if len(word) <= 2:
         return word
-    word = _step1a(word)
-    word = _step1b(word)
-    word = _step1c(word)
-    word = _replace_longest(word, _STEP2, 1)
-    word = _replace_longest(word, _STEP3, 1)
-    word = _step4(word)
-    word = _step5(word)
-    return word
+    pattern = _pattern(word)
+    # step 1a: sses -> ss, ies -> i, ss -> ss, s -> ""
+    if word.endswith(("sses", "ies")):
+        word, pattern = word[:-2], pattern[:-2]
+    elif word.endswith("s") and not word.endswith("ss"):
+        word, pattern = word[:-1], pattern[:-1]
+    word, pattern = _step1b(word, pattern)
+    # step 1c: y -> i when the stem before it holds a vowel
+    if word.endswith("y") and "v" in pattern[:-1]:
+        word, pattern = word[:-1] + "i", pattern[:-1] + "v"
+    word, pattern = _replace_longest(word, pattern, _STEP2, _STEP2_ENDINGS)
+    word, pattern = _replace_longest(word, pattern, _STEP3, _STEP3_ENDINGS)
+    word, pattern = _step4(word, pattern)
+    return _step5(word, pattern)

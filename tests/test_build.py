@@ -111,8 +111,8 @@ def test_punctuation_contracted():
 
 
 def reference_contraction(sentence: ParsedSentence) -> set[tuple[str, str]]:
-    """The per-sentence nx.Graph contraction that the dict-of-sets version
-    replaced; both must give the same edges."""
+    """The contraction of one sentence on an nx.Graph; extract_syntactic_edges
+    must give the same edges."""
     negations = word_classes().negations
     g = nx.Graph()
     for tok in sentence.tokens:

@@ -93,10 +93,14 @@ def reference_clean(text: str) -> str:
 
 
 # the rule's range bounds, a lone surrogate, private use, symbols kept and removed,
-# and code points that only the emoji ranges remove (Ps, unassigned)
+# and code points that only the emoji ranges remove (Ps, unassigned); then every
+# str.isspace() code point, which str.split splits at, and two that it does not
 EDGE_CODE_POINTS = ["\u218f", "\u2190", "\u2600", "\u27bf", "\U0001f000", "\U0001ffff", "\ud800",
                     "\u2191", "\u27c0", "\U00020000", "\ue000", "\u2318", "\u00a9", "\u2122",
-                    "\u2768", "\U0001f0ff"]
+                    "\u2768", "\U0001f0ff",
+                    *"\x09\x0a\x0b\x0c\x0d\x1c\x1d\x1e\x1f\x20\x85\xa0\u1680",
+                    *map(chr, range(0x2000, 0x200b)), "\u2028", "\u2029", "\u202f", "\u205f",
+                    "\u3000", "\u200b", "\ufeff"]
 
 
 @pytest.mark.parametrize("ch", EDGE_CODE_POINTS)

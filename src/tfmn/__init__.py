@@ -9,12 +9,44 @@ communities and configuration-model significance tests.
 executes none of them: each submodule is compiled and run on the first
 access to one of its attributes, so a command pays only for the modules it
 uses.
+
+`stage_times` records where this process's time went, as {stage: [seconds,
+items]}: each layer of the pipeline adds its time and the items it worked
+on, and `workers.map_chunks` adds in what its forked children recorded. The
+record is this process's alone; no output, stdout or stderr carries it.
 """
 
 import importlib.util
 import sys
+from time import perf_counter
 
 __version__ = "0.1.0"
+
+stage_times: dict[str, list] = {}
+
+
+def add_time(name: str, seconds: float, items: int) -> None:
+    """Adds seconds and items to the stage's entry of `stage_times`."""
+    entry = stage_times.setdefault(name, [0.0, 0])
+    entry[0] += seconds
+    entry[1] += items
+
+
+class stage:
+    """`with stage(name, items): ...` adds the block's time and items to the
+    stage, also when the block raises."""
+
+    __slots__ = ("name", "items", "start")
+
+    def __init__(self, name: str, items: int) -> None:
+        self.name, self.items = name, items
+
+    def __enter__(self) -> None:
+        self.start = perf_counter()
+
+    def __exit__(self, *exc) -> None:
+        add_time(self.name, perf_counter() - self.start, self.items)
+
 
 _EXPORTS = {
     "build": ("Concept", "MultiplexLexicalNetwork", "build_network", "extract_syntactic_edges",

@@ -14,7 +14,7 @@ from collections import defaultdict
 from typing import NamedTuple
 
 from .build import MultiplexLexicalNetwork, _ordered
-from . import lexicons
+from . import lexicons, stage
 
 __all__ = [
     "AuraReport",
@@ -40,26 +40,27 @@ def valence_aura(net: MultiplexLexicalNetwork, target: str) -> AuraReport:
     """Mode of valence labels among the target's distinct aggregate
     neighbours; ties are reported as 'mixed', zero rated neighbours as
     'undetermined'. Unrated neighbours are excluded from fractions."""
-    stems, nbrs = graph = net.indexed()
-    neighbours = nbrs[graph.id_of(target)]
-    if not neighbours:
-        raise ValueError(f"node {target!r} has no neighbors")
-    counts = {"positive": 0, "neutral": 0, "negative": 0}
-    unrated = 0
-    for v in neighbours:
-        label = net.nodes[stems[v]].valence_label
-        if label == "unrated":
-            unrated += 1
-        else:
-            counts[label] += 1
-    rated = sum(counts.values())
-    if rated == 0:
-        return AuraReport(target, counts, {}, unrated, "undetermined")
-    fractions = {label: n / rated for label, n in counts.items()}
-    best = max(counts.values())
-    winners = [label for label, n in counts.items() if n == best]
-    aura = winners[0] if len(winners) == 1 else "mixed"
-    return AuraReport(target, counts, fractions, unrated, aura)
+    with stage("aura", 1):
+        stems, nbrs = graph = net.indexed()
+        neighbours = nbrs[graph.id_of(target)]
+        if not neighbours:
+            raise ValueError(f"node {target!r} has no neighbors")
+        counts = {"positive": 0, "neutral": 0, "negative": 0}
+        unrated = 0
+        for v in neighbours:
+            label = net.nodes[stems[v]].valence_label
+            if label == "unrated":
+                unrated += 1
+            else:
+                counts[label] += 1
+        rated = sum(counts.values())
+        if rated == 0:
+            return AuraReport(target, counts, {}, unrated, "undetermined")
+        fractions = {label: n / rated for label, n in counts.items()}
+        best = max(counts.values())
+        winners = [label for label, n in counts.items() if n == best]
+        aura = winners[0] if len(winners) == 1 else "mixed"
+        return AuraReport(target, counts, fractions, unrated, aura)
 
 
 class EmotionalProfile(NamedTuple):
@@ -81,32 +82,33 @@ def emotional_profile(
     An associate that is syntactically adjacent to a negation marker also
     contributes the emotions of its antonym, flagged as negated. Negation
     markers themselves contribute nothing directly."""
-    stems, aggregate = graph = net.indexed()
-    associates = aggregate[graph.id_of(target)]  # ids in sorted-stem order
-    syntactic = net.indexed("syntactic").nbrs
-    negation = [net.nodes[s].is_negation_marker for s in stems]
+    with stage("profile", 1):
+        stems, aggregate = graph = net.indexed()
+        associates = aggregate[graph.id_of(target)]  # ids in sorted-stem order
+        syntactic = net.indexed("syntactic").nbrs
+        negation = [net.nodes[s].is_negation_marker for s in stems]
 
-    counts = {e: 0 for e in lexicons.EMOTIONS}
-    contributors: list[tuple[str, str, bool]] = []
-    missing_antonyms = 0
-    for v in associates:
-        if negation[v]:
-            continue
-        associate = stems[v]
-        for emotion in sorted(emotions.emotions(associate)):
-            counts[emotion] += 1
-            contributors.append((associate, emotion, False))
-        if any(negation[w] for w in syntactic[v]):
-            antonym = antonyms.antonym(associate)
-            if antonym is None:
-                missing_antonyms += 1
-            else:
-                for emotion in sorted(emotions.emotions(antonym)):
-                    counts[emotion] += 1
-                    contributors.append((antonym, emotion, True))
-    total = sum(counts.values())
-    fractions = {e: n / total for e, n in counts.items()} if total else {}
-    return EmotionalProfile(target, counts, fractions, contributors, missing_antonyms)
+        counts = {e: 0 for e in lexicons.EMOTIONS}
+        contributors: list[tuple[str, str, bool]] = []
+        missing_antonyms = 0
+        for v in associates:
+            if negation[v]:
+                continue
+            associate = stems[v]
+            for emotion in sorted(emotions.emotions(associate)):
+                counts[emotion] += 1
+                contributors.append((associate, emotion, False))
+            if any(negation[w] for w in syntactic[v]):
+                antonym = antonyms.antonym(associate)
+                if antonym is None:
+                    missing_antonyms += 1
+                else:
+                    for emotion in sorted(emotions.emotions(antonym)):
+                        counts[emotion] += 1
+                        contributors.append((antonym, emotion, True))
+        total = sum(counts.values())
+        fractions = {e: n / total for e, n in counts.items()} if total else {}
+        return EmotionalProfile(target, counts, fractions, contributors, missing_antonyms)
 
 
 class CommunityPartition(NamedTuple):
@@ -121,36 +123,37 @@ def louvain_partition(net: MultiplexLexicalNetwork, seed: int) -> CommunityParti
 
     A port of networkx 3.x's `louvain_communities` and `modularity`: the
     same seed gives the same partition and the same modularity float."""
-    (stems, syntactic), (_, synonym) = net.indexed("syntactic"), net.indexed("synonym")
-    if not stems:
-        raise ValueError("empty network")
-    # networkx's neighbour order: sorted syntactic neighbours, then the sorted
-    # synonym-only ones, then the graph rebuilt in its edge iteration order
-    inserted = [dict.fromkeys(a + b, 1) for a, b in zip(syntactic, synonym)]
-    graph = _level_graph(len(stems), _edges(inserted))
-    if not any(graph):
-        raise ValueError("network has no edges")
-    m = sum(map(_degree, graph, range(len(graph)))) / 2
-    rng = random.Random(seed)
+    with stage("louvain", len(net.nodes)):
+        (stems, syntactic), (_, synonym) = net.indexed("syntactic"), net.indexed("synonym")
+        if not stems:
+            raise ValueError("empty network")
+        # networkx's neighbour order: sorted syntactic neighbours, then the sorted
+        # synonym-only ones, then the graph rebuilt in its edge iteration order
+        inserted = [dict.fromkeys(a + b, 1) for a, b in zip(syntactic, synonym)]
+        graph = _level_graph(len(stems), _edges(inserted))
+        if not any(graph):
+            raise ValueError("network has no edges")
+        m = sum(map(_degree, graph, range(len(graph)))) / 2
+        rng = random.Random(seed)
 
-    # members[u]: the original nodes that node u of the current level stands for
-    level, members = graph, [{u} for u in range(len(graph))]
-    mod = _modularity(level, members)
-    inner, _ = _one_level(level, m, rng)
-    while True:
-        new_mod = _modularity(level, inner)
-        if new_mod - mod <= 1e-7:
-            break
-        mod = new_mod
-        level, members = _gen_graph(level, inner), _merged(inner, members)
-        inner, moved = _one_level(level, m, rng)
-        if not moved:
-            break
+        # members[u]: the original nodes that node u of the current level stands for
+        level, members = graph, [{u} for u in range(len(graph))]
+        mod = _modularity(level, members)
+        inner, _ = _one_level(level, m, rng)
+        while True:
+            new_mod = _modularity(level, inner)
+            if new_mod - mod <= 1e-7:
+                break
+            mod = new_mod
+            level, members = _gen_graph(level, inner), _merged(inner, members)
+            inner, moved = _one_level(level, m, rng)
+            if not moved:
+                break
 
-    communities = sorted(sorted(c) for c in _merged(inner, members))
-    assignment = {stems[u]: cid for cid, comm in enumerate(communities) for u in comm}
-    q = _modularity(graph, [set(c) for c in communities])
-    return CommunityPartition(communities=assignment, modularity=q, seed=seed)
+        communities = sorted(sorted(c) for c in _merged(inner, members))
+        assignment = {stems[u]: cid for cid, comm in enumerate(communities) for u in comm}
+        q = _modularity(graph, [set(c) for c in communities])
+        return CommunityPartition(communities=assignment, modularity=q, seed=seed)
 
 
 def _edges(adj: list[dict[int, int]]):

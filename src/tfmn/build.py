@@ -21,9 +21,10 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from time import perf_counter
 from typing import NamedTuple
 
-from . import ingest, lexicons, stemmer, workers
+from . import add_time, ingest, lexicons, stage, stemmer, workers
 
 __all__ = [
     "Concept",
@@ -243,16 +244,22 @@ class EdgeCounts(NamedTuple):
 
 def count_edges(sentences: Iterable[ingest.ParsedSentence]) -> EdgeCounts:
     """`extract_syntactic_edges` over any iterable of sentences, each
-    sentence dropped once its edges are counted."""
+    sentence dropped once its edges are counted. Stage "contract" gets the
+    time spent on the sentences, from two clock reads each, but not the time
+    the iterable takes to give them."""
     edge_counts: dict[tuple[str, str], int] = {}
     n_sentences = edgeless = 0
+    busy = 0.0
     for sentence in sentences:
+        start = perf_counter()
         n_sentences += 1
         edges = extract_syntactic_edges(sentence)
         if not edges:
             edgeless += 1
         for pair in edges:
             edge_counts[pair] = edge_counts.get(pair, 0) + 1
+        busy += perf_counter() - start
+    add_time("contract", busy, n_sentences)
     return EdgeCounts(edge_counts, n_sentences, edgeless)
 
 
@@ -301,32 +308,33 @@ def assemble_network(
         raise ValueError("no sentences")
     negations = ingest.word_classes().negations
     node_stems = {s for pair in counts.edges for s in pair}
-    nodes = {}
-    for s in sorted(node_stems):
-        nodes[s] = Concept(
-            stem=s,
-            valence_label=valence.label(s),
-            valence_score=valence.score(s),
-            emotions=emotions.emotions(s),
-            is_negation_marker=s in negations,
-        )
+    with stage("assemble", len(node_stems)):
+        nodes = {}
+        for s in sorted(node_stems):
+            nodes[s] = Concept(
+                stem=s,
+                valence_label=valence.label(s),
+                valence_score=valence.score(s),
+                emotions=emotions.emotions(s),
+                is_negation_marker=s in negations,
+            )
 
-    config = dict(config or {})
-    provenance = {
-        "corpus_id": corpus_id,
-        "config": config,
-        "config_hash": config_hash(config),
-        "sentence_count": counts.sentences,
-        "edgeless_sentences": counts.edgeless,
-        "edge_direction": "discarded (undirected analyses)",
-    }
-    net = MultiplexLexicalNetwork(
-        nodes=nodes,
-        syntactic_edges=counts.edges,
-        synonym_edges=add_synonym_layer(node_stems, synonyms),
-        provenance=provenance,
-    )
-    net.validate()
+        config = dict(config or {})
+        provenance = {
+            "corpus_id": corpus_id,
+            "config": config,
+            "config_hash": config_hash(config),
+            "sentence_count": counts.sentences,
+            "edgeless_sentences": counts.edgeless,
+            "edge_direction": "discarded (undirected analyses)",
+        }
+        net = MultiplexLexicalNetwork(
+            nodes=nodes,
+            syntactic_edges=counts.edges,
+            synonym_edges=add_synonym_layer(node_stems, synonyms),
+            provenance=provenance,
+        )
+        net.validate()
     return net
 
 
@@ -481,11 +489,13 @@ def _valence_score(score):
 
 
 def load_network(path: str | Path) -> MultiplexLexicalNetwork:
-    return network_from_json(Path(path).read_text(encoding="utf-8"))
+    with stage("load_network", 1):
+        return network_from_json(Path(path).read_text(encoding="utf-8"))
 
 
 def save_network(net: MultiplexLexicalNetwork, path: str | Path) -> None:
-    Path(path).write_text(network_to_json(net), encoding="utf-8")
+    with stage("write_network", 1):
+        Path(path).write_text(network_to_json(net), encoding="utf-8")
 
 
 # The layout networkx's ElementTree writer gives this network: keys d0-d6
@@ -539,42 +549,43 @@ def write_graphml(net: MultiplexLexicalNetwork, path: str | Path) -> None:
     (or be empty, as `<data key="d3" />`), so only they go through
     _graphml_data; labels, scores, booleans, layers and counts are written
     as they are. The network must be valid."""
-    edges: dict[tuple[str, str], list] = {}  # pair -> [layer, count], first seen first
-    for pair, count in sorted(net.syntactic_edges.items()):
-        edges[_ordered(*pair)] = ["syntactic", count]
-    for pair in sorted(net.synonym_edges):
-        pair = _ordered(*pair)
-        if pair in edges:
-            edges[pair][0] = "syntactic+synonym"
-        else:
-            edges[pair] = ["synonym", 0]
+    with stage("write_graphml", 1):
+        edges: dict[tuple[str, str], list] = {}  # pair -> [layer, count], first seen first
+        for pair, count in sorted(net.syntactic_edges.items()):
+            edges[_ordered(*pair)] = ["syntactic", count]
+        for pair in sorted(net.synonym_edges):
+            pair = _ordered(*pair)
+            if pair in edges:
+                edges[pair][0] = "syntactic+synonym"
+            else:
+                edges[pair] = ["synonym", 0]
 
-    n_keys = 7 if edges else 5 if net.nodes else 1
-    out = [_GRAPHML_HEAD]
-    for i in reversed(range(n_keys)):
-        scope, name, kind = _GRAPHML_KEYS[i]
-        out.append(f'  <key id="d{i}" for="{scope}" attr.name="{name}" attr.type="{kind}" />\n')
-    out.append('  <graph edgedefault="undirected">\n')
-    ids = {s: _attr(s) for s in sorted(net.nodes)}
-    for s, node_id in ids.items():
-        c = net.nodes[s]
-        score = -999.0 if c.valence_score is None else _finite(float(c.valence_score))
-        emotions = _graphml_data("      ", "d3", ",".join(sorted(c.emotions)))
-        out.append(f'    <node id="{node_id}">\n'
-                   f'      <data key="d1">{c.valence_label}</data>\n'
-                   f'      <data key="d2">{score}</data>\n'
-                   f'{emotions}'
-                   f'      <data key="d4">{c.is_negation_marker}</data>\n'
-                   f'    </node>\n')
-    # grouped by the smaller stem, as networkx walks its neighbour dicts
-    for (a, b), (layer, count) in sorted(edges.items(), key=lambda e: e[0][0]):
-        out.append(f'    <edge source="{ids[a]}" target="{ids[b]}">\n'
-                   f'      <data key="d5">{layer}</data>\n'
-                   f'      <data key="d6">{count}</data>\n'
-                   f'    </edge>\n')
-    out += [_graphml_data("    ", "d0", json.dumps(net.provenance, sort_keys=True, allow_nan=False)),
-            "  </graph>\n</graphml>\n"]
-    Path(path).write_bytes("".join(out).encode("utf-8", "xmlcharrefreplace"))
+        n_keys = 7 if edges else 5 if net.nodes else 1
+        out = [_GRAPHML_HEAD]
+        for i in reversed(range(n_keys)):
+            scope, name, kind = _GRAPHML_KEYS[i]
+            out.append(f'  <key id="d{i}" for="{scope}" attr.name="{name}" attr.type="{kind}" />\n')
+        out.append('  <graph edgedefault="undirected">\n')
+        ids = {s: _attr(s) for s in sorted(net.nodes)}
+        for s, node_id in ids.items():
+            c = net.nodes[s]
+            score = -999.0 if c.valence_score is None else _finite(float(c.valence_score))
+            emotions = _graphml_data("      ", "d3", ",".join(sorted(c.emotions)))
+            out.append(f'    <node id="{node_id}">\n'
+                       f'      <data key="d1">{c.valence_label}</data>\n'
+                       f'      <data key="d2">{score}</data>\n'
+                       f'{emotions}'
+                       f'      <data key="d4">{c.is_negation_marker}</data>\n'
+                       f'    </node>\n')
+        # grouped by the smaller stem, as networkx walks its neighbour dicts
+        for (a, b), (layer, count) in sorted(edges.items(), key=lambda e: e[0][0]):
+            out.append(f'    <edge source="{ids[a]}" target="{ids[b]}">\n'
+                       f'      <data key="d5">{layer}</data>\n'
+                       f'      <data key="d6">{count}</data>\n'
+                       f'    </edge>\n')
+        out += [_graphml_data("    ", "d0", json.dumps(net.provenance, sort_keys=True, allow_nan=False)),
+                "  </graph>\n</graphml>\n"]
+        Path(path).write_bytes("".join(out).encode("utf-8", "xmlcharrefreplace"))
 
 
 _GRAPHML_NS = "{http://graphml.graphdrawing.org/xmlns}"

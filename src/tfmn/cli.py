@@ -22,7 +22,7 @@ from pathlib import Path
 
 import click
 
-from . import __version__, analysis, ingest, lexicons, metrics, stats, stemmer, workers
+from . import __version__, analysis, ingest, lexicons, metrics, stage, stats, stemmer, workers
 from . import build as builder
 
 DEFAULT_LEXICON_DIR_ENV = "TFMN_LEXICON_DIR"
@@ -110,11 +110,12 @@ def _check_out(out: str | None) -> None:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=1, allow_nan=False), encoding="utf-8")
+    with stage("write_report", 1):
+        path.write_text(json.dumps(payload, sort_keys=True, indent=1, allow_nan=False), encoding="utf-8")
 
 
 def _write_rows(path: str, rows: list) -> None:
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+    with stage("write_report", 1), Path(path).open("w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerows([("stem", "closeness", "degree", "component_size"), *rows])
 
 
@@ -200,9 +201,10 @@ def build(corpus, corpus_format, lexicon_dir, min_words, corpus_id, out_dir):
     }
     digest = builder.config_hash(settings)
 
-    valence = lexicons.load_valence_norms(lexicon_dir / "valence.csv")
-    emotions = lexicons.load_emotion_lexicon(lexicon_dir / "emotions.tsv")
-    synonyms = lexicons.load_synonyms(lexicon_dir / "synonyms.tsv")
+    with stage("lexicons", 3):
+        valence = lexicons.load_valence_norms(lexicon_dir / "valence.csv")
+        emotions = lexicons.load_emotion_lexicon(lexicon_dir / "emotions.tsv")
+        synonyms = lexicons.load_synonyms(lexicon_dir / "synonyms.tsv")
     edge_counts, ingest_stats = builder.count_corpus(Path(corpus), corpus_format, min_words)
     net = builder.assemble_network(
         edge_counts, valence, emotions, synonyms,
@@ -273,11 +275,12 @@ def aura(network, targets, out):
 @_lexicon_dir_option
 @click.option("--out-dir", type=click.Path(), default=".")
 def profile(network, targets, lexicon_dir, out_dir):
-    """Emotional profiles of target concepts, with chart data per target."""
+    """Emotional profiles of target concepts."""
     net = builder.load_network(network)
     lexicon_dir = _lexicon_dir(lexicon_dir)
-    emotions = lexicons.load_emotion_lexicon(lexicon_dir / "emotions.tsv")
-    antonyms = lexicons.load_antonyms(lexicon_dir / "antonyms.tsv")
+    with stage("lexicons", 2):
+        emotions = lexicons.load_emotion_lexicon(lexicon_dir / "emotions.tsv")
+        antonyms = lexicons.load_antonyms(lexicon_dir / "antonyms.tsv")
     known, unknown = _resolve_targets(net, targets)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -285,7 +288,6 @@ def profile(network, targets, lexicon_dir, out_dir):
     for target in known:
         prof = analysis.emotional_profile(net, target, emotions, antonyms)
         _write_json(out / f"{target}.profile.json", prof._asdict())
-        _write_json(out / f"{target}.chart.json", {"emotion_fractions": prof.fractions})
         top = sorted(prof.counts.items(), key=lambda kv: (-kv[1], kv[0]))[:3]
         lines.append(f"{target}\t" + ", ".join(f"{e}={n}" for e, n in top))
     if unknown:
@@ -381,10 +383,11 @@ def benchmark(paragraph_dir, oracle, lexicon_dir, top_k, realizations, seed, out
         "lexicon_dir": str(lexicon_dir),
     }
     digest = builder.config_hash(settings)
-    valence = lexicons.load_valence_norms(lexicon_dir / "valence.csv")
-    emotions = lexicons.load_emotion_lexicon(lexicon_dir / "emotions.tsv")
-    synonyms = lexicons.load_synonyms(lexicon_dir / "synonyms.tsv")
-    associations = stats.load_free_associations(oracle)
+    with stage("lexicons", 4):  # the oracle is read as the lexicons are
+        valence = lexicons.load_valence_norms(lexicon_dir / "valence.csv")
+        emotions = lexicons.load_emotion_lexicon(lexicon_dir / "emotions.tsv")
+        synonyms = lexicons.load_synonyms(lexicon_dir / "synonyms.tsv")
+        associations = stats.load_free_associations(oracle)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     rankings = {}

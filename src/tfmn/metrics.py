@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import stage
 from .build import MultiplexLexicalNetwork
 
 __all__ = [
@@ -90,14 +91,15 @@ def closeness_rows(net: MultiplexLexicalNetwork, layer_mode: str = "aggregate") 
     components largest first (ties: smallest stem), rows by closeness,
     descending, then stem; a single-node component has none. Distance sums
     come from one bit-parallel BFS per component (`_distance_sums`)."""
-    stems, nbrs = net.indexed(_view(layer_mode))
-    out = []
-    for comp in _components(nbrs):
-        local = {u: i for i, u in enumerate(comp)}
-        sums = _distance_sums([[local[v] for v in nbrs[u]] for u in comp])
-        n = len(comp)
-        rows = [(stems[u], n / d, len(nbrs[u]), n) for u, d in zip(comp, sums) if d]
-        out.append(sorted(rows, key=lambda r: (-r[1], r[0])))
+    with stage("closeness", len(net.nodes)):
+        stems, nbrs = net.indexed(_view(layer_mode))
+        out = []
+        for comp in _components(nbrs):
+            local = {u: i for i, u in enumerate(comp)}
+            sums = _distance_sums([[local[v] for v in nbrs[u]] for u in comp])
+            n = len(comp)
+            rows = [(stems[u], n / d, len(nbrs[u]), n) for u, d in zip(comp, sums) if d]
+            out.append(sorted(rows, key=lambda r: (-r[1], r[0])))
     return out
 
 
@@ -167,10 +169,11 @@ def _mean_clustering(nbrs) -> float:
     values are t / (d * (d - 1)), with t twice the node's triangle count,
     summed in id order. On sorted-stem ids that is the order in which
     `nx.clustering` gives them, so the mean equals networkx's bit for bit."""
-    nbrs = [set(nb) for nb in nbrs]
-    local = []
-    for nb in nbrs:
-        d = len(nb)
-        t = sum(len(nb & nbrs[w]) for w in nb)
-        local.append(0 if t == 0 else t / (d * (d - 1)))
-    return sum(local) / len(nbrs) if nbrs else 0.0
+    with stage("clustering", 1):
+        nbrs = [set(nb) for nb in nbrs]
+        local = []
+        for nb in nbrs:
+            d = len(nb)
+            t = sum(len(nb & nbrs[w]) for w in nb)
+            local.append(0 if t == 0 else t / (d * (d - 1)))
+        return sum(local) / len(nbrs) if nbrs else 0.0

@@ -43,7 +43,7 @@ import warnings
 from pathlib import Path
 from typing import Callable, Iterator, NamedTuple
 
-from . import lexicons, workers
+from . import lexicons, stage, workers
 from .build import Indexed, MultiplexLexicalNetwork, indexed
 from .metrics import _mean_clustering, bfs, mean_clustering
 
@@ -153,8 +153,9 @@ def _rewire_ids(
 def _rewire_layers(layers: list, n: int, seed: int, swaps_per_edge: int) -> list:
     """One realization: `_rewire_ids` on each (lo, hi) edge list of layers in
     turn, all drawing from one random.Random(seed); (lo, hi, swaps) per layer."""
-    rng = random.Random(seed)
-    return [_rewire_ids(lo, hi, n, rng, swaps_per_edge) for lo, hi in layers]
+    with stage("rewire", len(layers)):
+        rng = random.Random(seed)
+        return [_rewire_ids(lo, hi, n, rng, swaps_per_edge) for lo, hi in layers]
 
 
 def _warn_shortfalls(layers: list, swaps: list[int], swaps_per_edge: int) -> None:
@@ -283,29 +284,30 @@ def mann_whitney_u(sample_a: list[float], sample_b: list[float]) -> MannWhitneyR
     approximation with continuity and tie correction."""
     if not sample_a or not sample_b:
         raise ValueError("both samples must be nonempty")
-    n1, n2 = len(sample_a), len(sample_b)
-    ranks, tie_term = _midranks(list(sample_a) + list(sample_b))
-    r1 = sum(ranks[:n1])
-    u1 = n1 * n2 + n1 * (n1 + 1) / 2 - r1
-    n = n1 + n2
-    sigma_sq = n1 * n2 / 12 * ((n + 1) - tie_term / (n * (n - 1)))
-    mu = n1 * n2 / 2
-    if sigma_sq <= 0:
-        p = 1.0
-    else:
-        diff = u1 - mu
-        correction = 0.5 if diff > 0 else (-0.5 if diff < 0 else 0.0)
-        z = (diff - correction) / math.sqrt(sigma_sq)
-        p = 2 * (1 - statistics.NormalDist().cdf(abs(z)))
-        p = min(max(p, 1e-300), 1.0)
-    return MannWhitneyResult(
-        U=u1,
-        p_value=p,
-        n1=n1,
-        n2=n2,
-        median1=float(statistics.median(sample_a)),
-        median2=float(statistics.median(sample_b)),
-    )
+    with stage("u_test", len(sample_a) + len(sample_b)):
+        n1, n2 = len(sample_a), len(sample_b)
+        ranks, tie_term = _midranks(list(sample_a) + list(sample_b))
+        r1 = sum(ranks[:n1])
+        u1 = n1 * n2 + n1 * (n1 + 1) / 2 - r1
+        n = n1 + n2
+        sigma_sq = n1 * n2 / 12 * ((n + 1) - tie_term / (n * (n - 1)))
+        mu = n1 * n2 / 2
+        if sigma_sq <= 0:
+            p = 1.0
+        else:
+            diff = u1 - mu
+            correction = 0.5 if diff > 0 else (-0.5 if diff < 0 else 0.0)
+            z = (diff - correction) / math.sqrt(sigma_sq)
+            p = 2 * (1 - statistics.NormalDist().cdf(abs(z)))
+            p = min(max(p, 1e-300), 1.0)
+        return MannWhitneyResult(
+            U=u1,
+            p_value=p,
+            n1=n1,
+            n2=n2,
+            median1=float(statistics.median(sample_a)),
+            median2=float(statistics.median(sample_b)),
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -322,10 +324,11 @@ def load_free_associations(path: str | Path) -> Indexed:
 def _topic_distances(nbrs, queries: list[tuple[int, list[int]]]) -> list[list[int]]:
     """Per (topic id, ranked ids) query, the BFS distances on id-indexed
     neighbour lists from the topic to the ranked ids it reaches, in ranked order."""
-    out = []
-    for topic, ranked in queries:
-        lengths = bfs(nbrs, topic)
-        out.append([lengths[v] for v in ranked if v in lengths])
+    with stage("topic_distances", len(queries)):
+        out = []
+        for topic, ranked in queries:
+            lengths = bfs(nbrs, topic)
+            out.append([lengths[v] for v in ranked if v in lengths])
     return out
 
 

@@ -116,6 +116,20 @@ def workers(monkeypatch):
     return force
 
 
+@pytest.fixture()
+def stage_items():
+    """Empties tfmn.stage_times and gives a function that returns the record
+    as {stage: items} and empties it again."""
+    def take() -> dict[str, int]:
+        items = {name: n for name, (_, n) in tfmn.stage_times.items()}
+        tfmn.stage_times.clear()
+        return items
+
+    take()
+    yield take
+    take()
+
+
 def assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)

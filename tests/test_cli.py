@@ -155,8 +155,8 @@ def test_profile(built, runner, tmp_path):
     assert set(prof["counts"]) == {
         "anger", "anticipation", "disgust", "fear", "joy", "sadness", "surprise", "trust",
     }
-    chart = json.loads((out / "love.chart.json").read_text())
-    assert "emotion_fractions" in chart
+    assert set(prof["fractions"]) == set(prof["counts"])
+    assert [p.name for p in out.iterdir()] == ["love.profile.json"]
 
 
 def test_communities(built, runner, tmp_path):
@@ -482,6 +482,33 @@ def test_build_error_in_the_graphml_writer_fails_with_one_json_line(runner, tmp_
         left.append({p.name: p.read_bytes() for p in sorted((tmp_path / f"out{k}").iterdir())})
         assert_no_child_left()
     assert list(left[0]) == ["f.network.json"] and left[1] == left[0]
+
+
+def test_build_stage_items_do_not_depend_on_the_worker_count(runner, tmp_path, stage_items):
+    """Each stage's items count the work done, which the outputs state, and
+    the forked chunks and GraphML writer send theirs back."""
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text(FORKED_CORPUS, encoding="utf-8")
+    records = []
+    for k in (1, 2, 3):
+        result = _build_with_workers(runner, tmp_path, corpus, k, f"out{k}")
+        assert result.exit_code == 0, result.output
+        records.append(stage_items())
+    assert records[1] == records[0] and records[2] == records[0]
+    summary = json.loads((tmp_path / "out1" / "f.summary.json").read_text())
+    read, sentences = summary["ingest"], summary["provenance"]["sentence_count"]
+    assert records[0] == {
+        "lexicons": 3,
+        "clean": read["documents"] + read["dropped_short"],
+        "parse": sentences + read["unparsed_sentences"],
+        "contract": sentences,
+        "assemble": summary["nodes"],
+        "write_network": 1,
+        "write_graphml": 1,
+        "write_report": 1,
+    }
+    assert (records[0]["clean"], records[0]["parse"]) == (7, 12)
+    assert_no_child_left()
 
 
 def test_build_of_only_dropped_documents_fails_with_no_sentences(runner, tmp_path):

@@ -647,6 +647,26 @@ def test_reports_do_not_depend_on_the_worker_count(tmp_path, workers, n_realizat
     assert_no_child_left()
 
 
+def test_stage_items_do_not_depend_on_the_worker_count(tmp_path, workers, stage_items):
+    """rewire counts realizations x layers, clustering and topic_distances the
+    graphs and BFS runs measured, the empirical one included."""
+    oracle = make_oracle(tmp_path)
+    rankings = {"wbb": ["wbc", "wbd", "wbf"], "wdd": ["wdf", "wfb"]}
+    records = []
+    for k in (1, 2, 3):
+        workers(k)
+        clustering_null_test(ring_net(), n_realizations=5, seed=4)
+        null = stage_items()
+        report = benchmark_topic_relevance(rankings, oracle, n_realizations=5, seed=1)
+        records.append((null, stage_items()))
+    assert records[1] == records[0] and records[2] == records[0]
+    u_test = report["mann_whitney"]
+    assert records[0] == ({"clustering": 1 + 5, "rewire": 5 * 2},
+                          {"topic_distances": 2 * (1 + 5), "rewire": 5 * 1,
+                           "u_test": u_test["n1"] + u_test["n2"]})
+    assert_no_child_left()
+
+
 def test_worker_warnings_reach_the_caller_once_per_realization_in_seed_order(workers):
     net = make_network(STAR_PLUS_EDGE, synonym={("a", "b"), ("c", "d")})
     expected = []

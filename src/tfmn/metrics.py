@@ -8,6 +8,7 @@ within a component.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from . import stage
@@ -160,20 +161,36 @@ def centrality_report(net: MultiplexLexicalNetwork, layer_mode: str = "aggregate
 def mean_clustering(net: MultiplexLexicalNetwork) -> float:
     """Mean local clustering on the aggregate simple graph, equal to
     networkx's bit for bit (`_mean_clustering` on the sorted-stem ids)."""
-    return _mean_clustering(net.indexed().nbrs)
+    return _mean_clustering(_forward_sets(net.indexed().nbrs))
 
 
-def _mean_clustering(nbrs) -> float:
-    """Mean local clustering of a simple graph given as id-indexed neighbour
-    lists, in which an id may repeat; degree < 2 nodes contribute zero. Local
-    values are t / (d * (d - 1)), with t twice the node's triangle count,
-    summed in id order. On sorted-stem ids that is the order in which
-    `nx.clustering` gives them, so the mean equals networkx's bit for bit."""
+def _forward_sets(nbrs) -> list[set[int]]:
+    """later[u], the ids v > u among the sorted neighbour ids nbrs[u]."""
+    return [set(nb[bisect_right(nb, u):]) for u, nb in enumerate(nbrs)]
+
+
+def _mean_clustering(later: list[set[int]]) -> float:
+    """Mean local clustering of a simple graph given by its forward sets:
+    later[u] holds the ids v > u joined to u. Each triangle u < v < w is
+    found once, from its edge (u, v), as a w in later[u] & later[v], and each
+    node's degree is counted on the way. Local values are 2T / (d * (d - 1)),
+    with T the node's triangles, and 0 for a node in none, summed in id
+    order. On sorted-stem ids that is the order in which `nx.clustering`
+    gives them, and 2T is the integer networkx divides, so the mean equals
+    networkx's bit for bit."""
     with stage("clustering", 1):
-        nbrs = [set(nb) for nb in nbrs]
-        local = []
-        for nb in nbrs:
-            d = len(nb)
-            t = sum(len(nb & nbrs[w]) for w in nb)
-            local.append(0 if t == 0 else t / (d * (d - 1)))
-        return sum(local) / len(nbrs) if nbrs else 0.0
+        n = len(later)
+        degree = [0] * n
+        triangles = [0] * n
+        for u, forward in enumerate(later):
+            degree[u] += len(forward)
+            for v in forward:
+                degree[v] += 1
+                common = forward & later[v]
+                if common:
+                    triangles[u] += len(common)
+                    triangles[v] += len(common)
+                    for w in common:
+                        triangles[w] += 1
+        local = [0 if t == 0 else 2 * t / (d * (d - 1)) for t, d in zip(triangles, degree)]
+        return sum(local) / n if n else 0.0

@@ -21,11 +21,15 @@ rewires the layers in turn from one ``random.Random(seed)``: a given seed
 always yields the same realization.
 
 The realizations of `clustering_null_test` and `benchmark_topic_relevance`
-stay on those ids from the swaps to the number they return: mean clustering
-and BFS distances are measured on id neighbour lists. Ids follow sorted-stem
-order, so the results equal `mean_clustering` of the public
-`configuration_rewire`, which maps the rewired ids back to stem pairs, or
-`bfs` on the `Indexed` graph that the public `rewire_graph` returns.
+stay on those ids from the swaps to the number they return, and each measure
+reads the rewired (lo, hi) edge lists for no more than its answer needs.
+Mean clustering takes the forward sets of the edges and finds each triangle
+once. Topic distances collect the neighbour sets of the queried ids alone,
+answer distance 1 and 2 by set tests, and search the whole graph only for a
+ranked id further away or out of reach. Ids follow sorted-stem order, so the
+results equal `mean_clustering` of the public `configuration_rewire`, which
+maps the rewired ids back to stem pairs, or `bfs` on the `Indexed` graph that
+the public `rewire_graph` returns.
 
 The realizations of an ensemble are spread over forked worker processes, one
 per usable CPU (`tfmn.workers`), and gathered in seed order, so a report does
@@ -99,9 +103,7 @@ def _rewire_ids(
     m = len(lo)
     if m < 2:
         return lo, hi, 0
-    later: list[set[int]] = [set() for _ in range(n)]
-    for u, v in zip(lo, hi):
-        later[u].add(v)
+    later = _edge_forward_sets(n, (lo, hi))
     target = swaps_per_edge * m
     performed = 0
     getrandbits, coin = rng.getrandbits, rng.random
@@ -198,6 +200,16 @@ def rewire_graph(graph: Indexed, seed: int, swaps_per_edge: int = SWAPS_PER_EDGE
     return Indexed(graph.stems, tuple([tuple(sorted(nb)) for nb in _neighbours(n, (lo, hi))]))
 
 
+def _edge_forward_sets(n: int, *edge_lists: tuple[list[int], list[int]]) -> list[set[int]]:
+    """later[u], the ids v > u joined to u by an edge of the (lo, hi) edge
+    lists; a pair in two of them is held once."""
+    later: list[set[int]] = [set() for _ in range(n)]
+    for lo, hi in edge_lists:
+        for u, v in zip(lo, hi):
+            later[u].add(v)
+    return later
+
+
 def _neighbours(n: int, *edge_lists: tuple[list[int], list[int]]) -> list[list[int]]:
     """Id neighbour lists of n nodes from (lo, hi) edge lists; a pair in two
     of them is listed twice."""
@@ -225,18 +237,19 @@ def null_ensemble(
 # ---------------------------------------------------------------------------
 # realizations in worker processes
 
-def _realizations(measure: Callable[[list[list[int]]], object], layers: list, n: int,
-                  seeds: list[int], swaps_per_edge: int) -> list:
-    """[measure(`_neighbours` of `_rewire_layers`(layers, n, s, ...)) for s in
-    seeds], computed by `workers.map_chunks` in contiguous chunks of seeds, one
-    per usable CPU. A worker returns each value with its swap counts, and the
-    shortfalls are warned here in seed order, as one process warns them."""
+def _realizations(measure: Callable[[list[tuple[list[int], list[int]]]], object], layers: list,
+                  n: int, seeds: list[int], swaps_per_edge: int) -> list:
+    """[measure(the (lo, hi) edge lists of `_rewire_layers`(layers, n, s, ...))
+    for s in seeds], computed by `workers.map_chunks` in contiguous chunks of
+    seeds, one per usable CPU. A worker returns each value with its swap
+    counts, and the shortfalls are warned here in seed order, as one process
+    warns them."""
     def realizations(chunk: list[int]) -> list:
         out = []
         for s in chunk:
             rewired = _rewire_layers(layers, n, s, swaps_per_edge)
-            nbrs = _neighbours(n, *[(lo, hi) for lo, hi, _ in rewired])
-            out.append((measure(nbrs), [swaps for _, _, swaps in rewired]))
+            out.append((measure([(lo, hi) for lo, hi, _ in rewired]),
+                        [swaps for _, _, swaps in rewired]))
         return out
 
     values = []
@@ -321,14 +334,41 @@ def load_free_associations(path: str | Path) -> Indexed:
     return indexed({s for e in pairs for s in e}, pairs)
 
 
-def _topic_distances(nbrs, queries: list[tuple[int, list[int]]]) -> list[list[int]]:
-    """Per (topic id, ranked ids) query, the BFS distances on id-indexed
-    neighbour lists from the topic to the ranked ids it reaches, in ranked order."""
+def _topic_distances(n: int, edge_lists: list[tuple[list[int], list[int]]],
+                     queries: list[tuple[int, list[int]]]) -> list[list[int]]:
+    """Per (topic id, ranked ids) query, the shortest-path distances on the
+    union of the (lo, hi) edge lists of n nodes, from the topic to the ranked
+    ids it reaches, in ranked order. One pass over the edges collects the
+    neighbour sets of the queried ids: a ranked id in the topic's set is at
+    distance 1, and one whose set meets it at distance 2. A query with a
+    ranked id that neither test answers (further away, out of reach, or the
+    topic itself) gets one `bfs`, on neighbour lists built once per call."""
     with stage("topic_distances", len(queries)):
+        near: dict[int, set[int]] = {u: set() for topic, ranked in queries for u in (topic, *ranked)}
+        for lo, hi in edge_lists:
+            for u, v in zip(lo, hi):
+                if u in near:
+                    near[u].add(v)
+                if v in near:
+                    near[v].add(u)
+        nbrs = None
         out = []
         for topic, ranked in queries:
-            lengths = bfs(nbrs, topic)
-            out.append([lengths[v] for v in ranked if v in lengths])
+            first, lengths = near[topic], None
+            distances = []
+            for v in ranked:
+                if v in first:
+                    distances.append(1)
+                elif v != topic and not first.isdisjoint(near[v]):
+                    distances.append(2)
+                else:
+                    if lengths is None:
+                        if nbrs is None:
+                            nbrs = _neighbours(n, *edge_lists)
+                        lengths = bfs(nbrs, topic)
+                    if v in lengths:
+                        distances.append(lengths[v])
+            out.append(distances)
     return out
 
 
@@ -344,8 +384,8 @@ def benchmark_topic_relevance(
 
     The oracle (free-association) network is the randomization target,
     since distances are measured on it; this choice is recorded in the
-    report header. Each realization is `rewire_graph` followed by `bfs`,
-    computed on the oracle's sorted-stem ids.
+    report header. Each realization's distances are those of `bfs` on
+    `rewire_graph`'s result, computed on the oracle's sorted-stem ids.
     """
     if n_realizations < 2:
         raise ValueError("need at least 2 realizations")
@@ -361,21 +401,21 @@ def benchmark_topic_relevance(
     topics = sorted(usable)
     others = {t: [s for s in usable[t] if s != t] for t in topics}
     queries = [(ids[t], [ids[s] for s in others[t] if s in ids]) for t in topics]
+    layers = [_edge_lists(oracle)]
     empirical: list[float] = []
     per_topic: dict[str, dict] = {}
     absent_stems = 0
-    for topic, distances in zip(topics, _topic_distances(oracle.nbrs, queries)):
+    for topic, distances in zip(topics, _topic_distances(n, layers, queries)):
         skipped = len(others[topic]) - len(distances)
         absent_stems += skipped
         per_topic[topic] = {"empirical_distances": distances, "absent_stems": skipped}
         empirical.extend(float(d) for d in distances)
 
-    def null_distances(nbrs: list[list[int]]) -> list[float]:
-        return [float(d) for distances in _topic_distances(nbrs, queries) for d in distances]
+    def null_distances(edge_lists: list) -> list[float]:
+        return [float(d) for distances in _topic_distances(n, edge_lists, queries) for d in distances]
 
     seeds = [seed + k for k in range(n_realizations)]
-    null = [d for distances in _realizations(null_distances, [_edge_lists(oracle)], n, seeds,
-                                             swaps_per_edge)
+    null = [d for distances in _realizations(null_distances, layers, n, seeds, swaps_per_edge)
             for d in distances]
     result = mann_whitney_u(empirical, null)
     return {
@@ -410,7 +450,12 @@ def clustering_null_test(
     empirical = mean_clustering(net)
     # the layers in the order configuration_rewire draws them
     layers = [_edge_lists(net.indexed("syntactic")), _edge_lists(net.indexed("synonym"))]
-    values = _realizations(_mean_clustering, layers, len(net.nodes), seeds, swaps_per_edge)
+    n = len(net.nodes)
+
+    def clustering(edge_lists: list) -> float:
+        return _mean_clustering(_edge_forward_sets(n, *edge_lists))
+
+    values = _realizations(clustering, layers, n, seeds, swaps_per_edge)
     mean = statistics.fmean(values)
     std = statistics.pstdev(values)
     z = (empirical - mean) / std if std > 0 else None

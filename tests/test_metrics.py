@@ -6,13 +6,15 @@ from unittest import mock
 import networkx as nx
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tfmn import metrics
 from tfmn.build import Concept, MultiplexLexicalNetwork, save_network
 from tfmn.cli import main
 from tfmn.metrics import (
     LAYER_MODES,
+    _forward_sets,
+    _mean_clustering,
     bfs,
     centrality_report,
     closeness,
@@ -215,6 +217,26 @@ def test_clustering_equals_networkx_exactly(syntactic, synonym, isolated):
     g.add_edges_from(sorted(set(net.syntactic_edges) | net.synonym_edges))
     expected = sum(nx.clustering(g).values()) / g.number_of_nodes() if g.number_of_nodes() else 0.0
     assert mean_clustering(net) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(node_pairs, node_pairs, st.integers(0, 4))
+@example({(0, 1), (1, 2), (0, 2), (2, 3)}, {(0, 2), (4, 5)}, 1)
+@example(set(), set(), 0)
+def test_forward_set_clustering_equals_networkx_average_clustering(syntactic, synonym, isolated):
+    """The forward sets hold each edge once, at its lower id, and the mean
+    clustering read from them is networkx's average_clustering exactly: the
+    examples give a triangle with a degree-1 node, a pair in both layers, a
+    lone edge and an isolated node."""
+    net = make_network({(f"n{a}", f"n{b}"): 1 for a, b in syntactic},
+                       synonym={(f"n{a}", f"n{b}") for a, b in synonym})
+    for k in range(isolated):
+        net.nodes[f"z{k}"] = Concept(f"z{k}", "unrated", None, frozenset())
+    nbrs = net.indexed().nbrs
+    later = _forward_sets(nbrs)
+    assert later == [{v for v in nb if v > u} for u, nb in enumerate(nbrs)]
+    g = net.aggregate_graph()
+    assert _mean_clustering(later) == (nx.average_clustering(g) if len(g) else 0.0)
 
 
 @settings(max_examples=100, deadline=None)

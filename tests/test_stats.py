@@ -16,7 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 from tfmn import stats
 from tfmn.build import Concept, MultiplexLexicalNetwork, _ordered, indexed, save_network
 from tfmn.lexicons import LexiconError
-from tfmn.metrics import bfs, mean_clustering
+from tfmn.metrics import _forward_sets, _mean_clustering, bfs, mean_clustering
 from tfmn.stats import (
     SWAPS_PER_EDGE,
     _edge_lists,
@@ -419,6 +419,40 @@ def test_benchmark_null_distances_match_the_stem_reference(edges, seed, swaps_pe
     assert errors == ([] if any(expected) else ["both samples must be nonempty"])
 
 
+def id_edge_lists(*layers):
+    """The (lo, hi) id lists of each set of id pairs, in sorted order, as
+    `_edge_lists` gives them."""
+    return [([u for u, _ in sorted(pairs)], [v for _, v in sorted(pairs)]) for pairs in layers]
+
+
+@settings(max_examples=100, deadline=None)
+@given(multiplex_layers(), st.lists(st.lists(st.integers(0, 11), min_size=1, max_size=9), max_size=4))
+@example((7, {(0, 1), (2, 3), (3, 4), (4, 5)}, {(1, 2), (2, 3)}), [[0, 5, 4, 6, 3, 2, 1, 0, 5], [6, 0]])
+@example((7, {(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5)}, {(0, 2)}), [[5, 0, 1, 6, 2], [2, 5]])
+@example((0, set(), set()), [[0, 1]])
+def test_realization_measures_on_edge_lists_equal_networkx(layers, queries):
+    """What a realization measures, from the (lo, hi) edge lists of two
+    layers, against networkx on their union: a pair may sit in both layers
+    and a node may be isolated or of degree 1. A query's first id is its
+    topic; a ranked id may be the topic, repeated, 3 or more hops away or
+    out of reach, which is skipped, and the distances keep ranked order."""
+    n_nodes, syntactic, synonym = layers
+    edge_lists = id_edge_lists(syntactic, synonym)
+    g = nx.Graph()
+    g.add_nodes_from(range(n_nodes))
+    g.add_edges_from(syntactic | synonym)
+    later = stats._edge_forward_sets(n_nodes, *edge_lists)
+    assert later == _forward_sets([tuple(sorted(g[u])) for u in range(n_nodes)])
+    assert _mean_clustering(later) == (nx.average_clustering(g) if n_nodes else 0.0)
+
+    queries = [(q[0] % n_nodes, [v % n_nodes for v in q[1:]]) for q in queries] if n_nodes else []
+    expected = []
+    for topic, ranked in queries:
+        lengths = nx.shortest_path_length(g, topic)
+        expected.append([lengths[v] for v in ranked if v in lengths])
+    assert stats._topic_distances(n_nodes, edge_lists, queries) == expected
+
+
 # ---------------------------------------------------------------------------
 # Mann-Whitney U
 
@@ -649,7 +683,7 @@ def test_reports_do_not_depend_on_the_worker_count(tmp_path, workers, n_realizat
 
 def test_stage_items_do_not_depend_on_the_worker_count(tmp_path, workers, stage_items):
     """rewire counts realizations x layers, clustering and topic_distances the
-    graphs and BFS runs measured, the empirical one included."""
+    graphs measured and the topic queries answered, the empirical ones included."""
     oracle = make_oracle(tmp_path)
     rankings = {"wbb": ["wbc", "wbd", "wbf"], "wdd": ["wdf", "wfb"]}
     records = []

@@ -13,9 +13,11 @@ would track (uncommitted edits included). A run is each side's own
 with S the `run_seconds` of this checkout's BENCHMARK.json. The file holds
 `about`, `parent` and `machine`, and under `workloads.W` the seeds, the
 number of pairs, per end-to-end metric each side's median and quartiles
-(inclusive method) and in how many pairs the change read lower, and the raw
-`runs`. An existing file keeps its other workloads and keys, so one file can
-collect several workloads.
+(inclusive method), in how many pairs the change read lower and whether a gain
+may be claimed (`rule_met`: lower in at least 9 of 10 pairs, and the medians
+apart by more than the parent's interquartile range), and the raw `runs`. An
+existing file keeps its other workloads and keys, so one file can collect
+several workloads.
 """
 
 from __future__ import annotations
@@ -67,15 +69,22 @@ def run_side(side: str, parent_ref: str, workload: str, seed: int, seconds: floa
 
 
 def summarise(runs: list[dict], metrics: list[str]) -> dict:
+    """Per metric, each side's median and quartiles, the pairs in which the
+    change read lower, and `rule_met`: the change read lower in at least 9 of
+    10 pairs, and its median lies below the parent's by more than the
+    parent's interquartile range."""
     out = {}
     for m in metrics:
         out[m] = {}
+        quartiles = {}
         for side in SIDES:
             values = [r[side][m] for r in runs]
-            q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+            q1, median, q3 = quartiles[side] = statistics.quantiles(values, n=4, method="inclusive")
             out[m][side] = {"median": round(median, 4), "q1": round(q1, 4), "q3": round(q3, 4)}
         lower = sum(r["change"][m] < r["parent"][m] for r in runs)
         out[m]["change_lower_in_pairs"] = f"{lower}/{len(runs)}"
+        (p1, p_median, p3), (_, c_median, _) = quartiles["parent"], quartiles["change"]
+        out[m]["rule_met"] = 10 * lower >= 9 * len(runs) and p_median - c_median > p3 - p1
     return out
 
 
@@ -101,7 +110,9 @@ def main(argv: list[str]) -> int:
         f"tools/bench_pairs.py. Each run: python3 perfbench/run.py --workload W --seed N --seconds "
         f"{spec['run_seconds']} --trace 0, from a fresh copy of each side's files (the parent by git "
         "archive); each pair runs both sides on one seed, alternating which side runs first. "
-        "Quartiles by the inclusive method; change_lower_in_pairs counts strictly lower readings.")
+        "Quartiles by the inclusive method; change_lower_in_pairs counts strictly lower readings; "
+        "rule_met: lower in at least 9 of 10 pairs and the change's median below the parent's by "
+        "more than the parent's interquartile range.")
     report["parent"] = git("rev-parse", "--short", args.parent_ref).decode().strip()
     report["machine"] = {"nproc": os.cpu_count(), "usable_cpus": len(os.sched_getaffinity(0)),
                          "python": platform.python_version(), "platform": platform.platform()}

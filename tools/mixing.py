@@ -45,7 +45,7 @@ sys.path.insert(0, str(DATA.parents[1]))
 from tfmn.build import Indexed, assemble_network, count_corpus  # noqa: E402
 from tfmn.cli import BENCHMARK_TOPICS  # noqa: E402
 from tfmn.lexicons import load_emotion_lexicon, load_synonyms, load_valence_norms  # noqa: E402
-from tfmn.metrics import _mean_clustering, bfs  # noqa: E402
+from tfmn.metrics import _forward_sets, _mean_clustering, bfs  # noqa: E402
 from tfmn.stats import load_free_associations, rewire_graph  # noqa: E402
 from tfmn.stemmer import stem  # noqa: E402
 
@@ -88,7 +88,7 @@ def chain(graph: Indexed, seed: int) -> Iterator[Indexed]:
 
 def clustering(graph: Indexed) -> float:
     """The mean clustering, as `mean_clustering` computes it on a network's ids."""
-    return _mean_clustering(graph.nbrs)
+    return _mean_clustering(_forward_sets(graph.nbrs))
 
 
 def overlap_with(start: Indexed) -> Statistic:

@@ -4,13 +4,14 @@ Valence auras take the mode of neighbour valence labels; emotional
 profiles count which of the eight basic emotions the associates of a
 concept elicit, substituting antonyms for associates syntactically linked
 to a negation; Louvain communities and induced neighbourhood subgraphs
-support the cluster-level views.
+support the cluster-level views. Louvain is networkx's, partition for
+partition, but its local moving re-evaluates a node that stayed put only
+after the total of its own or of a neighbour's community has changed.
 """
 
 from __future__ import annotations
 
 import random
-from collections import defaultdict
 from typing import NamedTuple
 
 from .build import MultiplexLexicalNetwork, _ordered
@@ -86,19 +87,19 @@ def emotional_profile(
         stems, aggregate = graph = net.indexed()
         associates = aggregate[graph.id_of(target)]  # ids in sorted-stem order
         syntactic = net.indexed("syntactic").nbrs
-        negation = [net.nodes[s].is_negation_marker for s in stems]
+        nodes = net.nodes  # negation flags are read for the visited nodes only
 
         counts = {e: 0 for e in lexicons.EMOTIONS}
         contributors: list[tuple[str, str, bool]] = []
         missing_antonyms = 0
         for v in associates:
-            if negation[v]:
-                continue
             associate = stems[v]
+            if nodes[associate].is_negation_marker:
+                continue
             for emotion in sorted(emotions.emotions(associate)):
                 counts[emotion] += 1
                 contributors.append((associate, emotion, False))
-            if any(negation[w] for w in syntactic[v]):
+            if any(nodes[stems[w]].is_negation_marker for w in syntactic[v]):
                 antonym = antonyms.antonym(associate)
                 if antonym is None:
                     missing_antonyms += 1
@@ -191,37 +192,63 @@ def _modularity(adj: list[dict[int, int]], communities: list[set[int]]) -> float
 def _one_level(adj, m, rng):
     """Move each node, in one shuffled order, to the neighbour community of
     largest positive gain until no move helps; returns the non-empty
-    communities of this level's nodes and whether any node moved."""
-    node2com = list(range(len(adj)))
-    inner = [{u} for u in range(len(adj))]
-    degrees = list(map(_degree, adj, range(len(adj))))
+    communities of this level's nodes and whether any node moved.
+
+    networkx's sweeps, float for float, except that a node that stayed put is
+    evaluated again only once the total of its own community or of one of its
+    neighbours' communities has changed (fast local moving, Traag 2015,
+    without its queue). Those are its only inputs, and totals are integers, so
+    a node that stays leaves every total as it was: a skipped node would have
+    stayed, and the visit order, the moves and the partition are networkx's."""
+    n = len(adj)
+    node2com = list(range(n))
+    inner = [{u} for u in range(n)]
+    degrees = list(map(_degree, adj, range(n)))
     stot = list(degrees)
-    nbrs = [{v: w for v, w in a.items() if v != u} for u, a in enumerate(adj)]
+    nbrs = [[(v, w) for v, w in a.items() if v != u] for u, a in enumerate(adj)]
     two_m2 = 2 * m**2
-    order = list(range(len(adj)))
+    order = list(range(n))
     rng.shuffle(order)
+    # changed[c]: the tick at which community c's total last changed;
+    # seen[u]: the tick at which node u last stayed put, -1 after it moved
+    changed = [0] * n
+    seen = [-1] * n
+    tick = 0
     moves = 1
     improvement = False
     while moves > 0:
         moves = 0
         for u in order:
+            since = seen[u]
+            if since >= 0 and changed[node2com[u]] <= since:
+                for v, _ in nbrs[u]:
+                    if changed[node2com[v]] > since:
+                        break
+                else:
+                    continue
+            tick += 1
             best_mod = 0
-            best_com = node2com[u]
-            weights2com: defaultdict[int, float] = defaultdict(float)
-            for v, w in nbrs[u].items():
-                weights2com[node2com[v]] += w
+            best_com = own = node2com[u]
+            weights2com: dict[int, float] = {}
+            for v, w in nbrs[u]:
+                com = node2com[v]
+                weights2com[com] = weights2com.get(com, 0.0) + w
             degree = degrees[u]
-            stot[best_com] -= degree
-            remove_cost = -weights2com[best_com] / m + (stot[best_com] * degree) / two_m2
+            stot[own] -= degree
+            remove_cost = -weights2com.setdefault(own, 0.0) / m + (stot[own] * degree) / two_m2
             for com, w in weights2com.items():
                 gain = remove_cost + w / m - (stot[com] * degree) / two_m2
                 if gain > best_mod:
                     best_mod = gain
                     best_com = com
             stot[best_com] += degree
-            if best_com != node2com[u]:
-                inner[node2com[u]].remove(u)
+            if best_com == own:
+                seen[u] = tick
+            else:
+                inner[own].remove(u)
                 inner[best_com].add(u)
+                changed[own] = changed[best_com] = tick
+                seen[u] = -1
                 improvement = True
                 moves += 1
                 node2com[u] = best_com

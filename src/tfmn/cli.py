@@ -261,8 +261,8 @@ def aura(network, targets, out):
     reports = [analysis.valence_aura(net, t)._asdict() for t in known]
     if out:
         _write_json(Path(out), {"auras": reports, "unknown_targets": unknown})
-    for r in reports:
-        click.echo(f"{r['target']}\t{r['aura']}")
+    if reports:
+        click.echo("\n".join(f"{r['target']}\t{r['aura']}" for r in reports))
     if unknown:
         click.echo(f"unknown targets: {', '.join(unknown)}", err=True)
         if not known:
@@ -292,8 +292,8 @@ def profile(network, targets, lexicon_dir, out_dir):
         lines.append(f"{target}\t" + ", ".join(f"{e}={n}" for e, n in top))
     if unknown:
         _write_json(out / "unknown_targets.json", {"unknown_targets": unknown})
-    for line in lines:
-        click.echo(line)
+    if lines:
+        click.echo("\n".join(lines))
     if unknown:
         click.echo(f"unknown targets: {', '.join(unknown)}", err=True)
         if not known:

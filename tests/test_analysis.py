@@ -6,6 +6,9 @@ from networkx.algorithms.community import louvain_communities, modularity
 
 from tfmn.analysis import (
     CommunityPartition,
+    _degree,
+    _level_graph,
+    _one_level,
     classify_edges,
     emotional_profile,
     louvain_partition,
@@ -16,6 +19,7 @@ from tfmn.build import Concept, MultiplexLexicalNetwork
 from tfmn.lexicons import AntonymLexicon, EmotionLexicon
 
 from conftest import make_network
+from louvain_reference import reference_one_level
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +258,25 @@ def _preferential_network(n: int, seed: int) -> MultiplexLexicalNetwork:
 @pytest.mark.parametrize("n, net_seed, seed", [(600, 0, 2), (600, 2, 5), (300, 1, 0), (300, 1, 7)])
 def test_louvain_matches_networkx_on_larger_networks(n, net_seed, seed):
     _assert_same_as_networkx(_preferential_network(n, net_seed), seed)
+
+
+@st.composite
+def level_graphs(draw) -> list[dict[int, int]]:
+    """The weighted graphs that Louvain's levels above 0 see: repeated edges
+    add up, and self-loops carry the weight inside a merged community."""
+    n = draw(st.integers(1, 30))
+    node = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(node, node, st.integers(1, 6)), min_size=1, max_size=4 * n))
+    return _level_graph(n, edges)
+
+
+@settings(max_examples=400, deadline=None)
+@given(level_graphs(), st.integers(-5, 2**64))
+def test_one_level_matches_the_full_sweeps(adj, seed):
+    m = sum(map(_degree, adj, range(len(adj)))) / 2
+    rng, reference_rng = random.Random(seed), random.Random(seed)
+    assert _one_level(adj, m, rng) == reference_one_level(adj, m, reference_rng)
+    assert rng.random() == reference_rng.random()  # the same draws, no more
 
 
 def test_louvain_without_edges_rejected():

@@ -12,7 +12,7 @@ import pytest
 from click.testing import CliRunner
 
 import tfmn
-from tfmn import build as builder, ingest, stats, workers
+from tfmn import analysis, build as builder, ingest, stats, workers
 from tfmn.build import Concept, save_network
 from tfmn.cli import main
 from tfmn.stats import SWAPS_PER_EDGE
@@ -142,6 +142,18 @@ def test_aura_all_unknown_fails(built, runner):
         main, ["aura", "--network", str(built / "toy.network.json"), "--targets", "qqqq"]
     )
     assert result.exit_code == 1
+
+
+def test_aura_prints_known_targets_in_order_and_names_unknown_ones(built, runner):
+    network = built / "toy.network.json"
+    result = runner.invoke(
+        main, ["aura", "--network", str(network), "--targets", "success,qqqq,love,fear,zzzz,love"]
+    )
+    assert result.exit_code == 0, result.output
+    net = builder.load_network(network)
+    expected = [f"{t}\t{analysis.valence_aura(net, t).aura}" for t in ("success", "love", "fear")]
+    assert result.stdout == "\n".join(expected) + "\n"
+    assert result.stderr == "unknown targets: qqqq, zzzz\n"
 
 
 def test_profile(built, runner, tmp_path):

@@ -1,7 +1,9 @@
-"""Time `closeness_rows` on a seeded ~5k-node two-layer graph and check it
-against one breadth-first search per node.
+"""Time `closeness_rows` and `louvain_partition` on a seeded ~5k-node
+two-layer graph, and check them against one breadth-first search per node
+and against networkx's Louvain.
 
-Stdlib only. Run from the repository root:
+Stdlib only; the Louvain check also needs networkx. Run from the repository
+root:
 
     python3 tools/closeness_scale.py [--nodes 5000] [--seed 0]
 
@@ -13,7 +15,12 @@ the script prints the component count, the `closeness_rows` time (best
 of three, each on a freshly built network, so that the time includes
 building the view's index, as in one `tfmn rank`), the time
 of the per-node reference and the number of rows that differ from it
-(`==` on stem, float, degree and component size, in order).
+(`==` on stem, float, degree and component size, in order). Then it
+prints the `louvain_partition` time at seed 0, as `tfmn communities` runs
+by default (best of three, on one network), the number of communities and,
+when networkx is installed, whether the partition equals that of networkx's
+`louvain_communities` on the aggregate graph with the same seed ("n/a"
+without networkx).
 """
 
 from __future__ import annotations
@@ -26,8 +33,12 @@ from time import perf_counter
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from tfmn.analysis import louvain_partition  # noqa: E402
 from tfmn.build import Concept, MultiplexLexicalNetwork  # noqa: E402
 from tfmn.metrics import LAYER_MODES, bfs, closeness_rows  # noqa: E402
+
+
+LOUVAIN_SEED = 0
 
 
 def scale_network(nodes: int, seed: int) -> MultiplexLexicalNetwork:
@@ -113,6 +124,26 @@ def main() -> None:
         reference_s = perf_counter() - start
         print(f"{mode}\t{len(rows)}\t{min(times):.3f}\t{reference_s:.2f}\t"
               f"{differing_rows(rows, expected)}")
+    times = []
+    for _ in range(3):
+        start = perf_counter()
+        partition = louvain_partition(net, LOUVAIN_SEED)
+        times.append(perf_counter() - start)
+    groups: dict[int, list[str]] = {}
+    for stem, cid in partition.communities.items():
+        groups.setdefault(cid, []).append(stem)
+    print("louvain_seed\tcommunities\tlouvain_partition_s\tequals_networkx")
+    print(f"{LOUVAIN_SEED}\t{len(groups)}\t{min(times):.3f}\t{equals_networkx(net, groups.values())}")
+
+
+def equals_networkx(net: MultiplexLexicalNetwork, groups) -> str:
+    """Whether the groups are networkx's Louvain communities at LOUVAIN_SEED."""
+    try:
+        from networkx.algorithms.community import louvain_communities
+    except ImportError:
+        return "n/a"
+    expected = louvain_communities(net.aggregate_graph(), seed=LOUVAIN_SEED)
+    return str(sorted(map(sorted, groups)) == sorted(map(sorted, expected)))
 
 
 if __name__ == "__main__":

@@ -169,6 +169,28 @@ class _JsonErrorGroup(click.Group):
         except click.UsageError as exc:
             _fail(exc.format_message())
 
+    def __call__(self, *args, **kwargs):
+        """The program entry (the `tfmn` script, `python -m tfmn.cli`): runs
+        main(...), and when it ends in click's SystemExit with an int or None
+        code, flushes stdout and stderr and leaves through os._exit, skipping
+        the interpreter's teardown of a heap about to be dropped. Every file
+        a command writes is closed by then, and tfmn registers no atexit
+        handler. Any other exception or exit code, and a flush that fails
+        (a closed pipe), leave as SystemExit would. main.main(...) itself
+        returns and raises as click's does."""
+        try:
+            return self.main(*args, **kwargs)
+        except SystemExit as exc:
+            code = exc.code
+            if code is not None and not isinstance(code, int):
+                raise
+            try:
+                sys.stdout.flush()
+                sys.stderr.flush()
+            except Exception:
+                raise SystemExit(code) from None
+            os._exit(code or 0)
+
 
 @click.group(cls=_JsonErrorGroup, no_args_is_help=False)
 @click.version_option(__version__)

@@ -765,6 +765,73 @@ def test_bare_module_run_fails_with_one_json_line():
     assert len(lines) == 1 and "error" in json.loads(lines[0])
 
 
+def _entry_run(args, cwd, code=None):
+    """The program entry run as a subprocess with stdout and stderr piped:
+    `python -m tfmn.cli ARGS`, or `python -c CODE ARGS`. Without
+    PYTHONUNBUFFERED, stdout to a pipe is block-buffered, as it is for users."""
+    env = {**os.environ, "PYTHONPATH": str(Path(tfmn.__file__).resolve().parents[1])}
+    env.pop("PYTHONUNBUFFERED", None)
+    head = ["-m", "tfmn.cli"] if code is None else ["-c", code]
+    return subprocess.run([sys.executable, *head, *args], cwd=cwd, env=env, capture_output=True,
+                          timeout=60)
+
+
+def test_entry_writes_what_the_in_process_run_writes(built, runner, tmp_path):
+    """The entry leaves through os._exit; stdout and every file it wrote are
+    byte for byte those of main.main(...), which leaves as click does."""
+    written = {}
+    for name in ("entry", "runner"):
+        (tmp_path / name).mkdir()
+        args = ["rank", "--network", str(built / "toy.network.json"), "--top-k", "5",
+                "--out", str(tmp_path / name / "rank.csv")]
+        if name == "entry":
+            proc = _entry_run(args, tmp_path)
+            assert proc.returncode == 0 and proc.stderr == b"", proc.stderr
+            stdout = proc.stdout
+        else:
+            result = runner.invoke(main, args)
+            assert result.exit_code == 0, result.output
+            stdout = result.stdout_bytes
+        written[name] = stdout, {p.name: p.read_bytes() for p in (tmp_path / name).iterdir()}
+    assert written["entry"] == written["runner"]
+    assert sorted(written["entry"][1]) == ["rank.csv", "rank.json"]
+    assert len(written["entry"][0].splitlines()) == 5
+
+
+@pytest.mark.parametrize("code, stdout", [
+    (None, b""),
+    ("import sys; sys.stdout.write('unflushed'); sys.argv[0] = 'tfmn'; from tfmn.cli import main; main()",
+     b"unflushed"),
+], ids=["module", "unflushed stdout"])
+def test_entry_command_failure_exits_one_with_one_json_line(tmp_path, code, stdout):
+    """_fail flushes only stderr; the entry flushes stdout before os._exit."""
+    (tmp_path / "bad.json").write_text("not json", encoding="utf-8")
+    proc = _entry_run(["rank", "--network", "bad.json"], tmp_path, code)
+    assert proc.returncode == 1 and proc.stdout == stdout
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["network"] == "bad.json"
+
+
+def test_entry_version_exits_zero(tmp_path):
+    proc = _entry_run(["--version"], tmp_path)
+    assert proc.returncode == 0 and tfmn.__version__ in proc.stdout.decode()
+
+
+def test_entry_lets_an_uncaught_exception_leave_with_its_traceback(built, tmp_path):
+    """Only click's SystemExit takes the os._exit path; an error no command
+    class catches still prints its traceback and a non-zero code."""
+    code = ("import sys, tfmn.build, tfmn.cli\n"
+            "def broken(path):\n"
+            "    raise RuntimeError('layer broke')\n"
+            "tfmn.build.load_network = broken\n"
+            "sys.argv[0] = 'tfmn'\n"
+            "tfmn.cli.main()")
+    proc = _entry_run(["rank", "--network", str(built / "toy.network.json")], tmp_path, code)
+    assert proc.returncode != 0 and proc.stdout == b""
+    stderr = proc.stderr.decode()
+    assert stderr.startswith("Traceback") and "RuntimeError: layer broke" in stderr
+
+
 def test_group_help_exits_zero(runner):
     result = runner.invoke(main, ["--help"])
     assert result.exit_code == 0 and result.output.startswith("Usage:")

@@ -364,9 +364,11 @@ def nulltest(network, realizations, seed, swaps_per_edge, out):
     report = stats.clustering_null_test(net, realizations, seed, swaps_per_edge)
     if out:
         _write_json(Path(out), {**report, "config_hash": builder.config_hash(settings)})
+    z = "undefined" if report["z_score"] is None else f"{report['z_score']:.2f}"
     click.echo(
         f"clustering {report['empirical_clustering']:.3f} "
-        f"({report['ensemble_mean']:.3f} +/- {report['ensemble_std']:.3f} for configuration models)"
+        f"({report['ensemble_mean']:.3f} +/- {report['ensemble_std']:.2g} for configuration models, "
+        f"z={z})"
     )
 
 

@@ -200,6 +200,23 @@ def test_nulltest(built, runner, tmp_path):
     assert "z_score" in payload
 
 
+def test_nulltest_prints_the_std_to_two_digits_and_the_reported_z(runner, tmp_path):
+    # two wheels joined by a path: triangles that rewiring opens
+    edges = {(f"h{w}", f"r{w}{i}") for w in "ab" for i in range(6)}
+    edges |= {(f"r{w}{i}", f"r{w}{(i + 1) % 6}") for w in "ab" for i in range(6)} | {("ra0", "rb0")}
+    save_network(make_network(edges), tmp_path / "net.json")
+    out = tmp_path / "null.json"
+    result = runner.invoke(main, ["nulltest", "--network", str(tmp_path / "net.json"),
+                                  "--realizations", "6", "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    payload = json.loads(out.read_text())
+    assert payload["z_score"] is not None
+    assert result.stdout == (
+        f"clustering {payload['empirical_clustering']:.3f} ({payload['ensemble_mean']:.3f} +/- "
+        f"{payload['ensemble_std']:.2g} for configuration models, z={payload['z_score']:.2f})\n"
+    )
+
+
 def test_nulltest_default_swaps_per_edge_is_the_constant(built, runner, tmp_path):
     written = []
     for extra in ([], ["--swaps-per-edge", str(SWAPS_PER_EDGE)]):
@@ -286,6 +303,7 @@ def test_nulltest_output_is_strict_json(runner, tmp_path):
     payload = _strict_json(out)
     assert payload["ensemble_std"] == 0.0
     assert payload["z_score"] is None
+    assert result.stdout.endswith(" +/- 0 for configuration models, z=undefined)\n")
 
 
 NETWORK_COMMANDS = {

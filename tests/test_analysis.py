@@ -279,6 +279,32 @@ def test_one_level_matches_the_full_sweeps(adj, seed):
     assert rng.random() == reference_rng.random()  # the same draws, no more
 
 
+class _FixedOrder:
+    """Stands in for the RNG of _one_level, whose one draw is the visit order."""
+
+    def __init__(self, order):
+        self.order = order
+
+    def shuffle(self, order):
+        order[:] = self.order
+
+
+def test_one_level_revisits_a_node_whose_own_community_grew():
+    """Node 1's only neighbour is 5. In sweep 1 node 1 joins 5's community,
+    2 joins it too, and 5 leaves for 3's: node 1 now sits with 2, which is
+    not its neighbour. In sweep 2 it stays, then 0 (not its neighbour
+    either) joins that community. Only the total of node 1's own community
+    changed, and that alone makes joining 5 worth it in sweep 3. Node 4
+    carries the self-loop weight of a merged community."""
+    adj = _level_graph(6, [(0, 0, 1), (1, 5, 2), (2, 5, 6), (3, 5, 9), (0, 2, 4), (1, 1, 3),
+                           (4, 4, 18), (3, 3, 5)])
+    m = sum(map(_degree, adj, range(len(adj)))) / 2
+    order = [1, 0, 2, 4, 5, 3]
+    expected = ([{1, 3, 5}, {4}, {0, 2}], True)
+    assert reference_one_level(adj, m, _FixedOrder(order)) == expected
+    assert _one_level(adj, m, _FixedOrder(order)) == expected
+
+
 def test_louvain_without_edges_rejected():
     net = make_network({("a", "b"): 1})
     net = MultiplexLexicalNetwork(net.nodes, {}, set(), net.provenance)

@@ -13,6 +13,11 @@ its return (imports excluded), the package's stage record
 in) and the share of the wall time that the stages cover. Stage times of
 forked workers overlap this process's, so on more than one usable CPU the
 share can exceed 1; run under `taskset -c 0` to read it for one process.
+
+The wall time never included the interpreter's teardown after the command:
+the clock stops when `main.main` returns or raises, before Python exits. So
+it shows neither the teardown that the program entry skips with `os._exit`
+nor what skipping it saves; this script exits as Python does.
 """
 
 from __future__ import annotations

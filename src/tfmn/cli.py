@@ -4,10 +4,12 @@ Subcommands: build, rank, aura, profile, communities, nulltest, benchmark,
 export. build, rank and benchmark also take option values from a key=value
 config file (--config); explicit flags win. All randomness flows from a
 single --seed, fanned out deterministically, so identical runs produce
-byte-identical files. The config hash is stamped on the build summary and
-network provenance, the rank JSON, and the nulltest and benchmark reports,
-which also carry the seed and the swaps per edge; communities output carries
-the seed only, and aura, profile and the export CSV carry neither.
+byte-identical files. A config hash is stamped on the build summary, the
+rank JSON, and the nulltest and benchmark reports, which also carry the seed
+and the swaps per edge; communities output carries the seed only, and aura,
+profile and the export CSV carry neither. A network's `provenance.config_hash`
+hashes its `config`, which holds build's or benchmark's hash, so the two
+differ; rank and nulltest hash the network's with their settings.
 """
 
 from __future__ import annotations

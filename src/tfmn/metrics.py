@@ -8,11 +8,10 @@ within a component.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 
 from . import stage
-from .build import MultiplexLexicalNetwork
+from .build import Indexed, MultiplexLexicalNetwork
 
 __all__ = [
     "DistanceMatrix",
@@ -161,12 +160,32 @@ def centrality_report(net: MultiplexLexicalNetwork, layer_mode: str = "aggregate
 def mean_clustering(net: MultiplexLexicalNetwork) -> float:
     """Mean local clustering on the aggregate simple graph, equal to
     networkx's bit for bit (`_mean_clustering` on the sorted-stem ids)."""
-    return _mean_clustering(_forward_sets(net.indexed().nbrs))
+    return _mean_clustering(_edge_forward_sets(len(net.nodes), *_layer_edge_lists(net)))
 
 
-def _forward_sets(nbrs) -> list[set[int]]:
-    """later[u], the ids v > u among the sorted neighbour ids nbrs[u]."""
-    return [set(nb[bisect_right(nb, u):]) for u, nb in enumerate(nbrs)]
+def _layer_edge_lists(net: MultiplexLexicalNetwork) -> list[tuple[list[int], list[int]]]:
+    """The `_edge_lists` of the syntactic layer, then of the synonym layer,
+    the order in which a configuration-model realization rewires them."""
+    return [_edge_lists(net.indexed("syntactic")), _edge_lists(net.indexed("synonym"))]
+
+
+def _edge_lists(graph: Indexed) -> tuple[list[int], list[int]]:
+    """The (lo, hi) id lists of a simple graph's edges, in sorted order."""
+    # u <= v keeps a self-loop; the (lo, hi) pairs come out sorted
+    pairs = [(u, v) for u, nbrs in enumerate(graph.nbrs) for v in nbrs if u <= v]
+    if any(u == v for u, v in pairs):
+        raise ValueError("graph is not simple: self-loop")
+    return [u for u, _ in pairs], [v for _, v in pairs]
+
+
+def _edge_forward_sets(n: int, *edge_lists: tuple[list[int], list[int]]) -> list[set[int]]:
+    """later[u], the ids v > u joined to u by an edge of the (lo, hi) edge
+    lists; a pair in two of them is held once."""
+    later: list[set[int]] = [set() for _ in range(n)]
+    for lo, hi in edge_lists:
+        for u, v in zip(lo, hi):
+            later[u].add(v)
+    return later
 
 
 def _mean_clustering(later: list[set[int]]) -> float:

@@ -16,7 +16,8 @@ present, which the kernel looks up in per-node sets of higher-id neighbours.
 The other shared ends, a == d and b == c, make a new edge equal to edge i,
 which is still present, so the lookup rejects them: no draw depends on which
 test rejects an attempt, and the sequence is the one the kernel drew when it
-ran on stem pairs. Every realization is one `_rewire_layers` call, which
+ran on stem pairs. Every realization, of an ensemble or of the public
+`configuration_rewire` and `rewire_graph`, is made by `_realizations`, which
 rewires the layers in turn from one ``random.Random(seed)``: a given seed
 always yields the same realization.
 
@@ -34,8 +35,9 @@ the public `rewire_graph` returns.
 The realizations of an ensemble are spread over forked worker processes, one
 per usable CPU (`tfmn.workers`), and gathered in seed order, so a report does
 not depend on the number of workers. A worker returns each realization's
-value with its swap counts, and this process warns of the shortfalls, as
-`configuration_rewire` and `rewire_graph` do.
+value with its swap counts, and `_realizations` warns of the shortfalls in
+this process, in seed order. `configuration_rewire` and `rewire_graph` are
+its one-seed calls, which run in this process and fork nothing.
 """
 
 from __future__ import annotations
@@ -49,7 +51,8 @@ from typing import Callable, Iterator, NamedTuple
 
 from . import lexicons, stage, workers
 from .build import Indexed, MultiplexLexicalNetwork, indexed
-from .metrics import _mean_clustering, bfs, mean_clustering
+from .metrics import (_edge_forward_sets, _edge_lists, _layer_edge_lists, _mean_clustering, bfs,
+                      mean_clustering)
 
 __all__ = [
     "SWAPS_PER_EDGE",
@@ -74,20 +77,11 @@ SWAPS_PER_EDGE = 4
 _ATTEMPTS_PER_SWAP = 100
 
 
-def _edge_lists(graph: Indexed) -> tuple[list[int], list[int]]:
-    """The (lo, hi) id lists of a simple graph's edges, in sorted order."""
-    # u <= v keeps a self-loop; the (lo, hi) pairs come out sorted
-    pairs = [(u, v) for u, nbrs in enumerate(graph.nbrs) for v in nbrs if u <= v]
-    if any(u == v for u, v in pairs):
-        raise ValueError("graph is not simple: self-loop")
-    return [u for u, _ in pairs], [v for _, v in pairs]
-
-
 def _rewire_ids(
     lo: list[int], hi: list[int], n: int, rng: random.Random, swaps_per_edge: int
 ) -> tuple[list[int], list[int], int]:
     """Double edge swaps on an undirected simple graph of n nodes, given as
-    the (lo, hi) id lists of `_edge_lists`, which are left as they are.
+    the (lo, hi) id lists of `metrics._edge_lists`, which are left as they are.
     Returns the rewired lists, each edge still in (lo, hi) order, and the
     number of swaps performed, which falls short of swaps_per_edge per edge
     when the budget of `_ATTEMPTS_PER_SWAP` attempts per swap runs out first.
@@ -152,23 +146,34 @@ def _rewire_ids(
     return lo, hi, performed
 
 
-def _rewire_layers(layers: list, n: int, seed: int, swaps_per_edge: int) -> list:
-    """One realization: `_rewire_ids` on each (lo, hi) edge list of layers in
-    turn, all drawing from one random.Random(seed); (lo, hi, swaps) per layer."""
-    with stage("rewire", len(layers)):
-        rng = random.Random(seed)
-        return [_rewire_ids(lo, hi, n, rng, swaps_per_edge) for lo, hi in layers]
+def _realizations(measure: Callable[[list[tuple[list[int], list[int]]]], object], layers: list,
+                  n: int, seeds: list[int], swaps_per_edge: int) -> list[tuple[object, list[int]]]:
+    """[(measure(rewired), swaps) for s in seeds]: the realization of seed s
+    rewires the (lo, hi) edge lists of layers in turn with `_rewire_ids`, all
+    drawing from one random.Random(s), and gives measure the rewired lists;
+    swaps holds each layer's swap count. `workers.map_chunks` runs the seeds
+    in contiguous chunks, one per usable CPU, so one seed runs in this
+    process. Each layer whose swaps fell short of swaps_per_edge per edge is
+    warned of here, in seed order, as one process warns them; a layer of
+    fewer than 2 edges has no swap to make."""
+    def realizations(chunk: list[int]) -> list:
+        out = []
+        for s in chunk:
+            with stage("rewire", len(layers)):
+                rng = random.Random(s)
+                rewired = [_rewire_ids(lo, hi, n, rng, swaps_per_edge) for lo, hi in layers]
+            out.append((measure([(lo, hi) for lo, hi, _ in rewired]), [swaps for _, _, swaps in rewired]))
+        return out
 
-
-def _warn_shortfalls(layers: list, swaps: list[int], swaps_per_edge: int) -> None:
-    """Warn of each layer whose swaps fell short of swaps_per_edge per edge;
-    a layer of fewer than 2 edges has no swap to make."""
-    for (lo, _), performed in zip(layers, swaps):
-        m = len(lo)
-        target = swaps_per_edge * m
-        if m > 1 and performed < target:
-            warnings.warn(f"rewiring fell short: {performed or 'no'} swaps of {target} "
-                          f"in {_ATTEMPTS_PER_SWAP * target} attempts on {m} edges")
+    results = [result for chunk in workers.map_chunks(realizations, seeds) for result in chunk]
+    for _, swaps in results:
+        for (lo, _), performed in zip(layers, swaps):
+            m = len(lo)
+            target = swaps_per_edge * m
+            if m > 1 and performed < target:
+                warnings.warn(f"rewiring fell short: {performed or 'no'} swaps of {target} "
+                              f"in {_ATTEMPTS_PER_SWAP * target} attempts on {m} edges")
+    return results
 
 
 def configuration_rewire(
@@ -177,11 +182,8 @@ def configuration_rewire(
     """One configuration-model realization: each layer rewired
     independently, per-layer degree sequences preserved exactly."""
     stems = net.indexed("syntactic").stems
-    layers = [_edge_lists(net.indexed("syntactic")), _edge_lists(net.indexed("synonym"))]
-    rewired = _rewire_layers(layers, len(stems), seed, swaps_per_edge)
-    swaps = [performed for _, _, performed in rewired]
-    _warn_shortfalls(layers, swaps, swaps_per_edge)
-    (syn_lo, syn_hi, _), (sem_lo, sem_hi, _) = rewired
+    [(rewired, swaps)] = _realizations(list, _layer_edge_lists(net), len(stems), [seed], swaps_per_edge)
+    (syn_lo, syn_hi), (sem_lo, sem_hi) = rewired
     return MultiplexLexicalNetwork(
         nodes=dict(net.nodes),
         syntactic_edges={(stems[u], stems[v]): 1 for u, v in zip(syn_lo, syn_hi)},
@@ -194,20 +196,8 @@ def rewire_graph(graph: Indexed, seed: int, swaps_per_edge: int = SWAPS_PER_EDGE
     """Degree-preserving rewire of a plain simple graph, given and returned
     as an `Indexed` graph on the same stems."""
     n = len(graph.stems)
-    layers = [_edge_lists(graph)]
-    [(lo, hi, swaps)] = _rewire_layers(layers, n, seed, swaps_per_edge)
-    _warn_shortfalls(layers, [swaps], swaps_per_edge)
-    return Indexed(graph.stems, tuple([tuple(sorted(nb)) for nb in _neighbours(n, (lo, hi))]))
-
-
-def _edge_forward_sets(n: int, *edge_lists: tuple[list[int], list[int]]) -> list[set[int]]:
-    """later[u], the ids v > u joined to u by an edge of the (lo, hi) edge
-    lists; a pair in two of them is held once."""
-    later: list[set[int]] = [set() for _ in range(n)]
-    for lo, hi in edge_lists:
-        for u, v in zip(lo, hi):
-            later[u].add(v)
-    return later
+    [(rewired, _)] = _realizations(list, [_edge_lists(graph)], n, [seed], swaps_per_edge)
+    return Indexed(graph.stems, tuple([tuple(sorted(nb)) for nb in _neighbours(n, *rewired)]))
 
 
 def _neighbours(n: int, *edge_lists: tuple[list[int], list[int]]) -> list[list[int]]:
@@ -232,32 +222,6 @@ def null_ensemble(
     if n_realizations < 2:
         raise ValueError("need at least 2 realizations")
     return (configuration_rewire(net, seed + k, swaps_per_edge) for k in range(n_realizations))
-
-
-# ---------------------------------------------------------------------------
-# realizations in worker processes
-
-def _realizations(measure: Callable[[list[tuple[list[int], list[int]]]], object], layers: list,
-                  n: int, seeds: list[int], swaps_per_edge: int) -> list:
-    """[measure(the (lo, hi) edge lists of `_rewire_layers`(layers, n, s, ...))
-    for s in seeds], computed by `workers.map_chunks` in contiguous chunks of
-    seeds, one per usable CPU. A worker returns each value with its swap
-    counts, and the shortfalls are warned here in seed order, as one process
-    warns them."""
-    def realizations(chunk: list[int]) -> list:
-        out = []
-        for s in chunk:
-            rewired = _rewire_layers(layers, n, s, swaps_per_edge)
-            out.append((measure([(lo, hi) for lo, hi, _ in rewired]),
-                        [swaps for _, _, swaps in rewired]))
-        return out
-
-    values = []
-    for chunk in workers.map_chunks(realizations, seeds):
-        for value, swaps in chunk:
-            _warn_shortfalls(layers, swaps, swaps_per_edge)
-            values.append(value)
-    return values
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +379,7 @@ def benchmark_topic_relevance(
         return [float(d) for distances in _topic_distances(n, edge_lists, queries) for d in distances]
 
     seeds = [seed + k for k in range(n_realizations)]
-    null = [d for distances in _realizations(null_distances, layers, n, seeds, swaps_per_edge)
+    null = [d for distances, _ in _realizations(null_distances, layers, n, seeds, swaps_per_edge)
             for d in distances]
     result = mann_whitney_u(empirical, null)
     return {
@@ -448,14 +412,13 @@ def clustering_null_test(
         raise ValueError("need at least 2 realizations")
     seeds = [seed + k for k in range(n_realizations)]
     empirical = mean_clustering(net)
-    # the layers in the order configuration_rewire draws them
-    layers = [_edge_lists(net.indexed("syntactic")), _edge_lists(net.indexed("synonym"))]
     n = len(net.nodes)
 
     def clustering(edge_lists: list) -> float:
         return _mean_clustering(_edge_forward_sets(n, *edge_lists))
 
-    values = _realizations(clustering, layers, n, seeds, swaps_per_edge)
+    values = [value for value, _ in _realizations(clustering, _layer_edge_lists(net), n, seeds,
+                                                  swaps_per_edge)]
     mean = statistics.fmean(values)
     std = statistics.pstdev(values)
     z = (empirical - mean) / std if std > 0 else None

@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import random
 from pathlib import Path
@@ -15,6 +16,15 @@ from tfmn.lexicons import (
 )
 
 DATA = Path(tfmn.__file__).parent / "data"
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+
+
+def load_tool(name: str):
+    """tools/<name>.py, run as a module named tool_<name>, not as __main__."""
+    spec = importlib.util.spec_from_file_location(f"tool_{name}", TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 # Seven documents, which split 3 + 4 over two workers and 2 + 2 + 3 over
 # three: f2 is dropped as short, "Wow." is left unparsed, "Love loves love."

@@ -1,14 +1,10 @@
 """tools/bench_pairs.py: the summary of paired runs written to BENCH_*.json."""
 
-import importlib.util
-from pathlib import Path
-
 import pytest
 
-PATH = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
-spec = importlib.util.spec_from_file_location("bench_pairs", PATH)
-bench_pairs = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(bench_pairs)
+from conftest import load_tool
+
+bench_pairs = load_tool("bench_pairs")
 
 
 def summary_of(parent: list[float], change: list[float]) -> dict:

@@ -13,7 +13,8 @@ from tfmn.build import Concept, MultiplexLexicalNetwork, save_network
 from tfmn.cli import main
 from tfmn.metrics import (
     LAYER_MODES,
-    _forward_sets,
+    _edge_forward_sets,
+    _layer_edge_lists,
     _mean_clustering,
     bfs,
     centrality_report,
@@ -232,9 +233,8 @@ def test_forward_set_clustering_equals_networkx_average_clustering(syntactic, sy
                        synonym={(f"n{a}", f"n{b}") for a, b in synonym})
     for k in range(isolated):
         net.nodes[f"z{k}"] = Concept(f"z{k}", "unrated", None, frozenset())
-    nbrs = net.indexed().nbrs
-    later = _forward_sets(nbrs)
-    assert later == [{v for v in nb if v > u} for u, nb in enumerate(nbrs)]
+    later = _edge_forward_sets(len(net.nodes), *_layer_edge_lists(net))
+    assert later == [{v for v in nb if v > u} for u, nb in enumerate(net.indexed().nbrs)]
     g = net.aggregate_graph()
     assert _mean_clustering(later) == (nx.average_clustering(g) if len(g) else 0.0)
 

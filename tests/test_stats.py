@@ -1,4 +1,3 @@
-import importlib.util
 import math
 import os
 import random
@@ -16,11 +15,9 @@ from hypothesis import example, given, settings, strategies as st
 from tfmn import stats
 from tfmn.build import Concept, MultiplexLexicalNetwork, _ordered, indexed, save_network
 from tfmn.lexicons import LexiconError
-from tfmn.metrics import _forward_sets, _mean_clustering, bfs, mean_clustering
+from tfmn.metrics import _edge_forward_sets, _edge_lists, _mean_clustering, bfs, mean_clustering
 from tfmn.stats import (
     SWAPS_PER_EDGE,
-    _edge_lists,
-    _rewire_layers,
     benchmark_topic_relevance,
     clustering_null_test,
     configuration_rewire,
@@ -31,7 +28,7 @@ from tfmn.stats import (
 )
 from tfmn.stemmer import stem
 
-from conftest import DATA, assert_no_child_left, failing_kernel, make_network
+from conftest import DATA, assert_no_child_left, failing_kernel, load_tool, make_network
 
 
 def ring_net(n=20, extra=5):
@@ -150,18 +147,10 @@ def test_null_ensemble_needs_two():
         null_ensemble(ring_net(), n_realizations=1, seed=0)
 
 
-def _mixing_tool():
-    path = Path(__file__).resolve().parents[1] / "tools" / "mixing.py"
-    spec = importlib.util.spec_from_file_location("mixing", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_default_swaps_per_edge_exceeds_every_measured_plateau():
     """The default is set from tools/mixing.py: on both bundled graphs, every
     tracked statistic of the stepped swap chain plateaus before it."""
-    mixing = _mixing_tool()
+    mixing = load_tool("mixing")
     plateaus = {}
     for name, (adj, stats) in mixing.bundled_graphs().items():
         for stat, per_step in mixing.trajectories(adj, stats).items():
@@ -172,7 +161,7 @@ def test_default_swaps_per_edge_exceeds_every_measured_plateau():
 
 
 def test_band_is_a_bonferroni_t_bound():
-    mixing = _mixing_tool()
+    mixing = load_tool("mixing")
     assert mixing.t_quantile(0.975, 45) == pytest.approx(2.0141, abs=1e-3)
     assert mixing.t_quantile(1 - 1e-4, 45) == pytest.approx(4.0493, abs=2e-3)
     assert mixing.t_quantile(0.995, 20) == pytest.approx(2.8453, abs=2e-3)
@@ -181,7 +170,7 @@ def test_band_is_a_bonferroni_t_bound():
 
 
 def test_plateau_is_the_first_step_that_stays_level():
-    mixing = _mixing_tool()
+    mixing = load_tool("mixing")
     plateau = mixing.plateau
     level = [1.0, 1.2]  # the seed values of one step: mean 1.1, standard error 0.1
     inside = [v + (mixing.BAND - 1) * 0.1 for v in level]
@@ -306,9 +295,12 @@ def test_two_layers_match_the_reference_on_one_generator(first, second, seed, sw
     as the reference does when run twice in sequence on one generator."""
     stems = [f"n{k}" for k in range(9)]
     graphs = [indexed(stems, first), indexed(stems, second)]
-    rewired = _rewire_layers([_edge_lists(g) for g in graphs], len(stems), seed, swaps_per_edge)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # shortfalls on small graphs
+        [(rewired, swaps)] = stats._realizations(list, [_edge_lists(g) for g in graphs], len(stems),
+                                                 [seed], swaps_per_edge)
     rng = random.Random(seed)
-    for graph, edges, (lo, hi, performed) in zip(graphs, (first, second), rewired):
+    for graph, edges, (lo, hi), performed in zip(graphs, (first, second), rewired, swaps):
         _, expected_swaps, expected_list = reference_rewire(set(edges), rng, swaps_per_edge)
         assert (stem_pairs(graph, lo, hi), performed) == (expected_list, expected_swaps)
 
@@ -330,8 +322,9 @@ def realization_values(call):
     gather = stats._realizations
 
     def recording(*args):
-        captured.extend(gather(*args))
-        return list(captured)
+        results = gather(*args)
+        captured.extend(value for value, _ in results)
+        return results
 
     with mock.patch.object(stats, "_realizations", recording), \
             mock.patch("tfmn.workers._usable_cpus", lambda: 1), warnings.catch_warnings():
@@ -441,8 +434,8 @@ def test_realization_measures_on_edge_lists_equal_networkx(layers, queries):
     g = nx.Graph()
     g.add_nodes_from(range(n_nodes))
     g.add_edges_from(syntactic | synonym)
-    later = stats._edge_forward_sets(n_nodes, *edge_lists)
-    assert later == _forward_sets([tuple(sorted(g[u])) for u in range(n_nodes)])
+    later = _edge_forward_sets(n_nodes, *edge_lists)
+    assert later == [{v for v in g[u] if v > u} for u in range(n_nodes)]
     assert _mean_clustering(later) == (nx.average_clustering(g) if n_nodes else 0.0)
 
     queries = [(q[0] % n_nodes, [v % n_nodes for v in q[1:]]) for q in queries] if n_nodes else []

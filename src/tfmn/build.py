@@ -49,9 +49,10 @@ _CONTENT_UPOS = frozenset({"NOUN", "PROPN", "VERB", "ADJ", "ADV", "PRON"})
 _VALENCE_LABELS = frozenset({"positive", "neutral", "negative", "unrated"})
 
 
-@dataclass(frozen=True)
-class Concept:
-    stem: str
+class Concept(NamedTuple):
+    """A node's labels; its stem is its key in `net.nodes`, the only copy.
+    A NamedTuple, as is every record but `MultiplexLexicalNetwork`."""
+
     valence_label: str  # positive | neutral | negative | unrated
     valence_score: float | None
     emotions: frozenset[str]
@@ -134,9 +135,9 @@ class MultiplexLexicalNetwork:
         return g
 
     def validate(self) -> None:
-        for c in self.nodes.values():
+        for s, c in self.nodes.items():
             if not isinstance(c.valence_label, str) or c.valence_label not in _VALENCE_LABELS:
-                raise ValueError(f"node {c.stem!r}: unknown valence_label {c.valence_label!r}")
+                raise ValueError(f"node {s!r}: unknown valence_label {c.valence_label!r}")
         for layer in (self.syntactic_edges, self.synonym_edges):
             for pair in layer:
                 a, b = pair
@@ -312,7 +313,6 @@ def assemble_network(
         nodes = {}
         for s in sorted(node_stems):
             nodes[s] = Concept(
-                stem=s,
                 valence_label=valence.label(s),
                 valence_score=valence.score(s),
                 emotions=emotions.emotions(s),
@@ -389,9 +389,9 @@ def network_to_json(net: MultiplexLexicalNetwork) -> str:
     nodes = [
         f'{{\n   "emotions": {_json_array([q(e) for e in sorted(c.emotions)], "   ")},\n'
         f'   "is_negation_marker": {"true" if c.is_negation_marker else "false"},\n'
-        f'   "stem": {q(c.stem)},\n   "valence_label": {q(c.valence_label)},\n'
+        f'   "stem": {q(s)},\n   "valence_label": {q(c.valence_label)},\n'
         f'   "valence_score": {_json_number(c.valence_score)}\n  }}'
-        for c in (net.nodes[s] for s in sorted(net.nodes))
+        for s, c in sorted(net.nodes.items())
     ]
     syntactic = [f"[\n   {q(a)},\n   {q(b)},\n   {int.__repr__(count)}\n  ]"
                  for (a, b), count in sorted(net.syntactic_edges.items())]
@@ -447,7 +447,6 @@ def _network(payload) -> MultiplexLexicalNetwork:
     reader wraps with the kind of file it read."""
     nodes = {
         _typed(n["stem"], str, "stem"): Concept(
-            stem=n["stem"],
             valence_label=n["valence_label"],  # validate() checks it
             valence_score=_valence_score(n["valence_score"]),
             emotions=frozenset(_typed(e, str, "emotion") for e in _typed(n["emotions"], list, "emotions")),
@@ -539,8 +538,9 @@ def _graphml_data(indent: str, key: str, text: str) -> str:
 def write_graphml(net: MultiplexLexicalNetwork, path: str | Path) -> None:
     """GraphML of the network, byte for byte what networkx's writer gives,
     with the stdlib only; valence_score is always a double (-999.0 when
-    missing), and a NaN or infinite one is refused before the file is
-    opened, as network_to_json refuses it. An edge in both layers has layer
+    missing). A NaN or infinite score is refused before the file is opened,
+    as network_to_json refuses it, and so is a score of -999.0, which would
+    read back as missing. An edge in both layers has layer
     "syntactic+synonym", a synonym-only edge count 0.
 
     Each <node> and each <edge> is one f-string template. Each stem is
@@ -570,6 +570,8 @@ def write_graphml(net: MultiplexLexicalNetwork, path: str | Path) -> None:
         for s, node_id in ids.items():
             c = net.nodes[s]
             score = -999.0 if c.valence_score is None else _finite(float(c.valence_score))
+            if score == -999.0 and c.valence_score is not None:
+                raise ValueError(f"node {s!r}: valence_score -999.0 is GraphML's mark of a missing score")
             emotions = _graphml_data("      ", "d3", ",".join(sorted(c.emotions)))
             out.append(f'    <node id="{node_id}">\n'
                        f'      <data key="d1">{c.valence_label}</data>\n'

@@ -131,7 +131,8 @@ def _resolve_target(net, raw: str) -> str | None:
 
 def _resolve_targets(net, targets: str) -> tuple[list[str], list[str]]:
     """Splits comma-separated targets into (known nodes, unknown raw names),
-    each once in first-seen order; fails when the string names no target at all."""
+    each once in first-seen order; fails when the string names no target at
+    all, or no node."""
     raws = [t.strip() for t in targets.split(",") if t.strip()]
     if not raws:
         _fail("no targets given", targets=targets)
@@ -142,7 +143,10 @@ def _resolve_targets(net, targets: str) -> tuple[list[str], list[str]]:
             unknown.append(raw)
         else:
             known.append(node)
-    return list(dict.fromkeys(known)), list(dict.fromkeys(unknown))
+    known, unknown = list(dict.fromkeys(known)), list(dict.fromkeys(unknown))
+    if not known:
+        raise ValueError(f"unknown targets: {', '.join(unknown)}")
+    return known, unknown
 
 
 class _JsonErrorCommand(click.Command):
@@ -285,12 +289,9 @@ def aura(network, targets, out):
     reports = [analysis.valence_aura(net, t)._asdict() for t in known]
     if out:
         _write_json(Path(out), {"auras": reports, "unknown_targets": unknown})
-    if reports:
-        click.echo("\n".join(f"{r['target']}\t{r['aura']}" for r in reports))
+    click.echo("\n".join(f"{r['target']}\t{r['aura']}" for r in reports))
     if unknown:
         click.echo(f"unknown targets: {', '.join(unknown)}", err=True)
-        if not known:
-            sys.exit(1)
 
 
 @main.command()
@@ -301,11 +302,11 @@ def aura(network, targets, out):
 def profile(network, targets, lexicon_dir, out_dir):
     """Emotional profiles of target concepts."""
     net = builder.load_network(network)
+    known, unknown = _resolve_targets(net, targets)
     lexicon_dir = _lexicon_dir(lexicon_dir)
     with stage("lexicons", 2):
         emotions = lexicons.load_emotion_lexicon(lexicon_dir / "emotions.tsv")
         antonyms = lexicons.load_antonyms(lexicon_dir / "antonyms.tsv")
-    known, unknown = _resolve_targets(net, targets)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     lines = []
@@ -316,12 +317,9 @@ def profile(network, targets, lexicon_dir, out_dir):
         lines.append(f"{target}\t" + ", ".join(f"{e}={n}" for e, n in top))
     if unknown:
         _write_json(out / "unknown_targets.json", {"unknown_targets": unknown})
-    if lines:
-        click.echo("\n".join(lines))
+    click.echo("\n".join(lines))
     if unknown:
         click.echo(f"unknown targets: {', '.join(unknown)}", err=True)
-        if not known:
-            sys.exit(1)
 
 
 @main.command()

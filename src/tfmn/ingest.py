@@ -12,7 +12,6 @@ import functools
 import re
 import unicodedata
 from collections import Counter
-from dataclasses import dataclass, field
 from importlib import resources
 from itertools import chain
 from pathlib import Path
@@ -38,8 +37,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RawDocument:
+class RawDocument(NamedTuple):
     id: str
     text: str
 
@@ -53,8 +51,7 @@ class Token(NamedTuple):
     deprel: str
 
 
-@dataclass(frozen=True)
-class ParsedSentence:
+class ParsedSentence(NamedTuple):
     doc_id: str
     tokens: tuple[Token, ...]
 
@@ -278,13 +275,12 @@ _FUNCTION_CLASSES = [
 ]
 
 
-@dataclass(frozen=True)
-class _WordClasses:
+class _WordClasses(NamedTuple):
     function_words: dict[str, tuple[str, str, bool]]  # a word absent from it is a content word
     copulas: frozenset[str]
     negations: frozenset[str]
     pronouns: frozenset[str]
-    lemmas: dict[str, str] = field(default_factory=dict)
+    lemmas: dict[str, str]
 
 
 @functools.cache

@@ -11,9 +11,8 @@ oracle included) through `_load_pairs`.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .stemmer import stem
 
@@ -53,8 +52,7 @@ def _rows(path: Path, n_fields: int) -> Iterator[tuple[int, list[str]]]:
             yield lineno, fields
 
 
-@dataclass(frozen=True)
-class ValenceLexicon:
+class ValenceLexicon(NamedTuple):
     """Stem-level valence scores with quartile bounds over the stem distribution."""
 
     entries: dict[str, tuple[float, int]]  # stem -> (mean score, word count)
@@ -79,8 +77,7 @@ class ValenceLexicon:
         return "neutral"
 
 
-@dataclass(frozen=True)
-class EmotionLexicon:
+class EmotionLexicon(NamedTuple):
     """Stem -> set of basic emotions; words sharing a stem are unioned."""
 
     entries: dict[str, frozenset[str]]
@@ -90,19 +87,17 @@ class EmotionLexicon:
         return self.entries.get(s, frozenset())
 
 
-@dataclass(frozen=True)
-class SynonymLexicon:
+class SynonymLexicon(NamedTuple):
     """Unordered synonymous stem pairs."""
 
     pairs: frozenset[tuple[str, str]]
 
 
-@dataclass(frozen=True)
-class AntonymLexicon:
+class AntonymLexicon(NamedTuple):
     """Unordered antonymous stem pairs with a deterministic preferred lookup."""
 
     pairs: frozenset[tuple[str, str]]
-    lookup: dict[str, str] = field(default_factory=dict)
+    lookup: dict[str, str]
 
     def antonym(self, s: str) -> str | None:
         return self.lookup.get(s)

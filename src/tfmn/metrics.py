@@ -8,7 +8,7 @@ within a component.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import stage
 from .build import Indexed, MultiplexLexicalNetwork
@@ -35,8 +35,7 @@ def _view(layer_mode: str) -> str:
     raise ValueError(f"unknown layer_mode {layer_mode!r}; expected one of {LAYER_MODES}")
 
 
-@dataclass(frozen=True)
-class DistanceMatrix:
+class DistanceMatrix(NamedTuple):
     component_id: dict[str, int]
     distances: dict[str, dict[str, int]]  # source -> {target: d}; absent = unreachable
 

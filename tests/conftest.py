@@ -87,7 +87,6 @@ def make_network(
     stems = {s for pair in list(syntactic) + list(synonym) for s in pair}
     nodes = {
         s: Concept(
-            stem=s,
             valence_label=labels.get(s, "unrated"),
             valence_score=None,
             emotions=frozenset(emotions_by_stem.get(s, set())),

@@ -223,7 +223,7 @@ def two_layer_networks(draw) -> MultiplexLexicalNetwork:
     assume(syntactic or synonym)
     net = make_network(syntactic, synonym)
     for s in stems:
-        net.nodes.setdefault(s, Concept(s, "unrated", None, frozenset()))
+        net.nodes.setdefault(s, Concept("unrated", None, frozenset()))
     return net
 
 
@@ -352,7 +352,7 @@ def test_classify_edges():
 def test_classify_edges_keys_a_pair_stored_both_ways_once():
     # validate accepts one orientation per layer, so a hand-built network may
     # hold (b, a) in one layer and (a, b) in the other: one edge, one class
-    nodes = {s: Concept(s, "positive", None, frozenset()) for s in "abc"}
+    nodes = {s: Concept("positive", None, frozenset()) for s in "abc"}
     net = MultiplexLexicalNetwork(nodes, {("b", "a"): 1, ("b", "c"): 1}, {("a", "b")}, {})
     net.validate()
     assert classify_edges(net) == {("a", "b"): "positive-positive", ("b", "c"): "positive-positive"}

@@ -351,7 +351,7 @@ def test_graph_views_built_once_and_frozen():
 
 def test_adjacency_views():
     net = make_network({("b", "c"): 1}, synonym={("a", "b"), ("b", "c")})
-    net.nodes["d"] = Concept("d", "unrated", None, frozenset())  # isolated
+    net.nodes["d"] = Concept("unrated", None, frozenset())  # isolated
     assert stem_neighbours(net.indexed()) == {"a": {"b"}, "b": {"a", "c"}, "c": {"b"}, "d": set()}
     assert stem_neighbours(net.indexed("syntactic")) == {"a": set(), "b": {"c"}, "c": {"b"}, "d": set()}
     assert stem_neighbours(net.indexed("synonym")) == {"a": {"b"}, "b": {"a", "c"}, "c": {"b"}, "d": set()}
@@ -381,7 +381,7 @@ def test_each_view_equals_brute_force_neighbour_sets(syntactic, synonym, isolate
     net = make_network({(f"n{a}", f"n{b}"): 1 for a, b in syntactic},
                        synonym={(f"n{a}", f"n{b}") for a, b in synonym})
     for k in range(isolated):
-        net.nodes[f"z{k}"] = Concept(f"z{k}", "unrated", None, frozenset())
+        net.nodes[f"z{k}"] = Concept("unrated", None, frozenset())
     layers = {"aggregate": [*net.syntactic_edges, *net.synonym_edges],
               "syntactic": list(net.syntactic_edges), "synonym": list(net.synonym_edges)}
     for view, pairs in layers.items():
@@ -506,15 +506,16 @@ ODD_TEXT = st.text(st.sampled_from("ab&<>\"'\t\r\n ,éß日"), max_size=6)
 
 @st.composite
 def graphml_networks(draw) -> MultiplexLexicalNetwork:
-    """Valid networks with odd stems, float or missing scores, isolated nodes
-    and layers that may overlap; possibly no nodes or no edges."""
+    """Valid networks with odd stems, float or missing scores (never
+    -999.0, which GraphML writes for a missing one), isolated nodes and
+    layers that may overlap; possibly no nodes or no edges."""
     stems = sorted(draw(st.sets(ODD_TEXT, max_size=8)))
     pairs = [(a, b) for i, a in enumerate(stems) for b in stems[i + 1 :]]
     nodes = {
         s: Concept(
-            stem=s,
             valence_label=draw(st.sampled_from(sorted(_VALENCE_LABELS))),
-            valence_score=draw(st.none() | st.floats(allow_nan=False, allow_infinity=False)),
+            valence_score=draw(st.none() | st.floats(allow_nan=False, allow_infinity=False)
+                               .filter(lambda x: x != -999.0)),
             emotions=frozenset(draw(st.sets(ODD_TEXT, max_size=3))),
             is_negation_marker=draw(st.booleans()),
         )
@@ -550,7 +551,7 @@ def test_graphml_bytes_match_networkx_reference(net):
 def test_graphml_bytes_match_networkx_reference_examples(syntactic, synonym, isolated):
     net = make_network(syntactic, synonym)
     for s in isolated:
-        net.nodes[s] = Concept(s, "unrated", None, frozenset())
+        net.nodes[s] = Concept("unrated", None, frozenset())
     net.provenance["note"] = 'a <&> "b"\nc'
     assert _graphml_bytes(write_graphml, net) == _graphml_bytes(reference_write_graphml, net)
 
@@ -578,7 +579,6 @@ def reference_read_graphml(path) -> MultiplexLexicalNetwork:
     for s, data in g.nodes(data=True):
         score = data.get("valence_score", -999.0)
         nodes[s] = Concept(
-            stem=s,
             valence_label=data["valence_label"],
             valence_score=None if score == -999.0 else float(score),
             emotions=frozenset(e for e in data.get("emotions", "").split(",") if e),
@@ -601,14 +601,12 @@ def reference_read_graphml(path) -> MultiplexLexicalNetwork:
 def _as_graphml_holds_it(net: MultiplexLexicalNetwork) -> MultiplexLexicalNetwork:
     """The network a GraphML file can hold: emotions are one comma-joined
     text (a comma splits an emotion, an empty one vanishes, and XML reads
-    CR and CRLF as LF), and -999.0 stands for a missing score."""
+    CR and CRLF as LF)."""
     def emotions(c: Concept) -> frozenset[str]:
         text = ",".join(sorted(c.emotions)).replace("\r\n", "\n").replace("\r", "\n")
         return frozenset(e for e in text.split(",") if e)
 
-    nodes = {s: Concept(s, c.valence_label, None if c.valence_score == -999.0 else c.valence_score,
-                        emotions(c), c.is_negation_marker)
-             for s, c in net.nodes.items()}
+    nodes = {s: c._replace(emotions=emotions(c)) for s, c in net.nodes.items()}
     return MultiplexLexicalNetwork(nodes, dict(net.syntactic_edges), set(net.synonym_edges),
                                    net.provenance)
 
@@ -755,8 +753,8 @@ def test_read_graphml_decodes_data_by_key_name(tmp_path):
     )
     net = read_graphml(path)
     assert net.nodes == {
-        "not": Concept("not", "neutral", None, frozenset(), True),
-        "joy": Concept("joy", "positive", 7.5, frozenset({"joy", "trust"}), False),
+        "not": Concept("neutral", None, frozenset(), True),
+        "joy": Concept("positive", 7.5, frozenset({"joy", "trust"}), False),
     }
     assert net.syntactic_edges == {("joy", "not"): 3} and net.synonym_edges == {("joy", "not")}
     assert net.provenance == {"corpus_id": "graphml", "config": {}, "config_hash": ""}
@@ -808,7 +806,7 @@ def test_duplicate_pair_in_a_layer_rejected(syntactic, synonym):
 ], ids=["syntactic", "synonym"])
 def test_pair_in_both_orientations_fails_validate(syntactic, synonym):
     """A hand-built layer holding one pair both ways is refused with the readers' message."""
-    nodes = {s: Concept(s, "unrated", None, frozenset()) for s in "abc"}
+    nodes = {s: Concept("unrated", None, frozenset()) for s in "abc"}
     net = MultiplexLexicalNetwork(nodes, syntactic, synonym, {})
     with pytest.raises(ValueError, match="^duplicate edge: a pair is listed twice in one layer$"):
         net.validate()
@@ -883,13 +881,13 @@ def reference_network_json(net: MultiplexLexicalNetwork) -> str:
     payload = {
         "nodes": [
             {
-                "stem": c.stem,
+                "stem": s,
                 "valence_label": c.valence_label,
                 "valence_score": c.valence_score,
                 "emotions": sorted(c.emotions),
                 "is_negation_marker": c.is_negation_marker,
             }
-            for c in (net.nodes[s] for s in sorted(net.nodes))
+            for s, c in sorted(net.nodes.items())
         ],
         "syntactic_edges": [[a, b, count] for (a, b), count in sorted(net.syntactic_edges.items())],
         "synonym_edges": [[a, b] for a, b in sorted(net.synonym_edges)],
@@ -911,7 +909,7 @@ def test_network_json_matches_json_dumps(net, data):
     """Int scores too, which the reader accepts, and nested provenance."""
     for s, c in net.nodes.items():
         if data.draw(st.booleans()):
-            net.nodes[s] = dataclasses.replace(c, valence_score=data.draw(st.integers()))
+            net.nodes[s] = c._replace(valence_score=data.draw(st.integers()))
     net.provenance.update(data.draw(st.dictionaries(ODD_TEXT, finite_json, max_size=3)))
     assert network_to_json(net) == reference_network_json(net)
 
@@ -919,7 +917,7 @@ def test_network_json_matches_json_dumps(net, data):
 @pytest.mark.parametrize("score", [float("nan"), float("inf"), float("-inf")])
 def test_network_json_refuses_non_finite_score(score):
     net = make_network({("joy", "love"): 1})
-    net.nodes["joy"] = dataclasses.replace(net.nodes["joy"], valence_score=score)
+    net.nodes["joy"] = net.nodes["joy"]._replace(valence_score=score)
     with pytest.raises(ValueError, match="not JSON compliant"):
         network_to_json(net)
 
@@ -927,12 +925,37 @@ def test_network_json_refuses_non_finite_score(score):
 @pytest.mark.parametrize("score", [float("nan"), float("inf"), float("-inf")])
 def test_graphml_refuses_non_finite_score_before_writing(score, tmp_path):
     net = make_network({("joy", "love"): 1})
-    net.nodes["joy"] = dataclasses.replace(net.nodes["joy"], valence_score=score)
+    net.nodes["joy"] = net.nodes["joy"]._replace(valence_score=score)
     path = tmp_path / "net.graphml"
     message = f"^Out of range float values are not JSON compliant: {score!r}$"
     with pytest.raises(ValueError, match=message):
         write_graphml(net, path)
     assert not path.exists()
+
+
+@pytest.mark.parametrize("score", [-999.0, -999])
+def test_graphml_refuses_its_missing_score_mark_before_writing(score, tmp_path):
+    """GraphML writes -999.0 for a missing score, so a real one would read back as None."""
+    net = make_network({("joy", "love"): 1})
+    net.nodes["joy"] = net.nodes["joy"]._replace(valence_score=score)
+    path = tmp_path / "net.graphml"
+    with pytest.raises(ValueError, match="^node 'joy': valence_score -999.0 is GraphML's mark of a missing score$"):
+        write_graphml(net, path)
+    assert not path.exists()
+    assert network_from_json(network_to_json(net)).nodes["joy"].valence_score == score
+
+
+def test_hand_built_network_round_trips_with_its_keys_as_stems(tmp_path):
+    """A node's stem is its key alone: both writers read the key, so a
+    hand-built network reads back equal from JSON and from GraphML."""
+    assert Concept._fields == ("valence_label", "valence_score", "emotions", "is_negation_marker")
+    net = MultiplexLexicalNetwork(
+        {"a": Concept("positive", 7.5, frozenset({"joy"})), "b": Concept("unrated", None, frozenset(), True)},
+        {("a", "b"): 2}, {("a", "b")}, {"corpus_id": "hand"})
+    net.validate()
+    assert network_from_json(network_to_json(net)) == net
+    write_graphml(net, tmp_path / "net.graphml")
+    assert read_graphml(tmp_path / "net.graphml") == net
 
 
 def test_duplicate_stem_rejected():

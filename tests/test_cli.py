@@ -137,11 +137,22 @@ def test_aura_surface_form_falls_back_to_stem(built, runner):
     assert result.output.startswith("weak\t")
 
 
-def test_aura_all_unknown_fails(built, runner):
-    result = runner.invoke(
-        main, ["aura", "--network", str(built / "toy.network.json"), "--targets", "qqqq"]
-    )
-    assert result.exit_code == 1
+def _assert_no_known_target_fails(built, runner, out, *args):
+    """With no target a node, the command prints one JSON line naming the
+    targets and the network, and writes nothing."""
+    network = str(built / "toy.network.json")
+    result = runner.invoke(main, [*args, "--network", network, "--targets", "qqqq,zzzz,qqqq"])
+    _assert_one_json_error(result)
+    assert json.loads(result.stderr) == {"error": "unknown targets: qqqq, zzzz", "network": network}
+    assert result.stdout == "" and not out.exists()
+
+
+def test_aura_all_unknown_fails(built, runner, tmp_path):
+    _assert_no_known_target_fails(built, runner, tmp_path / "a.json", "aura", "--out", str(tmp_path / "a.json"))
+
+
+def test_profile_all_unknown_fails(built, runner, tmp_path):
+    _assert_no_known_target_fails(built, runner, tmp_path / "p", "profile", "--out-dir", str(tmp_path / "p"))
 
 
 def test_aura_prints_known_targets_in_order_and_names_unknown_ones(built, runner):
@@ -394,7 +405,7 @@ def _assert_one_json_error(result):
 
 def test_aura_on_isolated_node_fails_with_one_json_line(runner, tmp_path):
     net = make_network({("joy", "love"): 1})
-    net.nodes["lone"] = Concept("lone", "unrated", None, frozenset())
+    net.nodes["lone"] = Concept("unrated", None, frozenset())
     save_network(net, tmp_path / "net.json")
     result = runner.invoke(main, ["aura", "--network", str(tmp_path / "net.json"), "--targets", "lone"])
     _assert_one_json_error(result)

@@ -212,7 +212,7 @@ def test_clustering_equals_networkx_exactly(syntactic, synonym, isolated):
     net = make_network({(f"n{a}", f"n{b}"): 1 for a, b in syntactic},
                        synonym={(f"n{a}", f"n{b}") for a, b in synonym})
     for k in range(isolated):
-        net.nodes[f"z{k}"] = Concept(f"z{k}", "unrated", None, frozenset())
+        net.nodes[f"z{k}"] = Concept("unrated", None, frozenset())
     g = nx.Graph()
     g.add_nodes_from(sorted(net.nodes))
     g.add_edges_from(sorted(set(net.syntactic_edges) | net.synonym_edges))
@@ -232,7 +232,7 @@ def test_forward_set_clustering_equals_networkx_average_clustering(syntactic, sy
     net = make_network({(f"n{a}", f"n{b}"): 1 for a, b in syntactic},
                        synonym={(f"n{a}", f"n{b}") for a, b in synonym})
     for k in range(isolated):
-        net.nodes[f"z{k}"] = Concept(f"z{k}", "unrated", None, frozenset())
+        net.nodes[f"z{k}"] = Concept("unrated", None, frozenset())
     later = _edge_forward_sets(len(net.nodes), *_layer_edge_lists(net))
     assert later == [{v for v in nb if v > u} for u, nb in enumerate(net.indexed().nbrs)]
     g = net.aggregate_graph()
@@ -245,7 +245,7 @@ def test_bfs_queries_equal_networkx(syntactic, synonym, isolated, layer_mode):
     net = make_network({(f"n{a}", f"n{b}"): 1 for a, b in syntactic},
                        synonym={(f"n{a}", f"n{b}") for a, b in synonym})
     for k in range(isolated):
-        net.nodes[f"z{k}"] = Concept(f"z{k}", "unrated", None, frozenset())
+        net.nodes[f"z{k}"] = Concept("unrated", None, frozenset())
     view = layer_mode.removesuffix("_only")
     g = net.aggregate_graph() if view == "aggregate" else net.layer_graph(view)
     lengths = {s: nx.single_source_shortest_path_length(g, s) for s in g}
@@ -287,7 +287,7 @@ def test_closeness_table_equals_per_node_bfs_for_any_block(syntactic, synonym, i
     net = make_network({(f"n{a}", f"n{b}"): 1 for a, b in syntactic},
                        synonym={(f"n{a}", f"n{b}") for a, b in synonym})
     for k in range(isolated):
-        net.nodes[f"z{k}"] = Concept(f"z{k}", "unrated", None, frozenset())
+        net.nodes[f"z{k}"] = Concept("unrated", None, frozenset())
     with mock.patch.object(metrics, "_BLOCK_BITS", block):
         table = closeness_rows(net, layer_mode)
     expected = per_node_rows(net, layer_mode)
@@ -316,7 +316,7 @@ def seeded_large_network(nodes: int, seed: int) -> MultiplexLexicalNetwork:
         a, b = sorted(rng.sample(range(core), 2))
         synonym.add((names[a], names[b]))
     net = MultiplexLexicalNetwork(
-        nodes={s: Concept(s, "unrated", None, frozenset()) for s in names},
+        nodes={s: Concept("unrated", None, frozenset()) for s in names},
         syntactic_edges=dict.fromkeys(syntactic, 1),
         synonym_edges=synonym,
         provenance={},

@@ -337,7 +337,7 @@ def multiplex(n_nodes, syntactic, synonym):
     """A network on the nodes "n0" .. "n{n_nodes - 1}", any of them isolated."""
     stems = [f"n{k}" for k in range(n_nodes)]
     return MultiplexLexicalNetwork(
-        nodes={s: Concept(s, "unrated", None, frozenset()) for s in stems},
+        nodes={s: Concept("unrated", None, frozenset()) for s in stems},
         syntactic_edges={(stems[a], stems[b]): 1 for a, b in syntactic},
         synonym_edges={(stems[a], stems[b]) for a, b in synonym},
         provenance={},

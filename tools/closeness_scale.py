@@ -69,7 +69,7 @@ def scale_network(nodes: int, seed: int) -> MultiplexLexicalNetwork:
         a, b = rng.sample(names, 2)
         synonym.add((min(a, b), max(a, b)))
     return MultiplexLexicalNetwork(
-        nodes={s: Concept(s, "unrated", None, frozenset()) for s in names},
+        nodes={s: Concept("unrated", None, frozenset()) for s in names},
         syntactic_edges=dict.fromkeys(sorted(syntactic), 1),
         synonym_edges=synonym,
         provenance={"corpus_id": "closeness_scale", "seed": seed},

@@ -41,7 +41,11 @@ BENCHMARK_TOPICS = {
 
 
 def _fail(message: str, **details) -> None:
-    payload = {"error": message, **details}
+    """Prints one JSON error line on stderr and exits 1. The line names the
+    network or corpus that the running command was given, once it is parsed."""
+    given = {k: str(v) for k, v in click.get_current_context().params.items()
+             if k in ("network", "corpus") and v is not None}
+    payload = {"error": message, **given, **details}
     click.echo(json.dumps(payload, sort_keys=True), err=True)
     sys.exit(1)
 
@@ -158,8 +162,7 @@ class _JsonErrorCommand(click.Command):
         try:
             return super().invoke(ctx)
         except (OSError, ValueError) as exc:
-            _fail(str(exc), **{k: str(v) for k, v in ctx.params.items()
-                               if k in ("network", "corpus") and v is not None})
+            _fail(str(exc))
 
 
 class _JsonErrorGroup(click.Group):
@@ -183,7 +186,19 @@ class _JsonErrorGroup(click.Group):
         a command writes is closed by then, and tfmn registers no atexit
         handler. Any other exception or exit code, and a flush that fails
         (a closed pipe), leave as SystemExit would. main.main(...) itself
-        returns and raises as click's does."""
+        returns and raises as click's does.
+
+        The cyclic garbage collector is off while the command runs, and so
+        in the workers it forks; it is on again once main(...) returns or
+        raises. Reference counting frees almost all a command makes: with
+        the collector off, gc.collect() after build finds 95 objects on 500
+        to 10,000 documents, and after benchmark 293 at 2 to 200
+        realizations. main.main(...) leaves the collector as it finds it, so
+        CliRunner, library callers and perfbench's traced rounds still
+        collect, and perfbench's trace.overhead_s may rise by that."""
+        import gc  # here, so that `import tfmn.cli` loads no new module
+
+        gc.disable()
         try:
             return self.main(*args, **kwargs)
         except SystemExit as exc:
@@ -196,6 +211,8 @@ class _JsonErrorGroup(click.Group):
             except Exception:
                 raise SystemExit(code) from None
             os._exit(code or 0)
+        finally:
+            gc.enable()
 
 
 @click.group(cls=_JsonErrorGroup, no_args_is_help=False)

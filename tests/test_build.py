@@ -529,12 +529,29 @@ def graphml_networks(draw) -> MultiplexLexicalNetwork:
     return net
 
 
+@st.composite
+def build_order_networks(draw) -> MultiplexLexicalNetwork:
+    """graphml_networks() with each layer in shuffled insertion order and
+    some pairs stored reversed, which validate() allows: build_network hands
+    the writers its edges in first-seen order, not sorted."""
+    net = draw(graphml_networks())
+
+    def reorder(pairs):
+        pairs = draw(st.permutations(sorted(pairs)))
+        return [(b, a) if draw(st.booleans()) else (a, b) for a, b in pairs]
+
+    syntactic = {pair: net.syntactic_edges[min(pair), max(pair)] for pair in reorder(net.syntactic_edges)}
+    net = MultiplexLexicalNetwork(net.nodes, syntactic, set(reorder(net.synonym_edges)), net.provenance)
+    net.validate()
+    return net
+
+
 # a star whose centre stem needs escaping, as an edge's source and as its target
 STAR_CENTRE = 'a&"<b'
 
 
 @settings(max_examples=300, deadline=None)
-@given(graphml_networks())
+@given(graphml_networks() | build_order_networks())
 @example(make_network({(STAR_CENTRE, "x"): 2, ("&<", STAR_CENTRE): 1, (STAR_CENTRE, "z\n"): 3},
                       {(STAR_CENTRE, "x"), (STAR_CENTRE, "é")},
                       emotions_by_stem={STAR_CENTRE: {"joy", "<fear>"}}))
@@ -904,7 +921,7 @@ finite_json = st.recursive(
 
 
 @settings(max_examples=300, deadline=None)
-@given(graphml_networks(), st.data())
+@given(graphml_networks() | build_order_networks(), st.data())
 def test_network_json_matches_json_dumps(net, data):
     """Int scores too, which the reader accepts, and nested provenance."""
     for s, c in net.nodes.items():

@@ -1,4 +1,5 @@
 import csv
+import gc
 import json
 import math
 import os
@@ -697,6 +698,7 @@ def test_targets_that_split_to_nothing_fail_with_one_json_line(built, runner, tm
     _assert_one_json_error(result)
     assert result.stdout == ""
     assert json.loads(result.stderr)["targets"] == targets
+    assert json.loads(result.stderr)["network"] == str(built / "toy.network.json")
     assert not out.exists()
 
 
@@ -709,6 +711,7 @@ def test_communities_unknown_target_fails_before_louvain(built, runner, tmp_path
     _assert_one_json_error(result)
     assert result.stdout == ""
     assert json.loads(result.stderr)["target"] == "zzzz"
+    assert json.loads(result.stderr)["network"] == str(built / "toy.network.json")
     assert not out.exists()
 
 
@@ -859,6 +862,77 @@ def test_entry_lets_an_uncaught_exception_leave_with_its_traceback(built, tmp_pa
     assert proc.returncode != 0 and proc.stdout == b""
     stderr = proc.stderr.decode()
     assert stderr.startswith("Traceback") and "RuntimeError: layer broke" in stderr
+
+
+def test_entry_runs_the_command_without_the_cyclic_collector(built, tmp_path):
+    """The entry turns the collector off for the command, and on again when
+    main(...) returns."""
+    code = ("import gc, sys, tfmn.build, tfmn.cli\n"
+            "load = tfmn.build.load_network\n"
+            "def reporting(path):\n"
+            "    print('during', gc.isenabled())\n"
+            "    return load(path)\n"
+            "tfmn.build.load_network = reporting\n"
+            "print('before', gc.isenabled())\n"
+            "sys.argv[0] = 'tfmn'\n"
+            "tfmn.cli.main(standalone_mode=False)\n"
+            "print('after', gc.isenabled())")
+    proc = _entry_run(["rank", "--network", str(built / "toy.network.json"), "--top-k", "1"],
+                      tmp_path, code)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.decode().splitlines()
+    assert [lines[0], lines[1], lines[-1]] == ["before True", "during False", "after True"]
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_main_leaves_the_collector_as_it_finds_it(built, runner, monkeypatch, enabled):
+    """CliRunner, library callers and perfbench's tracer call main.main(...),
+    which neither turns the collector off nor on."""
+    seen = []
+    load = builder.load_network
+    monkeypatch.setattr(builder, "load_network", lambda path: seen.append(gc.isenabled()) or load(path))
+    (gc.enable if enabled else gc.disable)()
+    try:
+        result = runner.invoke(main, ["rank", "--network", str(built / "toy.network.json")])
+        assert result.exit_code == 0, result.output
+        assert seen == [enabled] and gc.isenabled() is enabled
+    finally:
+        gc.enable()
+
+
+def _garbage_after(runner, args) -> int:
+    """What gc.collect() finds after one in-process run of a command with the
+    collector off, as the entry runs it: what reference counting left."""
+    gc.collect()
+    gc.disable()
+    try:
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("small, large", [
+    (["build", "--corpus", "corpus.txt"], ["build", "--corpus", "twice.txt"]),
+    (["nulltest", "--network", "corpus.network.json", "--realizations", "3"],
+     ["nulltest", "--network", "corpus.network.json", "--realizations", "12"]),
+    (["benchmark", "--out-dir", "bench", "--realizations", "2"],
+     ["benchmark", "--out-dir", "bench", "--realizations", "6"]),
+], ids=["build", "nulltest", "benchmark"])
+def test_garbage_left_without_the_collector_does_not_grow_with_the_input(
+        runner, tmp_path, monkeypatch, data_dir, small, large):
+    """The entry runs commands with the cyclic collector off, which is safe
+    only while what it would have collected stays small: the larger input,
+    run first so that it also carries any one-time garbage, leaves no more."""
+    monkeypatch.chdir(tmp_path)
+    text = (data_dir / "synthetic" / "corpus.txt").read_text(encoding="utf-8")
+    Path("corpus.txt").write_text(text, encoding="utf-8")
+    Path("twice.txt").write_text(text + "".join(f"again-{line}\n" for line in text.splitlines()),
+                                 encoding="utf-8")
+    assert runner.invoke(main, ["build", "--corpus", "corpus.txt"]).exit_code == 0
+    more = _garbage_after(runner, large)
+    assert more <= _garbage_after(runner, small)
 
 
 def test_group_help_exits_zero(runner):
